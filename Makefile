@@ -79,6 +79,10 @@ bench-run:
 		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/loadgen/ | tee -a $(BENCHOUT)
 	$(GO) test -run='^$$' -bench='BenchmarkClusterStep|BenchmarkCoordinator' \
 		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/cluster/ | tee -a $(BENCHOUT)
+	$(GO) test -run='^$$' -bench='BenchmarkMaterialize' \
+		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/dataset/ | tee -a $(BENCHOUT)
+	$(GO) test -run='^$$' -bench='BenchmarkDirectGraphBuild' \
+		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) . | tee -a $(BENCHOUT)
 	$(GO) test -run='^$$' -bench='BenchmarkRunAllParallel' \
 		-benchmem -benchtime=1x -count=$(BENCHCOUNT) . | tee -a $(BENCHOUT)
 

@@ -57,6 +57,11 @@ func (f Flash) Validate() error {
 		return fmt.Errorf("config: channels/dies must be positive (%d×%d)", f.Channels, f.DiesPerChannel)
 	case f.PageSize < 512:
 		return fmt.Errorf("config: page size %d too small", f.PageSize)
+	case f.PageSize&(f.PageSize-1) != 0:
+		return fmt.Errorf("config: page size %d is not a power of two", f.PageSize)
+	case f.PageSize > 32768:
+		// DirectGraph section lengths are 16-bit (directgraph.MaxPageSize).
+		return fmt.Errorf("config: page size %d exceeds 32768", f.PageSize)
 	case f.BlocksPerDie <= 0 || f.PagesPerBlock <= 0:
 		return fmt.Errorf("config: blocks/pages must be positive")
 	case f.ChannelBW <= 0:

@@ -71,6 +71,8 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.Flash.Channels = 0 },
 		func(c *Config) { c.Flash.PageSize = 100 },
+		func(c *Config) { c.Flash.PageSize = 6000 },  // not a power of two
+		func(c *Config) { c.Flash.PageSize = 65536 }, // DirectGraph section lengths are 16-bit
 		func(c *Config) { c.Flash.ChannelBW = 0 },
 		func(c *Config) { c.Flash.ReadLatency = 0 },
 		func(c *Config) { c.Flash.BlocksPerDie = 0 },

@@ -1,6 +1,7 @@
 package directgraph
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"beacongnn/internal/graph"
@@ -67,27 +68,49 @@ func (b *Build) NodeAddr(v graph.NodeID) Addr { return b.Plans[v].Primary }
 // Clone deep-copies the build: plans (including their address slices)
 // and page bytes. Relocation and fault-recovery remapping mutate a build
 // in place; systems that share one materialized instance clone it first
-// so concurrent experiments stay independent.
+// so concurrent experiments stay independent. The copy takes one slab
+// for all page bytes and one backing array each for the plans'
+// Secondaries and SecOffsets.
 func (b *Build) Clone() *Build {
-	c := &Build{Layout: b.Layout, Stats: b.Stats}
-	c.Plans = make([]NodePlan, len(b.Plans))
+	c := &Build{Layout: b.Layout, Stats: b.Stats, Plans: make([]NodePlan, len(b.Plans))}
+	var nsec, noff int
+	for i := range b.Plans {
+		nsec += len(b.Plans[i].Secondaries)
+		noff += len(b.Plans[i].SecOffsets)
+	}
+	secs := make([]Addr, 0, nsec)
+	offs := make([]int, 0, noff)
 	for i := range b.Plans {
 		p := b.Plans[i]
-		if p.Secondaries != nil {
-			p.Secondaries = append([]Addr(nil), p.Secondaries...)
-		}
-		if p.SecOffsets != nil {
-			p.SecOffsets = append([]int(nil), p.SecOffsets...)
-		}
+		p.Secondaries = carve(&secs, p.Secondaries)
+		p.SecOffsets = carve(&offs, p.SecOffsets)
 		c.Plans[i] = p
 	}
 	if b.Pages != nil {
+		var total int
+		for _, page := range b.Pages {
+			total += len(page)
+		}
+		slab := make([]byte, 0, total)
 		c.Pages = make(map[uint32][]byte, len(b.Pages))
 		for pn, page := range b.Pages {
-			c.Pages[pn] = append([]byte(nil), page...)
+			c.Pages[pn] = carve(&slab, page)
 		}
 	}
 	return c
+}
+
+// carve appends src to the shared backing array *dst and returns the
+// copy, capped at its own length so that appending through it
+// reallocates instead of spilling into the next copy. An empty src
+// yields nil.
+func carve[T any](dst *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	start := len(*dst)
+	*dst = append(*dst, src...)
+	return (*dst)[start:len(*dst):len(*dst)]
 }
 
 // PageNumbers returns the set of allocated physical pages, usable for
@@ -203,6 +226,18 @@ func (l Layout) planBudget(degree, budget int) (p NodePlan, ok bool) {
 func (b *builder) assign(degrees []int) error {
 	l := b.layout
 	b.plans = make([]NodePlan, len(degrees))
+	// A node never needs more than ceil(degree/SecondaryCapacity)
+	// secondaries, so this bound sizes the two backing arrays that every
+	// plan's Secondaries and SecOffsets are cut from.
+	cs := l.SecondaryCapacity()
+	bound := 0
+	for _, deg := range degrees {
+		if deg > 0 {
+			bound += (deg + cs - 1) / cs
+		}
+	}
+	secs := make([]Addr, 0, bound)
+	offs := make([]int, 0, bound)
 	for v, deg := range degrees {
 		var plan NodePlan
 		flat := primaryHeaderLen + l.FeatureBytes() + deg*addrLen
@@ -255,30 +290,36 @@ func (b *builder) assign(degrees []int) error {
 		// Secondary sections: all but the last fill dedicated pages; the
 		// final partial section shares secondary pages first-fit.
 		if plan.SecCount > 0 {
-			plan.Secondaries = make([]Addr, plan.SecCount)
-			plan.SecOffsets = make([]int, plan.SecCount)
+			start := len(secs)
 			for s := 0; s < plan.SecCount; s++ {
 				count := plan.FullSecCount
 				if s == plan.SecCount-1 {
 					count = plan.LastSecCount
 				}
 				size := secondaryHeaderLen + count*addrLen
+				var addr Addr
+				var off int
 				if s < plan.SecCount-1 || size == l.PageSize {
 					n, err := b.newPage(false)
 					if err != nil {
 						return err
 					}
-					plan.Secondaries[s] = l.MakeAddr(n, 0)
-					plan.SecOffsets[s] = 0
+					addr = l.MakeAddr(n, 0)
 				} else {
 					var err error
-					plan.Secondaries[s], plan.SecOffsets[s], err = b.placeShared(size, false)
+					addr, off, err = b.placeShared(size, false)
 					if err != nil {
 						return err
 					}
 				}
+				secs = append(secs, addr)
+				offs = append(offs, off)
 				b.stats.UsedBytes += int64(size)
 			}
+			// Three-index slices: an append through one plan's slice
+			// reallocates rather than overwriting the next plan's entries.
+			plan.Secondaries = secs[start:len(secs):len(secs)]
+			plan.SecOffsets = offs[start:len(offs):len(offs)]
 		}
 		b.plans[v] = plan
 		b.stats.Edges += int64(deg)
@@ -329,30 +370,49 @@ func BuildGraph(l Layout, g *graph.Graph, alloc PageAllocator) (*Build, error) {
 	if err := b.assign(degrees); err != nil {
 		return nil, err
 	}
-	build := &Build{Layout: l, Plans: b.plans, Stats: b.stats, Pages: make(map[uint32][]byte)}
+	build := &Build{Layout: l, Plans: b.plans, Stats: b.stats}
+	if err := serialize(build, g); err != nil {
+		return nil, err
+	}
+	return build, nil
+}
 
-	page := func(n uint32) []byte {
-		p, ok := build.Pages[n]
+// serialize writes every node's sections straight into their pages.
+// The metadata pass has fixed the page count, so all page images are cut
+// from one zeroed slab, each page on its first use; every allocated page
+// holds at least one section, which is why the slab never runs short.
+func serialize(build *Build, g *graph.Graph) error {
+	l := build.Layout
+	ps := l.PageSize
+	npages := build.Stats.PrimaryPages + build.Stats.SecondaryPages
+	slab := make([]byte, npages*ps)
+	build.Pages = make(map[uint32][]byte, npages)
+	section := func(a Addr, off, size int) ([]byte, error) {
+		pn := l.Page(a)
+		p, ok := build.Pages[pn]
 		if !ok {
-			p = make([]byte, l.PageSize)
-			build.Pages[n] = p
+			p, slab = slab[:ps:ps], slab[ps:]
+			build.Pages[pn] = p
 		}
-		return p
+		if off+size > ps {
+			return nil, fmt.Errorf("directgraph: page %d overflow at offset %d", pn, off)
+		}
+		return p[off : off+size], nil
 	}
-	write := func(a Addr, off int, data []byte) error {
-		p := page(l.Page(a))
-		if off+len(data) > l.PageSize {
-			return fmt.Errorf("directgraph: page %d overflow at offset %d", l.Page(a), off)
-		}
-		copy(p[off:], data)
-		return nil
+	// Neighbor entries are primary-section addresses; one flat table
+	// keeps the per-edge lookups off the much larger plan records.
+	addrs := make([]uint32, len(build.Plans))
+	for v := range build.Plans {
+		addrs[v] = uint32(build.Plans[v].Primary)
 	}
 
-	for v := 0; v < g.NumNodes(); v++ {
-		plan := &b.plans[v]
+	for v := range build.Plans {
+		plan := &build.Plans[v]
 		nbrs := g.Neighbors(graph.NodeID(v))
-		// Primary section.
-		buf := make([]byte, plan.PrimarySize)
+		buf, err := section(plan.Primary, plan.PrimaryOffset, plan.PrimarySize)
+		if err != nil {
+			return err
+		}
 		buf[0] = SectionTypePrimary
 		putU16(buf, 2, plan.PrimarySize)
 		putU32(buf, 4, uint32(v))
@@ -368,36 +428,35 @@ func BuildGraph(l Layout, g *graph.Graph, alloc PageAllocator) (*Build, error) {
 			putU16(buf, off, int(fb))
 			off += 2
 		}
-		for i := 0; i < plan.InlineCount; i++ {
-			putU32(buf, off, uint32(b.plans[nbrs[i]].Primary))
-			off += addrLen
-		}
-		if err := write(plan.Primary, plan.PrimaryOffset, buf); err != nil {
-			return nil, err
-		}
-		// Secondary sections.
+		putAddrs(buf[off:], addrs, nbrs[:plan.InlineCount])
+
 		base := plan.InlineCount
-		for s := 0; s < plan.SecCount; s++ {
+		for s, sa := range plan.Secondaries {
 			count := plan.FullSecCount
 			if s == plan.SecCount-1 {
 				count = plan.LastSecCount
 			}
-			sec := make([]byte, secondaryHeaderLen+count*addrLen)
+			size := secondaryHeaderLen + count*addrLen
+			sec, err := section(sa, plan.SecOffsets[s], size)
+			if err != nil {
+				return err
+			}
 			sec[0] = SectionTypeSecondary
-			putU16(sec, 2, len(sec))
+			putU16(sec, 2, size)
 			putU32(sec, 4, uint32(v))
 			putU32(sec, 8, uint32(base))
 			putU16(sec, 12, count)
-			so := secondaryHeaderLen
-			for i := 0; i < count; i++ {
-				putU32(sec, so, uint32(b.plans[nbrs[base+i]].Primary))
-				so += addrLen
-			}
-			if err := write(plan.Secondaries[s], plan.SecOffsets[s], sec); err != nil {
-				return nil, err
-			}
+			putAddrs(sec[secondaryHeaderLen:], addrs, nbrs[base:base+count])
 			base += count
 		}
 	}
-	return build, nil
+	return nil
+}
+
+// putAddrs writes the primary-section address of each neighbor into b.
+func putAddrs(b []byte, addrs []uint32, nbrs []graph.NodeID) {
+	b = b[:len(nbrs)*addrLen]
+	for i, u := range nbrs {
+		binary.LittleEndian.PutUint32(b[i*addrLen:], addrs[u])
+	}
 }

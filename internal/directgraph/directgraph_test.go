@@ -1,6 +1,7 @@
 package directgraph
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,10 +56,58 @@ func TestLayoutValidate(t *testing.T) {
 		{PageSize: 256, FeatureDim: 4},     // too small
 		{PageSize: 4096, FeatureDim: -1},   // negative dim
 		{PageSize: 4096, FeatureDim: 3000}, // feature larger than page
+		{PageSize: 65536, FeatureDim: 4},   // section length overflows 16 bits
+		{PageSize: 131072, FeatureDim: 4},
 	}
 	for _, l := range bad {
 		if err := l.Validate(); err == nil {
 			t.Errorf("layout %+v validated", l)
+		}
+	}
+}
+
+// TestPageSizeLimit pins the 16-bit section-length limit. At the largest
+// accepted page size, hub nodes fill whole pages with one section (a
+// primary or secondary exactly PageSize bytes long) and the image still
+// verifies. Larger pages would wrap the length field, so the image would
+// decode as "length 0" or a bad section type; BuildGraph rejects them.
+func TestPageSizeLimit(t *testing.T) {
+	b := graph.NewBuilder(64, 2)
+	for hub := 0; hub < 3; hub++ {
+		for i := 0; i < 20000+hub*3000; i++ {
+			b.AddEdge(graph.NodeID(hub), graph.NodeID(3+(i+hub)%61))
+		}
+	}
+	for v := 3; v < 64; v++ {
+		b.AddEdge(graph.NodeID(v), graph.NodeID(v%3))
+	}
+	g := b.Build()
+	build, err := BuildGraph(Layout{PageSize: MaxPageSize, FeatureDim: 2}, g, &SeqAllocator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for v := 0; v < 3; v++ {
+		plan := build.Plans[v]
+		if plan.PrimarySize == MaxPageSize {
+			full++
+		}
+		if plan.SecCount > 1 {
+			full++ // a non-final secondary fills its page
+		}
+	}
+	if full < 2 {
+		t.Fatalf("no section fills a %d B page; raise the hub degrees", MaxPageSize)
+	}
+	if err := Verify(build); err != nil {
+		t.Fatal(err)
+	}
+	if r := Validate(build); !r.OK() {
+		t.Fatalf("validation issues: %v", r.Issues)
+	}
+	for _, ps := range []int{2 * MaxPageSize, 4 * MaxPageSize} {
+		if _, err := BuildGraph(Layout{PageSize: ps, FeatureDim: 2}, g, &SeqAllocator{}); err == nil {
+			t.Errorf("page size %d accepted", ps)
 		}
 	}
 }
@@ -465,5 +514,82 @@ func TestBuildPropertyNeighborCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedBackingArraysIsolated checks that plans cut from shared
+// backing arrays (by assign and by Clone) and pages cut from one slab
+// stay independent: appending through one plan's slices leaves its
+// neighbor intact, and relocating a clone leaves the original's plans
+// and page bytes untouched.
+func TestSharedBackingArraysIsolated(t *testing.T) {
+	g, err := graph.Generate(graph.GenSpec{Nodes: 200, AvgDegree: 60, MaxDegree: 199, PowerLaw: 0, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildGraph(Layout{PageSize: 512, FeatureDim: 0}, g, &SeqAllocator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendThrough := func(b *Build) {
+		t.Helper()
+		prev := -1
+		for i := range b.Plans {
+			p := &b.Plans[i]
+			if p.SecCount == 0 {
+				continue
+			}
+			if prev >= 0 {
+				want := append([]Addr(nil), p.Secondaries...)
+				wantOff := append([]int(nil), p.SecOffsets...)
+				_ = append(b.Plans[prev].Secondaries, InvalidAddr)
+				_ = append(b.Plans[prev].SecOffsets, -1)
+				for j := range want {
+					if p.Secondaries[j] != want[j] || p.SecOffsets[j] != wantOff[j] {
+						t.Fatalf("append through node %d's plan overwrote node %d's secondaries", prev, i)
+					}
+				}
+				return
+			}
+			prev = i
+		}
+		t.Fatal("no two plans with secondaries; raise the degree")
+	}
+	appendThrough(b)
+
+	before := map[uint32][]byte{}
+	for pn, page := range b.Pages {
+		before[pn] = append([]byte(nil), page...)
+	}
+	plans := append([]NodePlan(nil), b.Plans...)
+	secs := make([][]Addr, len(plans))
+	for i := range plans {
+		secs[i] = append([]Addr(nil), plans[i].Secondaries...)
+	}
+	c := b.Clone()
+	appendThrough(c)
+	if err := Relocate(c, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(c); err != nil {
+		t.Fatalf("relocated clone: %v", err)
+	}
+	if err := Verify(b); err != nil {
+		t.Fatalf("original after relocating its clone: %v", err)
+	}
+	for pn, page := range b.Pages {
+		if !bytes.Equal(page, before[pn]) {
+			t.Fatalf("page %d of the original changed when its clone was relocated", pn)
+		}
+	}
+	for i := range b.Plans {
+		if b.Plans[i].Primary != plans[i].Primary {
+			t.Fatalf("node %d primary moved with the clone", i)
+		}
+		for j, a := range b.Plans[i].Secondaries {
+			if a != secs[i][j] {
+				t.Fatalf("node %d secondary %d moved with the clone", i, j)
+			}
+		}
 	}
 }

@@ -56,6 +56,9 @@ const (
 	primaryHeaderLen   = 16 // common + count/inline/secCount fields
 	secondaryHeaderLen = 16 // common + base/count/reserved fields
 	addrLen            = 4
+	// MaxPageSize is the largest page whose section lengths fit the
+	// 16-bit length field.
+	MaxPageSize = 32768
 	// SectionTypePrimary and friends are the header type codes.
 	SectionTypeEnd       = 0
 	SectionTypePrimary   = 1
@@ -104,6 +107,8 @@ func (l Layout) Validate() error {
 	switch {
 	case l.PageSize < 512 || l.PageSize&(l.PageSize-1) != 0:
 		return fmt.Errorf("directgraph: page size %d must be a power of two ≥ 512", l.PageSize)
+	case l.PageSize > MaxPageSize:
+		return fmt.Errorf("directgraph: page size %d exceeds %d: section lengths are 16-bit", l.PageSize, MaxPageSize)
 	case l.FeatureDim < 0:
 		return fmt.Errorf("directgraph: negative feature dim %d", l.FeatureDim)
 	case primaryHeaderLen+l.FeatureBytes() >= l.PageSize:

@@ -125,6 +125,10 @@ func DegreeSequence(spec GenSpec) ([]int, error) {
 // edges stays inside the node's LocalityBlock-sized id block — which is
 // what topology-aware placement policies exist to exploit. Features are
 // filled with small deterministic pseudo-random values.
+//
+// The CSR arrays are written directly: offsets are the prefix sum of the
+// degree sequence, so adjacency and features each take one exact-size
+// allocation however many nodes the graph has.
 func Generate(spec GenSpec) (*Graph, error) {
 	degs, err := DegreeSequence(spec)
 	if err != nil {
@@ -138,9 +142,18 @@ func Generate(spec GenSpec) (*Graph, error) {
 	if block > spec.Nodes {
 		block = spec.Nodes
 	}
-	b := NewBuilder(spec.Nodes, spec.FeatureDim)
+	g := &Graph{
+		offsets:  make([]int64, spec.Nodes+1),
+		features: make([]uint16, spec.Nodes*spec.FeatureDim),
+		dim:      spec.FeatureDim,
+	}
 	for v, d := range degs {
-		for j := 0; j < d; j++ {
+		g.offsets[v+1] = g.offsets[v] + int64(d)
+	}
+	g.adj = make([]NodeID, g.offsets[spec.Nodes])
+	for v := range degs {
+		nbrs := g.adj[g.offsets[v]:g.offsets[v+1]]
+		for j := range nbrs {
 			var u int
 			if spec.Locality > 0 && rng.Float64() < spec.Locality {
 				// Community edge: target within this node's id block.
@@ -157,17 +170,11 @@ func Generate(spec GenSpec) (*Graph, error) {
 			if u == v {
 				u = (u + 1) % spec.Nodes
 			}
-			b.AddEdge(NodeID(v), NodeID(u))
+			nbrs[j] = NodeID(u)
 		}
 	}
-	if spec.FeatureDim > 0 {
-		feat := make([]float32, spec.FeatureDim)
-		for v := 0; v < spec.Nodes; v++ {
-			for i := range feat {
-				feat[i] = float32(rng.Float64()*2 - 1)
-			}
-			b.SetFeature(NodeID(v), feat)
-		}
+	for i := range g.features {
+		g.features[i] = Float32ToFp16(float32(rng.Float64()*2 - 1))
 	}
-	return b.Build(), nil
+	return g, nil
 }

@@ -171,6 +171,22 @@ func Fp16ToFloat32(h uint16) float32 {
 // bit pattern (round-to-nearest-even, overflow to infinity).
 func Float32ToFp16(f float32) uint16 {
 	bits := math.Float32bits(f)
+	// Fast path: |f| in [2^-14, 2^15) is a normal half. Rebias the
+	// exponent, then round to nearest even by adding just under half an
+	// ulp plus the kept LSB; a carry out of the mantissa correctly bumps
+	// the exponent. TestFloat32ToFp16FastPath checks it against the
+	// general conversion below; -fp16-exhaustive covers all 2^32 inputs.
+	if abs := bits & 0x7fffffff; abs-0x38800000 < 0x47000000-0x38800000 {
+		a := abs - 0x38000000
+		a += 0xfff + (a>>13)&1
+		return uint16(bits>>16)&0x8000 | uint16(a>>13)
+	}
+	return float32ToFp16Slow(bits)
+}
+
+// float32ToFp16Slow is the general conversion covering every input:
+// subnormal, overflow, inf and NaN included.
+func float32ToFp16Slow(bits uint32) uint16 {
 	sign := uint16(bits>>16) & 0x8000
 	exp := int32(bits>>23)&0xff - 127 + 15
 	frac := bits & 0x7fffff
