@@ -31,7 +31,7 @@ bench:
 # Run every fuzz target briefly — a smoke net over the decoder and wire
 # formats (Go runs one fuzz target per invocation, hence the loop).
 fuzz-smoke:
-	@for t in FuzzFindSection FuzzRelocate FuzzSectionsInPage; do \
+	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
 		echo "== $$t"; \
 		$(GO) test ./internal/directgraph/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
 	done
@@ -81,6 +81,8 @@ bench-run:
 		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/cluster/ | tee -a $(BENCHOUT)
 	$(GO) test -run='^$$' -bench='BenchmarkMaterialize' \
 		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/dataset/ | tee -a $(BENCHOUT)
+	$(GO) test -run='^$$' -bench='BenchmarkEventLoop' \
+		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) ./internal/platform/ | tee -a $(BENCHOUT)
 	$(GO) test -run='^$$' -bench='BenchmarkDirectGraphBuild' \
 		-benchmem -benchtime=0.5s -count=$(BENCHCOUNT) . | tee -a $(BENCHOUT)
 	$(GO) test -run='^$$' -bench='BenchmarkRunAllParallel' \
@@ -100,10 +102,12 @@ bench-gate: bench-run
 bench-baseline: bench-run
 	$(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.json -update $(BENCHOUT)
 
-# CPU and allocation profiles of the two load-bearing benchmarks: the
-# event-loop hot path (BenchmarkServer) and the full evaluation
+# CPU and allocation profiles of the load-bearing benchmarks: the
+# service-center hot path (BenchmarkServer), the simulation event loop
+# of a cold request (BenchmarkEventLoop) and the full evaluation
 # (BenchmarkRunAllParallel). Inspect with:
 #   go tool pprof -top $(PROFILEDIR)/server.cpu.pprof
+#   go tool pprof -top $(PROFILEDIR)/eventloop.cpu.pprof
 #   go tool pprof -top -sample_index=alloc_objects $(PROFILEDIR)/runall.alloc.pprof
 profile:
 	mkdir -p $(PROFILEDIR)
@@ -111,6 +115,10 @@ profile:
 		-cpuprofile=$(PROFILEDIR)/server.cpu.pprof \
 		-memprofile=$(PROFILEDIR)/server.alloc.pprof \
 		-o $(PROFILEDIR)/sim.test ./internal/sim/
+	$(GO) test -run='^$$' -bench='BenchmarkEventLoop' -benchmem -benchtime=2s \
+		-cpuprofile=$(PROFILEDIR)/eventloop.cpu.pprof \
+		-memprofile=$(PROFILEDIR)/eventloop.alloc.pprof \
+		-o $(PROFILEDIR)/platform.test ./internal/platform/
 	$(GO) test -run='^$$' -bench='BenchmarkRunAllParallel' -benchmem -benchtime=1x \
 		-cpuprofile=$(PROFILEDIR)/runall.cpu.pprof \
 		-memprofile=$(PROFILEDIR)/runall.alloc.pprof \

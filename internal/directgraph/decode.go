@@ -1,8 +1,10 @@
 package directgraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by the decoder; the on-die sampler maps these to the
@@ -36,115 +38,162 @@ type Section struct {
 	Entries   []Addr
 }
 
-// FindSection walks the page's section chain to the idx-th section and
-// decodes it — exactly what the die-level sampler's section iterator does
-// (Fig. 11). It validates headers as it goes (Section VI-E runtime check).
-func FindSection(l Layout, page []byte, idx int) (*Section, error) {
+// SectionView is one validated section read in place from the page
+// bytes — what the die-level sampler's section iterator hands the node
+// sampler and vector retriever (Fig. 11). Header fields are decoded;
+// address arrays and the feature vector stay in the page and are read
+// through the accessors. A view aliases the page, so it sees the bytes
+// as they are when an accessor runs.
+type SectionView struct {
+	page []byte
+
+	Type        byte
+	Length      int
+	NodeID      uint32
+	StartOffset int // byte offset inside the page
+
+	// Primary fields.
+	NeighborCount  int
+	InlineCount    int
+	SecondaryCount int
+	FeatureDim     int
+
+	// Secondary fields.
+	BaseIndex int
+	Count     int
+}
+
+// Secondary returns the i-th secondary-section address of a primary.
+func (v *SectionView) Secondary(i int) Addr {
+	return Addr(getU32(v.page, v.StartOffset+primaryHeaderLen+i*addrLen))
+}
+
+// Inline returns the i-th inline neighbor address of a primary.
+func (v *SectionView) Inline(i int) Addr {
+	return Addr(getU32(v.page, v.inlineOff()+i*addrLen))
+}
+
+// Entry returns the i-th neighbor address of a secondary.
+func (v *SectionView) Entry(i int) Addr {
+	return Addr(getU32(v.page, v.StartOffset+secondaryHeaderLen+i*addrLen))
+}
+
+// AppendFeatureBits appends a primary's FP16 feature vector to dst.
+func (v *SectionView) AppendFeatureBits(dst []uint16) []uint16 {
+	n := len(dst)
+	dst = slices.Grow(dst, v.FeatureDim)[:n+v.FeatureDim]
+	src := v.page[v.featureOff():][:2*v.FeatureDim]
+	out := dst[n:]
+	// Four elements per 8-byte load: this copy is the die data path's
+	// largest per-command cost (602 dims on reddit).
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		x := binary.LittleEndian.Uint64(src[2*i:])
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = uint16(x), uint16(x>>16), uint16(x>>32), uint16(x>>48)
+	}
+	for ; i < len(out); i++ {
+		out[i] = binary.LittleEndian.Uint16(src[2*i:])
+	}
+	return dst
+}
+
+func (v *SectionView) featureOff() int {
+	return v.StartOffset + primaryHeaderLen + v.SecondaryCount*addrLen
+}
+
+func (v *SectionView) inlineOff() int { return v.featureOff() + v.FeatureDim*2 }
+
+// ViewSection walks the page's section chain to the idx-th section and
+// validates it without copying anything out — exactly what the
+// die-level sampler's section iterator does (Fig. 11). It validates
+// headers as it goes (Section VI-E runtime check).
+func ViewSection(l Layout, page []byte, idx int) (SectionView, error) {
 	if len(page) != l.PageSize {
-		return nil, fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize)
+		return SectionView{}, fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize)
 	}
 	off := 0
 	for i := 0; ; i++ {
 		if off+commonHeaderLen > l.PageSize {
-			return nil, ErrSectionNotFound
+			return SectionView{}, ErrSectionNotFound
 		}
 		typ := page[off]
 		if typ == SectionTypeEnd {
-			return nil, ErrSectionNotFound
+			return SectionView{}, ErrSectionNotFound
 		}
 		if typ != SectionTypePrimary && typ != SectionTypeSecondary {
-			return nil, fmt.Errorf("%w: type byte %#x at offset %d", ErrBadSectionType, typ, off)
+			return SectionView{}, fmt.Errorf("%w: type byte %#x at offset %d", ErrBadSectionType, typ, off)
 		}
 		length := getU16(page, off+2)
 		if length < commonHeaderLen || off+length > l.PageSize {
-			return nil, fmt.Errorf("%w: length %d at offset %d", ErrCorruptSection, length, off)
+			return SectionView{}, fmt.Errorf("%w: length %d at offset %d", ErrCorruptSection, length, off)
 		}
 		if i == idx {
-			return decodeSection(l, page, off, typ, length)
+			return viewSection(l, page, off, typ, length)
 		}
 		off += length
 	}
 }
 
-func decodeSection(l Layout, page []byte, off int, typ byte, length int) (*Section, error) {
-	s := &Section{Type: typ, Length: length, NodeID: getU32(page, off+4), StartOffset: off}
+func viewSection(l Layout, page []byte, off int, typ byte, length int) (SectionView, error) {
+	v := SectionView{page: page, Type: typ, Length: length, NodeID: getU32(page, off+4), StartOffset: off}
 	switch typ {
 	case SectionTypePrimary:
 		if length < primaryHeaderLen {
-			return nil, fmt.Errorf("%w: primary too short (%d)", ErrCorruptSection, length)
+			return SectionView{}, fmt.Errorf("%w: primary too short (%d)", ErrCorruptSection, length)
 		}
-		s.NeighborCount = int(getU32(page, off+8))
-		s.InlineCount = getU16(page, off+12)
-		secCount := getU16(page, off+14)
-		need := primaryHeaderLen + secCount*addrLen + l.FeatureBytes() + s.InlineCount*addrLen
+		v.NeighborCount = int(getU32(page, off+8))
+		v.InlineCount = getU16(page, off+12)
+		v.SecondaryCount = getU16(page, off+14)
+		v.FeatureDim = l.FeatureDim
+		need := primaryHeaderLen + v.SecondaryCount*addrLen + l.FeatureBytes() + v.InlineCount*addrLen
 		if need != length {
-			return nil, fmt.Errorf("%w: primary length %d, computed %d", ErrCorruptSection, length, need)
-		}
-		p := off + primaryHeaderLen
-		s.Secondaries = make([]Addr, secCount)
-		for i := range s.Secondaries {
-			s.Secondaries[i] = Addr(getU32(page, p))
-			p += addrLen
-		}
-		s.FeatureBits = make([]uint16, l.FeatureDim)
-		for i := range s.FeatureBits {
-			s.FeatureBits[i] = uint16(getU16(page, p))
-			p += 2
-		}
-		s.Inline = make([]Addr, s.InlineCount)
-		for i := range s.Inline {
-			s.Inline[i] = Addr(getU32(page, p))
-			p += addrLen
+			return SectionView{}, fmt.Errorf("%w: primary length %d, computed %d", ErrCorruptSection, length, need)
 		}
 	case SectionTypeSecondary:
 		if length < secondaryHeaderLen {
-			return nil, fmt.Errorf("%w: secondary too short (%d)", ErrCorruptSection, length)
+			return SectionView{}, fmt.Errorf("%w: secondary too short (%d)", ErrCorruptSection, length)
 		}
-		s.BaseIndex = int(getU32(page, off+8))
-		s.Count = getU16(page, off+12)
-		if secondaryHeaderLen+s.Count*addrLen != length {
-			return nil, fmt.Errorf("%w: secondary length %d, count %d", ErrCorruptSection, length, s.Count)
+		v.BaseIndex = int(getU32(page, off+8))
+		v.Count = getU16(page, off+12)
+		if secondaryHeaderLen+v.Count*addrLen != length {
+			return SectionView{}, fmt.Errorf("%w: secondary length %d, count %d", ErrCorruptSection, length, v.Count)
 		}
-		p := off + secondaryHeaderLen
-		s.Entries = make([]Addr, s.Count)
+	}
+	return v, nil
+}
+
+// FindSection is ViewSection with the section copied out of the page,
+// for callers that keep it past the page's next mutation (dgtool,
+// Verify, tests).
+func FindSection(l Layout, page []byte, idx int) (*Section, error) {
+	v, err := ViewSection(l, page, idx)
+	if err != nil {
+		return nil, err
+	}
+	s := &Section{
+		Type: v.Type, Length: v.Length, NodeID: v.NodeID, StartOffset: v.StartOffset,
+		NeighborCount: v.NeighborCount, InlineCount: v.InlineCount,
+		BaseIndex: v.BaseIndex, Count: v.Count,
+	}
+	switch v.Type {
+	case SectionTypePrimary:
+		s.Secondaries = make([]Addr, v.SecondaryCount)
+		for i := range s.Secondaries {
+			s.Secondaries[i] = v.Secondary(i)
+		}
+		s.FeatureBits = v.AppendFeatureBits(make([]uint16, 0, v.FeatureDim))
+		s.Inline = make([]Addr, v.InlineCount)
+		for i := range s.Inline {
+			s.Inline[i] = v.Inline(i)
+		}
+	case SectionTypeSecondary:
+		s.Entries = make([]Addr, v.Count)
 		for i := range s.Entries {
-			s.Entries[i] = Addr(getU32(page, p))
-			p += addrLen
+			s.Entries[i] = v.Entry(i)
 		}
 	}
 	return s, nil
-}
-
-// DecodeAll walks the page's section chain once and decodes every
-// section, in chain order. Pages are immutable between relocations, so
-// simulators cache this result instead of re-walking the chain on every
-// sampler invocation (FindSection decodes afresh each call).
-func DecodeAll(l Layout, page []byte) ([]*Section, error) {
-	if len(page) != l.PageSize {
-		return nil, fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize)
-	}
-	var out []*Section
-	off := 0
-	for off+commonHeaderLen <= l.PageSize {
-		typ := page[off]
-		if typ == SectionTypeEnd {
-			break
-		}
-		if typ != SectionTypePrimary && typ != SectionTypeSecondary {
-			return nil, fmt.Errorf("%w: type byte %#x at offset %d", ErrBadSectionType, typ, off)
-		}
-		length := getU16(page, off+2)
-		if length < commonHeaderLen || off+length > l.PageSize {
-			return nil, fmt.Errorf("%w: length %d at offset %d", ErrCorruptSection, length, off)
-		}
-		s, err := decodeSection(l, page, off, typ, length)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-		off += length
-	}
-	return out, nil
 }
 
 // SectionsInPage counts the valid sections in a page.
@@ -238,5 +287,7 @@ func (b *Build) section(a Addr) (*Section, error) {
 	return FindSection(b.Layout, page, b.Layout.Section(a))
 }
 
-// ReadSection is the exported accessor used by the simulated samplers.
+// ReadSection returns a copy of the section at address a, for dgtool
+// and the tests; the simulated die samplers read sections in place
+// through ViewSection instead.
 func (b *Build) ReadSection(a Addr) (*Section, error) { return b.section(a) }

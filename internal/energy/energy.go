@@ -33,10 +33,59 @@ const (
 	Static       Component = "static"        // controller + DRAM background
 )
 
+// components lists every bucket in lexicographic order; a Meter's
+// bucket array is indexed by position here. Every aggregation iterates
+// this order: float addition is not associative, so a fixed summation
+// order keeps totals (and every fraction derived from them) identical
+// at the last ulp from run to run.
+var components = [...]Component{
+	AccelCompute, ChannelXfer, EmbeddedCore, FlashRead, FlashRetry,
+	FlashSample, HostCPU, HostDRAM, PCIe, Router, SSDDRAM, Static,
+}
+
+// Bucket indices into components.
+const (
+	slotAccel = iota
+	slotChannel
+	slotCore
+	slotFlashRead
+	slotFlashRetry
+	slotFlashSample
+	slotHostCPU
+	slotHostDRAM
+	slotPCIe
+	slotRouter
+	slotSSDDRAM
+	slotStatic
+	numSlots
+)
+
+// slotOf returns c's bucket index.
+func slotOf(c Component) int {
+	for i, k := range components {
+		if k == c {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("energy: unknown component %q", c))
+}
+
+// groupOf maps each bucket to its Figure 19 group (see GroupFractions).
+var groupOf = [numSlots]string{
+	slotFlashRead: "flash", slotFlashRetry: "flash", slotFlashSample: "flash",
+	slotChannel: "transfer", slotRouter: "transfer", slotSSDDRAM: "transfer",
+	slotCore: "frontend", slotStatic: "frontend",
+	slotAccel: "accel",
+	slotPCIe:  "external", slotHostCPU: "external", slotHostDRAM: "external",
+}
+
 // Meter accumulates joules per component.
 type Meter struct {
 	cfg    config.Energy
-	joules map[Component]float64
+	joules [numSlots]float64
+	// used marks the occupied buckets — those that received at least
+	// one deposit, even of zero joules. Only they appear in Breakdown.
+	used [numSlots]bool
 
 	// OnAdd, when set, observes every deposit before it lands in a
 	// bucket. The invariant checker uses it to keep a shadow ledger and
@@ -47,102 +96,92 @@ type Meter struct {
 
 // NewMeter returns a meter using the given constants.
 func NewMeter(cfg config.Energy) *Meter {
-	return &Meter{cfg: cfg, joules: make(map[Component]float64)}
+	return &Meter{cfg: cfg}
 }
 
-// Add deposits j joules into the component bucket.
-func (m *Meter) Add(c Component, j float64) {
+// Add deposits j joules into the component bucket. It panics on a
+// component outside the fixed set above.
+func (m *Meter) Add(c Component, j float64) { m.add(slotOf(c), j) }
+
+func (m *Meter) add(slot int, j float64) {
 	if m.OnAdd != nil {
-		m.OnAdd(c, j)
+		m.OnAdd(components[slot], j)
 	}
-	m.joules[c] += j
+	m.joules[slot] += j
+	m.used[slot] = true
 }
 
 // Convenience depositors translating events into joules.
 
 // FlashReadPage records one page sense.
-func (m *Meter) FlashReadPage() { m.Add(FlashRead, m.cfg.FlashReadPage) }
+func (m *Meter) FlashReadPage() { m.add(slotFlashRead, m.cfg.FlashReadPage) }
 
 // FlashRetrySenses records n extra Vref-shift read-retry senses.
-func (m *Meter) FlashRetrySenses(n int) { m.Add(FlashRetry, float64(n)*m.cfg.FlashRetrySense) }
+func (m *Meter) FlashRetrySenses(n int) { m.add(slotFlashRetry, float64(n)*m.cfg.FlashRetrySense) }
 
 // FlashSampleOp records one on-die sampler invocation.
-func (m *Meter) FlashSampleOp() { m.Add(FlashSample, m.cfg.FlashSampleOp) }
+func (m *Meter) FlashSampleOp() { m.add(slotFlashSample, m.cfg.FlashSampleOp) }
 
 // ChannelBytes records n bytes on a flash channel bus.
-func (m *Meter) ChannelBytes(n int) { m.Add(ChannelXfer, float64(n)*m.cfg.ChannelPerByte) }
+func (m *Meter) ChannelBytes(n int) { m.add(slotChannel, float64(n)*m.cfg.ChannelPerByte) }
 
 // RouterCmd records one routed sampling command.
-func (m *Meter) RouterCmd() { m.Add(Router, m.cfg.RouterPerCmd) }
+func (m *Meter) RouterCmd() { m.add(slotRouter, m.cfg.RouterPerCmd) }
 
 // DRAMBytes records n bytes of SSD DRAM traffic.
-func (m *Meter) DRAMBytes(n int) { m.Add(SSDDRAM, float64(n)*m.cfg.DRAMPerByte) }
+func (m *Meter) DRAMBytes(n int) { m.add(slotSSDDRAM, float64(n)*m.cfg.DRAMPerByte) }
 
 // PCIeBytes records n bytes over PCIe.
-func (m *Meter) PCIeBytes(n int) { m.Add(PCIe, float64(n)*m.cfg.PCIePerByte) }
+func (m *Meter) PCIeBytes(n int) { m.add(slotPCIe, float64(n)*m.cfg.PCIePerByte) }
 
 // HostDRAMBytes records n bytes through host memory.
-func (m *Meter) HostDRAMBytes(n int) { m.Add(HostDRAM, float64(n)*m.cfg.HostDRAMPerByte) }
+func (m *Meter) HostDRAMBytes(n int) { m.add(slotHostDRAM, float64(n)*m.cfg.HostDRAMPerByte) }
 
 // CoreBusy records t of busy time on one embedded core.
-func (m *Meter) CoreBusy(t sim.Time) { m.Add(EmbeddedCore, t.Seconds()*m.cfg.CorePerSecond) }
+func (m *Meter) CoreBusy(t sim.Time) { m.add(slotCore, t.Seconds()*m.cfg.CorePerSecond) }
 
 // HostBusy records t of busy host-CPU time.
-func (m *Meter) HostBusy(t sim.Time) { m.Add(HostCPU, t.Seconds()*m.cfg.HostCPUPerSecond) }
+func (m *Meter) HostBusy(t sim.Time) { m.add(slotHostCPU, t.Seconds()*m.cfg.HostCPUPerSecond) }
 
 // AccelMACs records n multiply-accumulates plus b bytes of SRAM traffic.
 func (m *Meter) AccelMACs(n int64, b int64) {
-	m.Add(AccelCompute, float64(n)*m.cfg.AccelPerMAC+float64(b)*m.cfg.AccelSRAMPerByte)
+	m.add(slotAccel, float64(n)*m.cfg.AccelPerMAC+float64(b)*m.cfg.AccelSRAMPerByte)
 }
 
 // FinishStatic charges background power for the elapsed simulated time.
 func (m *Meter) FinishStatic(elapsed sim.Time) {
-	m.Add(Static, elapsed.Seconds()*m.cfg.StaticWatts)
-}
-
-// sortedComponents returns the occupied buckets in lexicographic order.
-// Every aggregation below iterates this order, never the map directly:
-// float addition is not associative, so summing in Go's randomized map
-// order would make totals (and every fraction derived from them) differ
-// at the last ulp from run to run.
-func (m *Meter) sortedComponents() []Component {
-	out := make([]Component, 0, len(m.joules))
-	for c := range m.joules {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	m.add(slotStatic, elapsed.Seconds()*m.cfg.StaticWatts)
 }
 
 // Total returns the summed energy in joules.
 func (m *Meter) Total() float64 {
 	t := 0.0
-	for _, c := range m.sortedComponents() {
-		t += m.joules[c]
+	for i, j := range m.joules {
+		if m.used[i] {
+			t += j
+		}
 	}
 	return t
 }
 
 // Of returns one bucket's joules.
-func (m *Meter) Of(c Component) float64 { return m.joules[c] }
+func (m *Meter) Of(c Component) float64 { return m.joules[slotOf(c)] }
 
-// Breakdown returns components sorted by descending energy.
+// Breakdown returns the occupied components sorted by descending energy.
 func (m *Meter) Breakdown() []Share {
 	total := m.Total()
-	out := make([]Share, 0, len(m.joules))
-	for c, j := range m.joules {
-		s := Share{Component: c, Joules: j}
+	out := make([]Share, 0, numSlots)
+	for i, j := range m.joules {
+		if !m.used[i] {
+			continue
+		}
+		s := Share{Component: components[i], Joules: j}
 		if total > 0 {
 			s.Fraction = j / total
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Joules != out[j].Joules {
-			return out[i].Joules > out[j].Joules
-		}
-		return out[i].Component < out[j].Component
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Joules > out[j].Joules })
 	return out
 }
 
@@ -158,20 +197,15 @@ type Share struct {
 // frontend, accelerator compute, and external (PCIe + host) traffic —
 // and returns each group's share of total energy.
 func (m *Meter) GroupFractions() map[string]float64 {
-	groups := map[Component]string{
-		FlashRead: "flash", FlashRetry: "flash", FlashSample: "flash",
-		ChannelXfer: "transfer", Router: "transfer", SSDDRAM: "transfer",
-		EmbeddedCore: "frontend", Static: "frontend",
-		AccelCompute: "accel",
-		PCIe:         "external", HostCPU: "external", HostDRAM: "external",
-	}
 	total := m.Total()
 	out := map[string]float64{}
 	if total == 0 {
 		return out
 	}
-	for _, c := range m.sortedComponents() {
-		out[groups[c]] += m.joules[c] / total
+	for i, j := range m.joules {
+		if m.used[i] {
+			out[groupOf[i]] += j / total
+		}
 	}
 	return out
 }

@@ -93,3 +93,60 @@ func TestStringRenders(t *testing.T) {
 		t.Fatal("empty render")
 	}
 }
+
+// The bucket table must stay in lexicographic order (the summation
+// order every aggregate relies on) and each slot constant must name its
+// own component.
+func TestComponentSlots(t *testing.T) {
+	for i := 1; i < len(components); i++ {
+		if components[i-1] >= components[i] {
+			t.Fatalf("components not sorted: %q before %q", components[i-1], components[i])
+		}
+	}
+	slots := map[int]Component{
+		slotAccel: AccelCompute, slotChannel: ChannelXfer, slotCore: EmbeddedCore,
+		slotFlashRead: FlashRead, slotFlashRetry: FlashRetry, slotFlashSample: FlashSample,
+		slotHostCPU: HostCPU, slotHostDRAM: HostDRAM, slotPCIe: PCIe,
+		slotRouter: Router, slotSSDDRAM: SSDDRAM, slotStatic: Static,
+	}
+	if len(slots) != numSlots || len(components) != numSlots {
+		t.Fatalf("%d slots, %d components, want %d", len(slots), len(components), numSlots)
+	}
+	for slot, c := range slots {
+		if components[slot] != c {
+			t.Errorf("slot %d holds %q, want %q", slot, components[slot], c)
+		}
+	}
+}
+
+// Breakdown lists exactly the occupied buckets: a zero-joule deposit
+// occupies its bucket, an untouched bucket never appears. Ties break
+// lexicographically.
+func TestBreakdownOccupiedBuckets(t *testing.T) {
+	m := meter()
+	m.Add(Router, 0)
+	m.Add(PCIe, 2)
+	m.Add(FlashRead, 2)
+	bd := m.Breakdown()
+	want := []Component{FlashRead, PCIe, Router}
+	if len(bd) != len(want) {
+		t.Fatalf("breakdown = %+v, want components %v", bd, want)
+	}
+	for i, c := range want {
+		if bd[i].Component != c {
+			t.Fatalf("breakdown[%d] = %q, want %q", i, bd[i].Component, c)
+		}
+	}
+	if len(meter().Breakdown()) != 0 {
+		t.Fatal("empty meter has occupied buckets")
+	}
+}
+
+func TestAddUnknownComponentPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown component accepted")
+		}
+	}()
+	meter().Add(Component("bogus"), 1)
+}

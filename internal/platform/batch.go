@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 
+	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/metrics"
 	"beacongnn/internal/sampler"
@@ -28,9 +29,10 @@ type batchState struct {
 	// Scratch buffers reused across the batch's reads. They are only
 	// ever consumed synchronously by their producer's caller, so one of
 	// each per batch suffices (the kernel is single-threaded).
-	pageScratch  []uint32         // page fan-out lists (appendPages)
-	childScratch []nodeRead       // drawChildren output
-	coalesce     [][]graph.NodeID // BG-DG secondary coalescing, by index
+	pageScratch  []uint32          // page fan-out lists (appendPages)
+	childScratch []nodeRead        // drawChildren output
+	coalesce     [][]graph.NodeID  // BG-DG secondary coalescing, by index
+	dieScratch   []sampler.Command // accountDie output
 }
 
 func (s *System) newBatch(id int, done func()) *batchState {
@@ -57,6 +59,7 @@ func (b *batchState) release() {
 		b.pendPage[i] = nil
 	}
 	b.pageScratch = b.pageScratch[:0]
+	b.dieScratch = b.dieScratch[:0]
 	cs := b.childScratch[:cap(b.childScratch)]
 	for i := range cs {
 		cs[i] = nodeRead{} // drop secChildren references
@@ -86,16 +89,17 @@ func (s *System) prepBatch(i int, done func()) {
 	// primary-section address (or LPA), sends one customized NVMe
 	// command, and the firmware polls it.
 	remaining := len(targets)
+	translated := func() {
+		remaining--
+		if remaining == 0 {
+			s.pcieData(8*len(targets), func() {
+				s.fwPhase(s.cfg.Firmware.PollCost)
+				s.fw.Poll(func() { s.launchTargets(b, targets) })
+			})
+		}
+	}
 	for range targets {
-		s.hostDo(s.cfg.Host.TranslateCost, func() {
-			remaining--
-			if remaining == 0 {
-				s.pcieData(8*len(targets), func() {
-					s.fwPhase(s.cfg.Firmware.PollCost)
-					s.fw.Poll(func() { s.launchTargets(b, targets) })
-				})
-			}
-		})
+		s.hostDo(s.cfg.Host.TranslateCost, translated)
 	}
 }
 
@@ -198,13 +202,14 @@ func (b *batchState) barrier(step int) {
 	}
 	// Host-side per-node translation (node index → LPA / section addr).
 	remaining := n
+	translated := func() {
+		remaining--
+		if remaining == 0 {
+			release()
+		}
+	}
 	for i := 0; i < n; i++ {
-		s.hostDo(s.cfg.Host.TranslateCost, func() {
-			remaining--
-			if remaining == 0 {
-				release()
-			}
-		})
+		s.hostDo(s.cfg.Host.TranslateCost, translated)
 	}
 }
 
@@ -271,6 +276,7 @@ func (op *dieOp) onParsed() {
 	b, cmd, res := op.b, op.cmd, op.res
 	op.release()
 	children := b.accountDie(cmd, res)
+	resultPool.Put(res)
 	for _, c := range children {
 		b.dispatchDie(c)
 	}
@@ -318,17 +324,13 @@ func (op *execOp) onSenseDone(final uint32) {
 		return
 	}
 	die := s.backend.Geometry().GlobalDie(final)
-	sec, err := s.cachedSection(final, pageBytes, s.layout.Section(op.cmd.Addr))
-	if err != nil {
-		op.release()
-		err = fmt.Errorf("sampler: %w", err)
-		s.fail(fmt.Errorf("platform: die sampler failed on page %d: %w", final, err))
-		return
-	}
-	res, err := sampler.ExecuteDecoded(s.layout, sec, op.cmd, s.samplerCfg, s.dieTRNG[die])
-	if err != nil {
+	// The die's section iterator reads the page bytes in place, so a
+	// remapped or relocated page is always seen as it is now.
+	res := resultPool.Get()
+	if err := sampler.ExecuteInto(res, s.layout, pageBytes, op.cmd, s.samplerCfg, s.dieTRNG[die]); err != nil {
 		// Section VI-E: the sampler aborts and control returns to
 		// firmware. The run fails with context instead of crashing.
+		resultPool.Put(res)
 		op.release()
 		s.fail(fmt.Errorf("platform: die sampler failed on page %d: %w", final, err))
 		return
@@ -359,8 +361,9 @@ func (op *execOp) onXferDone() {
 }
 
 // accountDie updates counters for a completed die command and returns
-// the children that should dispatch immediately. The caller must invoke
-// stepDone(cmd.Hop) afterwards.
+// the children that should dispatch immediately. The returned slice is
+// the batch's dieScratch: callers consume or copy it before the next
+// accountDie. The caller must invoke stepDone(cmd.Hop) afterwards.
 func (b *batchState) accountDie(cmd sampler.Command, res *sampler.Result) []sampler.Command {
 	s := b.sys
 	if b.id == 0 {
@@ -368,19 +371,31 @@ func (b *batchState) accountDie(cmd sampler.Command, res *sampler.Result) []samp
 	}
 	b.featBytes += int64(len(res.FeatureBits) * 2)
 	now := s.k.Now()
-	var immediate []sampler.Command
+	immediate := b.dieScratch[:0]
 	for _, c := range res.Commands {
 		c.Created = now
 		if s.onSample != nil && !c.Secondary {
 			// The command's address names the child's primary section;
 			// decode the child id for the observer.
-			if sec, err := s.cachedSectionAddr(c.Addr); err == nil {
-				s.onSample(res.Node, sec.NodeID, c.Hop)
+			if child, ok := s.sectionNode(c.Addr); ok {
+				s.onSample(res.Node, child, c.Hop)
 			}
 		}
 		if b.registerChildDie(c) {
 			immediate = append(immediate, c)
 		}
 	}
+	b.dieScratch = immediate
 	return immediate
+}
+
+// sectionNode reads the node id of the section at a, following spare
+// remaps and relocations to the page's current physical home.
+func (s *System) sectionNode(a directgraph.Addr) (uint32, bool) {
+	page, ok := s.build.Pages[s.resolvePage(s.layout.Page(a))]
+	if !ok {
+		return 0, false
+	}
+	sec, err := directgraph.ViewSection(s.layout, page, s.layout.Section(a))
+	return sec.NodeID, err == nil
 }

@@ -172,7 +172,6 @@ func (s *System) recoverPage(rp uint32, dieDead bool) error {
 		// copy: the bytes move to their new physical home.
 		s.build.Pages[sp] = pb
 		delete(s.build.Pages, rp)
-		s.invalidateSections()
 	}
 	fc := s.cfg.Fault
 	if !dieDead && fc.RelocateAfterRetire > 0 && s.retireWear >= fc.RelocateAfterRetire {
@@ -209,6 +208,5 @@ func (s *System) relocateDirectGraph() error {
 	}
 	s.ftl.RecordRelocation(plan.OldFirstPage, count, plan.PageDelta)
 	s.inj.NoteRelocation()
-	s.invalidateSections()
 	return nil
 }

@@ -325,9 +325,34 @@ func TestFunctionalSamplingValidAgainstGraph(t *testing.T) {
 	// emit during a full BG-2 run must be a real edge of the graph, and
 	// per-hop counts must match the fanout tree (modulo zero-degree
 	// nodes, which cannot produce children).
-	inst := testInstance(t)
 	cfg := config.Default()
 	cfg.GNN.BatchSize = 16
+	res := checkFunctionalSampling(t, testInstance(t), cfg, 2)
+	// And the tree size matches the flash work: ≥ 40 reads per target.
+	if res.FlashReads < uint64(res.Targets*40) {
+		t.Errorf("flash reads %d below subgraph size × targets", res.FlashReads)
+	}
+}
+
+// TestFunctionalSamplingValidUnderRemapAndRelocation is the same check
+// on a BG-2 run whose recovery ladder spare-remaps pages and relocates
+// the whole DirectGraph mid-run. The die samplers read sections in
+// place from the live image, so every command that reaches a moved page
+// must still sample true edges with the full fanout tree.
+func TestFunctionalSamplingValidUnderRemapAndRelocation(t *testing.T) {
+	cfg := faultCfg()
+	cfg.Fault.BaseRBER = 6.1e-3 // see TestUncorrectableRecoveryChain
+	res := checkFunctionalSampling(t, testInstance(t), cfg, 1)
+	if st := res.Faults; st.RemappedPages == 0 || st.Relocations == 0 {
+		t.Fatalf("fault config moved no pages (remaps %d, relocations %d)", st.RemappedPages, st.Relocations)
+	}
+}
+
+// checkFunctionalSampling runs BG-2 with a sample observer and requires
+// every sampled edge to exist in the graph and the per-hop child counts
+// to match the fanout tree (the dataset has no zero-degree nodes).
+func checkFunctionalSampling(t *testing.T, inst *dataset.Instance, cfg config.Config, batches int) *Result {
+	t.Helper()
 	s, err := NewSystem(BG2, cfg, inst, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +365,7 @@ func TestFunctionalSamplingValidAgainstGraph(t *testing.T) {
 	s.SetSampleObserver(func(parent, child uint32, hop int) {
 		edges = append(edges, edge{parent, child, hop})
 	})
-	res, err := s.Run(2)
+	res, err := s.Run(batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +374,17 @@ func TestFunctionalSamplingValidAgainstGraph(t *testing.T) {
 	}
 	g := inst.Graph
 	hopCounts := map[int]int{}
+	// A command read from the wrong section would still yield a real
+	// edge — of the wrong node. So each parent below hop 1 must itself
+	// have been sampled one hop earlier.
+	sampled := map[edge]bool{}
 	for _, e := range edges {
+		sampled[edge{child: e.child, hop: e.hop}] = true
+	}
+	for _, e := range edges {
+		if e.hop > 1 && !sampled[edge{child: e.parent, hop: e.hop - 1}] {
+			t.Fatalf("hop-%d parent %d was never sampled at hop %d", e.hop, e.parent, e.hop-1)
+		}
 		found := false
 		for _, nb := range g.Neighbors(graph.NodeID(e.parent)) {
 			if uint32(nb) == e.child {
@@ -365,18 +400,15 @@ func TestFunctionalSamplingValidAgainstGraph(t *testing.T) {
 		}
 		hopCounts[e.hop]++
 	}
-	// Expected tree (no zero-degree nodes in this dataset): per batch of
-	// 16 targets: hop1 = 48, hop2 = 144, hop3 = 432; ×2 batches.
-	want := map[int]int{1: 2 * 16 * 3, 2: 2 * 16 * 9, 3: 2 * 16 * 27}
-	for h, n := range want {
+	// Per hop h, each target contributes fanout^h children.
+	n := batches * cfg.GNN.BatchSize
+	for h := 1; h <= cfg.GNN.Hops; h++ {
+		n *= cfg.GNN.Fanout
 		if hopCounts[h] != n {
 			t.Errorf("hop %d sampled %d children, want %d", h, hopCounts[h], n)
 		}
 	}
-	// And the tree size matches the flash work: ≥ 40 reads per target.
-	if res.FlashReads < uint64(res.Targets*40) {
-		t.Errorf("flash reads %d below subgraph size × targets", res.FlashReads)
-	}
+	return res
 }
 
 func TestBG2UtilizationAboveBGSP(t *testing.T) {

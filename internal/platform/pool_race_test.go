@@ -30,9 +30,9 @@ func TestPooledStateIsolationUnderConcurrency(t *testing.T) {
 	cfg := config.Default()
 	cfg.GNN.BatchSize = 24
 	// Both pool-heavy regimes, repeated so simulations overlap: the die
-	// paths (BG-SP/BG-2) churn dieOp/execOp/rtrOp, the page paths
-	// (BG-1/BG-DG) churn pageOp/rapOp/hostOp, and all share senseCtx and
-	// batchState.
+	// paths (BG-SP/BG-2) churn dieOp/execOp/rtrOp, sampler Results and
+	// router cmdOps, the page paths (BG-1/BG-DG) churn
+	// pageOp/rapOp/hostOp, and all share senseCtx and batchState.
 	kinds := []Kind{BG1, BGDG, BGSP, BGDGSP, BG2, BG2, BGSP, BG1}
 
 	run := func() []*Result {

@@ -144,9 +144,16 @@ func (op *rtrOp) onExecDone(res *sampler.Result) {
 		s.dramWrite(n, nil)
 	}
 	children := b.accountDie(cmd, res)
-	done(children)
+	resultPool.Put(res)
+	done(children) // the router copies children before yielding
 	b.stepDone(cmd.Hop)
 }
+
+// resultPool recycles die-sampler Results: execDie fills one through
+// sampler.ExecuteInto and the consumer (dieOp.onParsed, rtrOp.onExecDone)
+// puts it back once accountDie has read it. A Result holds no pointers
+// beyond its own slices, whose backing arrays are what the pool reuses.
+var resultPool = pool.New(func() *sampler.Result { return &sampler.Result{} })
 
 // rapGroup fans one readAllPages call across its pages; rapOp is the
 // per-page chain (fw scheduling → issue → flashPageRead → optional

@@ -58,10 +58,6 @@ type System struct {
 	ftl   *ftl.FTL        // nil unless cfg.Fault.Enabled
 	inj   *fault.Injector // nil unless cfg.Fault.Enabled
 
-	// secCache holds decoded section chains per physical page; see
-	// seccache.go for the invalidation contract.
-	secCache map[uint32][]*directgraph.Section
-
 	failErr    error // first unrecoverable device error; set via fail()
 	retireWear int   // wear-caused retirements since the last relocation
 

@@ -14,6 +14,7 @@ package sampler
 
 import (
 	"fmt"
+	"slices"
 
 	"beacongnn/internal/directgraph"
 	"beacongnn/internal/sim"
@@ -72,6 +73,11 @@ type Result struct {
 	SampledIdx  []int            // raw sampled neighbor indices (diagnostics)
 	Addr        directgraph.Addr // echo of the executed command's address
 	Hop         int
+
+	// draws is the command generator's per-secondary draw count,
+	// scratch kept with the Result so a recycled one coalesces without
+	// allocating.
+	draws []int
 }
 
 // BusBytes returns the result's channel-bus footprint — the quantity
@@ -81,125 +87,140 @@ func (r *Result) BusBytes() int {
 }
 
 // Execute runs one sampling command against a page image, drawing
-// randomness from the die's TRNG. The layout must match the DirectGraph
-// the page came from.
+// randomness from the die's TRNG, and returns a fresh Result. The
+// layout must match the DirectGraph the page came from.
 func Execute(l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *xrand.Source) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res := &Result{}
+	if err := ExecuteInto(res, l, page, cmd, cfg, trng); err != nil {
 		return nil, err
 	}
-	// Section iterator: walk the page to the addressed section.
-	sec, err := directgraph.FindSection(l, page, l.Section(cmd.Addr))
-	if err != nil {
-		return nil, fmt.Errorf("sampler: %w", err)
-	}
-	return ExecuteDecoded(l, sec, cmd, cfg, trng)
+	return res, nil
 }
 
-// ExecuteDecoded is Execute with the section-iterator walk already done:
-// callers that cache decoded pages (the simulator's per-run section
-// cache) pass the section directly. Behaviour is identical to Execute on
-// the same section.
-func ExecuteDecoded(l directgraph.Layout, sec *directgraph.Section, cmd Command, cfg Config, trng *xrand.Source) (*Result, error) {
+// ExecuteInto is Execute writing into a caller-owned Result: it
+// overwrites every field and reuses the backing arrays of Commands,
+// SampledIdx and FeatureBits, so a recycled Result makes the die data
+// path allocation-free. The section is read in place from the page
+// bytes; on error res holds partial output and must not be used.
+func ExecuteInto(res *Result, l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *xrand.Source) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Node: sec.NodeID, Addr: cmd.Addr, Hop: cmd.Hop}
-	switch {
-	case cmd.Secondary:
-		if sec.Type != directgraph.SectionTypeSecondary {
-			return nil, fmt.Errorf("sampler: %w: expected secondary at %#x", directgraph.ErrBadSectionType, uint32(cmd.Addr))
+	// Section iterator: walk the page to the addressed section.
+	sec, err := directgraph.ViewSection(l, page, l.Section(cmd.Addr))
+	if err != nil {
+		return fmt.Errorf("sampler: %w", err)
+	}
+	res.Node, res.Addr, res.Hop = sec.NodeID, cmd.Addr, cmd.Hop
+	res.Commands = res.Commands[:0]
+	res.SampledIdx = res.SampledIdx[:0]
+	res.FeatureBits = res.FeatureBits[:0]
+	if cmd.Secondary {
+		return sampleSecondary(res, &sec, cmd, trng)
+	}
+	return samplePrimary(res, l, &sec, cmd, cfg, trng)
+}
+
+// sampleSecondary is the node sampler in secondary mode: draw only
+// within this section.
+func sampleSecondary(res *Result, sec *directgraph.SectionView, cmd Command, trng *xrand.Source) error {
+	if sec.Type != directgraph.SectionTypeSecondary {
+		return fmt.Errorf("sampler: %w: expected secondary at %#x", directgraph.ErrBadSectionType, uint32(cmd.Addr))
+	}
+	if cmd.SampleCount <= 0 {
+		return fmt.Errorf("sampler: secondary command with count %d", cmd.SampleCount)
+	}
+	for i := 0; i < cmd.SampleCount; i++ {
+		if sec.Count == 0 {
+			break
 		}
-		if cmd.SampleCount <= 0 {
-			return nil, fmt.Errorf("sampler: secondary command with count %d", cmd.SampleCount)
-		}
-		// Node sampler, secondary mode: draw only within this section.
-		for i := 0; i < cmd.SampleCount; i++ {
-			if sec.Count == 0 {
-				break
-			}
-			idx := trng.Intn(sec.Count)
-			res.SampledIdx = append(res.SampledIdx, sec.BaseIndex+idx)
+		idx := trng.Intn(sec.Count)
+		res.SampledIdx = append(res.SampledIdx, sec.BaseIndex+idx)
+		res.Commands = append(res.Commands, Command{
+			Addr:       sec.Entry(idx),
+			Hop:        cmd.Hop + 1,
+			Target:     cmd.Target,
+			Batch:      cmd.Batch,
+			ParentNode: sec.NodeID,
+		})
+	}
+	return nil
+}
+
+// samplePrimary runs the vector retriever and the node sampler in
+// primary mode over a primary section.
+func samplePrimary(res *Result, l directgraph.Layout, sec *directgraph.SectionView, cmd Command, cfg Config, trng *xrand.Source) error {
+	if sec.Type != directgraph.SectionTypePrimary {
+		return fmt.Errorf("sampler: %w: expected primary at %#x", directgraph.ErrBadSectionType, uint32(cmd.Addr))
+	}
+	// Vector retriever: primary sections carry the node's feature.
+	res.FeatureBits = sec.AppendFeatureBits(res.FeatureBits)
+	if cmd.Hop >= cfg.Hops {
+		return nil // final hop: feature retrieval only
+	}
+	count := cmd.SampleCount
+	if count <= 0 {
+		count = cfg.Fanout
+	}
+	if sec.NeighborCount == 0 {
+		return nil
+	}
+	// Node sampler, primary mode: draw over the whole neighbor range;
+	// out-of-page indices turn into coalesced secondary commands.
+	plan := directgraph.NodePlan{
+		InlineCount:  sec.InlineCount,
+		FullSecCount: l.SecondaryCapacity(),
+	}
+	draws := slices.Grow(res.draws[:0], sec.SecondaryCount)[:sec.SecondaryCount]
+	clear(draws)
+	res.draws = draws
+	for i := 0; i < count; i++ {
+		idx := trng.Intn(sec.NeighborCount)
+		res.SampledIdx = append(res.SampledIdx, idx)
+		if idx < sec.InlineCount {
 			res.Commands = append(res.Commands, Command{
-				Addr:       sec.Entries[idx],
+				Addr:       sec.Inline(idx),
 				Hop:        cmd.Hop + 1,
 				Target:     cmd.Target,
 				Batch:      cmd.Batch,
 				ParentNode: sec.NodeID,
 			})
+			continue
 		}
-	default:
-		if sec.Type != directgraph.SectionTypePrimary {
-			return nil, fmt.Errorf("sampler: %w: expected primary at %#x", directgraph.ErrBadSectionType, uint32(cmd.Addr))
+		s := plan.SecondaryIndexFor(idx)
+		if s < 0 || s >= sec.SecondaryCount {
+			return fmt.Errorf("sampler: sampled index %d maps to secondary %d of %d", idx, s, sec.SecondaryCount)
 		}
-		// Vector retriever: primary sections carry the node's feature.
-		res.FeatureBits = sec.FeatureBits
-		if cmd.Hop >= cfg.Hops {
-			return res, nil // final hop: feature retrieval only
+		if cfg.NoCoalesce {
+			// Ablation path: every draw becomes its own secondary read,
+			// exposing the redundant-read cost coalescing avoids.
+			res.Commands = append(res.Commands, Command{
+				Addr:        sec.Secondary(s),
+				Hop:         cmd.Hop,
+				SampleCount: 1,
+				Secondary:   true,
+				Target:      cmd.Target,
+				Batch:       cmd.Batch,
+				ParentNode:  sec.NodeID,
+			})
+			continue
 		}
-		count := cmd.SampleCount
-		if count <= 0 {
-			count = cfg.Fanout
-		}
-		if sec.NeighborCount == 0 {
-			return res, nil
-		}
-		// Node sampler, primary mode: draw over the whole neighbor
-		// range; out-of-page indices turn into coalesced secondary
-		// commands.
-		plan := directgraph.NodePlan{
-			InlineCount:  sec.InlineCount,
-			FullSecCount: l.SecondaryCapacity(),
-		}
-		coalesce := make(map[int]int) // secondary section index → draw count
-		for i := 0; i < count; i++ {
-			idx := trng.Intn(sec.NeighborCount)
-			res.SampledIdx = append(res.SampledIdx, idx)
-			if idx < sec.InlineCount {
-				res.Commands = append(res.Commands, Command{
-					Addr:       sec.Inline[idx],
-					Hop:        cmd.Hop + 1,
-					Target:     cmd.Target,
-					Batch:      cmd.Batch,
-					ParentNode: sec.NodeID,
-				})
-				continue
-			}
-			s := plan.SecondaryIndexFor(idx)
-			if s < 0 || s >= len(sec.Secondaries) {
-				return nil, fmt.Errorf("sampler: sampled index %d maps to secondary %d of %d", idx, s, len(sec.Secondaries))
-			}
-			if cfg.NoCoalesce {
-				// Ablation path: every draw becomes its own secondary
-				// read, exposing the redundant-read cost coalescing
-				// avoids.
-				res.Commands = append(res.Commands, Command{
-					Addr:        sec.Secondaries[s],
-					Hop:         cmd.Hop,
-					SampleCount: 1,
-					Secondary:   true,
-					Target:      cmd.Target,
-					Batch:       cmd.Batch,
-					ParentNode:  sec.NodeID,
-				})
-				continue
-			}
-			coalesce[s]++
-		}
-		// Command generator: one coalesced command per touched secondary.
-		// Iterate in section order for determinism.
-		for s := 0; s < len(sec.Secondaries); s++ {
-			if n := coalesce[s]; n > 0 {
-				res.Commands = append(res.Commands, Command{
-					Addr:        sec.Secondaries[s],
-					Hop:         cmd.Hop, // same node's sampling continues
-					SampleCount: n,
-					Secondary:   true,
-					Target:      cmd.Target,
-					Batch:       cmd.Batch,
-					ParentNode:  sec.NodeID,
-				})
-			}
+		draws[s]++
+	}
+	// Command generator: one coalesced command per touched secondary,
+	// in section order for determinism.
+	for s, n := range draws {
+		if n > 0 {
+			res.Commands = append(res.Commands, Command{
+				Addr:        sec.Secondary(s),
+				Hop:         cmd.Hop, // same node's sampling continues
+				SampleCount: n,
+				Secondary:   true,
+				Target:      cmd.Target,
+				Batch:       cmd.Batch,
+				ParentNode:  sec.NodeID,
+			})
 		}
 	}
-	return res, nil
+	return nil
 }

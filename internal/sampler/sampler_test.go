@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"slices"
 	"testing"
 
 	"beacongnn/internal/directgraph"
@@ -311,5 +312,42 @@ func TestNoCoalesceAblation(t *testing.T) {
 	}
 	if cSec >= nSec && nDraws > b.Plans[spilled].SecCount {
 		t.Fatalf("coalescing did not reduce commands: %d vs %d", cSec, nSec)
+	}
+}
+
+// TestExecuteIntoRecycledResult drives one recycled Result through a
+// mixed stream of primary, secondary and final-hop commands — the
+// platform's pooled-Result pattern — and requires every execution to
+// equal a fresh Execute on an identical TRNG stream: no commands,
+// indices, feature bits or coalescing counts may leak between uses.
+func TestExecuteIntoRecycledResult(t *testing.T) {
+	_, b := buildFixture(t, 300, 150, 5, 512, 9)
+	cfg := Config{Hops: 2, Fanout: 6, FeatureDim: 5}
+	fresh, reused := xrand.New(11), xrand.New(11)
+	var res Result
+	queue := []Command{{Addr: b.NodeAddr(0)}, {Addr: b.NodeAddr(1)}, {Addr: b.NodeAddr(2), Hop: 2}}
+	secondaries := 0
+	for n := 0; n < 200 && len(queue) > 0; n++ {
+		cmd := queue[0]
+		queue = queue[1:]
+		want, err := Execute(b.Layout, pageOf(b, cmd.Addr), cmd, cfg, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ExecuteInto(&res, b.Layout, pageOf(b, cmd.Addr), cmd, cfg, reused); err != nil {
+			t.Fatal(err)
+		}
+		if res.Node != want.Node || res.Addr != want.Addr || res.Hop != want.Hop ||
+			!slices.Equal(res.Commands, want.Commands) || !slices.Equal(res.SampledIdx, want.SampledIdx) ||
+			!slices.Equal(res.FeatureBits, want.FeatureBits) {
+			t.Fatalf("command %d (%+v): recycled result %+v, fresh %+v", n, cmd, res, *want)
+		}
+		if cmd.Secondary {
+			secondaries++
+		}
+		queue = append(queue, want.Commands...)
+	}
+	if secondaries == 0 {
+		t.Fatal("fixture produced no secondary commands; recycling across section types is untested")
 	}
 }
