@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"beacongnn/internal/array"
 	"beacongnn/internal/config"
 	"beacongnn/internal/core"
 	"beacongnn/internal/dataset"
@@ -391,31 +390,6 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	}
 	b.ReportMetric(float64(roff.FlashReads)/float64(ron.FlashReads), "read-amplification")
 	b.ReportMetric(ron.Throughput/roff.Throughput, "coalescing-gain")
-}
-
-// BenchmarkScaleOutArray exercises Section VIII's computational storage
-// array model: aggregate throughput at 8 devices under naive hashing
-// versus a locality-aware partition.
-func BenchmarkScaleOutArray(b *testing.B) {
-	cfg := config.Default()
-	var naive, local *array.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		naive, err = array.Run(platform.BG2, cfg, array.Config{
-			Devices: 8, P2PBandwidth: 4e9, RemoteFraction: array.DefaultRemoteFraction(8),
-		}, benchInstance(b, "amazon"), benchBatches)
-		if err != nil {
-			b.Fatal(err)
-		}
-		local, err = array.Run(platform.BG2, cfg, array.Config{
-			Devices: 8, P2PBandwidth: 4e9, RemoteFraction: 0.1,
-		}, benchInstance(b, "amazon"), benchBatches)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(naive.Speedup, "speedup-hash")
-	b.ReportMetric(local.Speedup, "speedup-local")
 }
 
 // BenchmarkConstruction measures the DirectGraph flush path (§VI-B).

@@ -5,7 +5,9 @@
 # daemon answers from degraded mode — stale 200 + X-Degraded — instead
 # of 5xxing while the circuit is open. Also runs the deterministic
 # availability sweep (-exp chaos) and the live driver against the
-# faulted daemon.
+# faulted daemon. The sweep runs quick and full: only the full catalog
+# carries baseline, chan-outage, uncorr-storm and drop-storm (the
+# front-door drop path).
 #
 # Run from the repo root: ./ci/smoke_chaos.sh
 # Needs: go, curl. Uses its own loopback port.
@@ -21,6 +23,13 @@ go run ./cmd/beaconbench -exp chaos -quick -check -parallel 8 >/tmp/smoke_chaos_
 cmp -s /tmp/smoke_chaos_a.txt /tmp/smoke_chaos_b.txt \
     || fail "-exp chaos report differs between -parallel defaults and 8"
 grep -q "availability under fault" /tmp/smoke_chaos_a.txt || fail "chaos report malformed"
+
+echo "== full availability sweep (all seven scenarios, incl. baseline and drop-storm)"
+go run ./cmd/beaconbench -exp chaos -check >/tmp/smoke_chaos_full_a.txt
+go run ./cmd/beaconbench -exp chaos -check -parallel 8 >/tmp/smoke_chaos_full_b.txt
+cmp -s /tmp/smoke_chaos_full_a.txt /tmp/smoke_chaos_full_b.txt \
+    || fail "full -exp chaos report differs between -parallel defaults and 8"
+grep -q "drop-storm" /tmp/smoke_chaos_full_a.txt || fail "full chaos report missing drop-storm"
 
 build_daemon
 start_daemon 127.0.0.1:18474 -workers 2 -timeout 60s \

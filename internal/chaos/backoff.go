@@ -2,10 +2,10 @@ package chaos
 
 // Backoff computes capped exponential retry delays in whatever clock
 // units the caller uses (nanoseconds for wall time, sim.Time ticks for
-// the virtual pipeline). The shift is clamped before it is applied, so
-// arbitrarily large attempt counts saturate at Max instead of wrapping
-// negative — the overflow class fixed in internal/platform's recovery
-// ladder lives behind the same guard here.
+// loadgen's virtual service center). The shift is clamped before it is
+// applied, so arbitrarily large attempt counts saturate at Max instead
+// of wrapping negative — the overflow class fixed in
+// internal/platform's recovery ladder lives behind the same guard here.
 type Backoff struct {
 	Base int64 // delay for attempt 0; <= 0 disables (Delay returns 0)
 	Max  int64 // saturation ceiling; <= 0 means 8*Base

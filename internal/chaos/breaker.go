@@ -53,7 +53,7 @@ func (c *BreakerConfig) withDefaults() BreakerConfig {
 // success closes the circuit and whose failure reopens it. The caller
 // supplies the clock (wall or virtual), which is what makes the same
 // breaker drive both the live daemon and the deterministic
-// availability pipeline. Safe for concurrent use.
+// availability sweep. Safe for concurrent use.
 type Breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig

@@ -5,8 +5,9 @@
 // memo eviction storms, transient run failures via exp.FaultHook), and
 // HTTP (request drops, latency spikes, truncated bodies via
 // middleware) — plus the resilience primitives the serving layer
-// builds on top of it (Backoff, Breaker, RetryBudget) and a
-// virtual-time availability pipeline used by the -exp chaos sweep.
+// builds on top of it (Backoff, Breaker, RetryBudget), plus the seeded
+// decision Stream that loadgen's virtual-time service center draws the
+// -exp chaos sweep's faults from.
 //
 // Determinism contract: every injection decision is a pure function of
 // (injector seed, boundary site, request key, per-key attempt
@@ -124,8 +125,8 @@ type Injector struct {
 	armed atomic.Bool
 	runs  atomic.Uint64 // engine runs observed, for EngineFailAfter grace
 
-	mu  sync.Mutex
-	seq map[uint64]uint64 // per-(site^key) decision counter
+	mu     sync.Mutex
+	stream Stream // guarded by mu
 
 	// sleep performs stall/latency injection; time.Sleep in production,
 	// stubbed in tests so schedules can be asserted without waiting.
@@ -137,7 +138,7 @@ type Injector struct {
 // New builds an injector from cfg (which must have been Validated).
 // The injector starts armed iff cfg.Enabled.
 func New(cfg Config) *Injector {
-	in := &Injector{cfg: cfg, seq: make(map[uint64]uint64), sleep: time.Sleep}
+	in := &Injector{cfg: cfg, stream: *NewStream(cfg.Seed), sleep: time.Sleep}
 	in.armed.Store(cfg.Enabled)
 	return in
 }
@@ -180,17 +181,42 @@ func JitterU(key, n uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// draw returns a uniform in [0, 1) that depends only on (seed, site,
-// key, n-th decision at this site/key). Concurrent callers for
-// different keys never perturb each other's streams, which is the
-// whole determinism story: an injection schedule is a property of the
-// request, not of thread interleaving.
+// draw is the injector's decision stream, serialized for concurrent
+// callers. Concurrent callers for different keys never perturb each
+// other's draws, which is the whole determinism story: an injection
+// schedule is a property of the request, not of thread interleaving.
 func (in *Injector) draw(site, key uint64) float64 {
-	slot := splitmix64(site ^ key)
 	in.mu.Lock()
-	n := in.seq[slot]
-	in.seq[slot] = n + 1
-	in.mu.Unlock()
-	h := splitmix64(in.cfg.Seed ^ slot ^ (n * 0xd6e8feb86659fd93))
+	defer in.mu.Unlock()
+	return in.stream.draw(site, key)
+}
+
+// Stream is a seeded decision stream: each draw is a uniform in [0, 1)
+// that depends only on (seed, site, key, n-th draw at this site/key).
+// Not safe for concurrent use; a single-threaded virtual-time loop owns
+// one outright.
+type Stream struct {
+	seed uint64
+	seq  map[uint64]uint64 // per-(site^key) decision counter
+}
+
+// NewStream returns the decision stream for seed.
+func NewStream(seed uint64) *Stream {
+	return &Stream{seed: seed, seq: make(map[uint64]uint64)}
+}
+
+func (s *Stream) draw(site, key uint64) float64 {
+	slot := splitmix64(site ^ key)
+	n := s.seq[slot]
+	s.seq[slot] = n + 1
+	h := splitmix64(s.seed ^ slot ^ (n * 0xd6e8feb86659fd93))
 	return float64(h>>11) / (1 << 53)
 }
+
+// Fail, Stall and Drop draw from the engine-fail, engine-stall and
+// HTTP-drop sites; Jitter draws backoff jitter from the HTTP-latency
+// site, so each decision class has its own independent stream.
+func (s *Stream) Fail(key uint64) float64   { return s.draw(siteEngineFail, key) }
+func (s *Stream) Stall(key uint64) float64  { return s.draw(siteEngineStall, key) }
+func (s *Stream) Drop(key uint64) float64   { return s.draw(siteHTTPDrop, key) }
+func (s *Stream) Jitter(key uint64) float64 { return s.draw(siteHTTPLatency, key) }

@@ -8,7 +8,7 @@ import (
 // Scenario is one named fault shape for the availability sweep: an
 // optional device-boundary mutation (applied to the simulated platform
 // config, driving the PR-3 reliability model) plus the
-// engine/HTTP-boundary rates fed to the virtual pipeline.
+// engine/HTTP-boundary rates fed to loadgen.Resilience.
 type Scenario struct {
 	Name string
 	Desc string

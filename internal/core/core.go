@@ -123,7 +123,7 @@ func Experiments() []Experiment {
 		{"fig19", "Figure 19: energy breakdown and efficiency (amazon)", RunFig19},
 		{"trad", "Section VII-E: traditional (20 µs) SSD throughput", RunTraditional},
 		{"table4", "Table IV: DirectGraph storage inflation", RunTable4},
-		{"ext", "Extensions: ablations, scale-out, construction, interference", RunExtensions},
+		{"ext", "Extensions: ablations, construction, interference", RunExtensions},
 	}
 }
 

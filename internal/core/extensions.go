@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"io"
 
-	"beacongnn/internal/array"
 	"beacongnn/internal/exp"
 	"beacongnn/internal/platform"
 	"beacongnn/internal/sim"
 )
 
 // RunExtensions reports the beyond-the-paper studies (DESIGN.md §6):
-// design ablations, the Section VIII scale-out array, DirectGraph
-// construction throughput (§VI-B), and regular-I/O interference in
-// acceleration mode (§VI-G). The studies are independent, so they all
-// run concurrently on the experiment engine; results are printed in a
-// fixed order once everything has finished.
+// design ablations, DirectGraph construction throughput (§VI-B), and
+// regular-I/O interference in acceleration mode (§VI-G). Section VIII's
+// scale-out study is -exp cluster (DESIGN.md §14). The studies are
+// independent, so they all run concurrently on the experiment engine;
+// results are printed in a fixed order once everything has finished.
 func RunExtensions(o *Options, w io.Writer) error {
 	o.fill()
 	eng := o.engine()
@@ -33,7 +32,6 @@ func RunExtensions(o *Options, w io.Writer) error {
 
 	var (
 		on, off, con, coff, z *platform.Result
-		sweep                 []*array.Result
 		cons                  *platform.ConstructionResult
 		ioStats               *platform.RegularIOStats
 		idle                  sim.Time
@@ -44,16 +42,6 @@ func RunExtensions(o *Options, w io.Writer) error {
 		func() (err error) { con, err = o.simulateCfg(platform.BG2, coalOn, "reddit", simTimeline); return },
 		func() (err error) { coff, err = o.simulateCfg(platform.BG2, coalOff, "reddit", simTimeline); return },
 		func() (err error) { z, err = o.simulateCfg(platform.BG2, zipf, "amazon", simTimeline); return },
-		func() error {
-			inst, err := o.instance("amazon")
-			if err != nil {
-				return err
-			}
-			eng.Throttle(func() {
-				sweep, err = array.Sweep(platform.BG2, o.Cfg, array.Config{P2PBandwidth: 4e9}, inst, o.Batches, 8)
-			})
-			return err
-		},
 		func() error {
 			inst, err := o.instance("amazon")
 			if err != nil {
@@ -95,18 +83,6 @@ func RunExtensions(o *Options, w io.Writer) error {
 	// Ablation: secondary-command coalescing (§V-A) on a high-degree graph.
 	fmt.Fprintf(w, "ablation: secondary coalescing (§V-A)      reads %d → %d without (%.2f× amplification)\n",
 		con.FlashReads, coff.FlashReads, float64(coff.FlashReads)/float64(con.FlashReads))
-
-	// Scale-out array (§VIII).
-	fmt.Fprintln(w, "scale-out array (§VIII), BG-2 on amazon, 4 GB/s P2P links:")
-	fmt.Fprintf(w, "  %-8s %10s %12s %14s %8s\n", "devices", "speedup", "capacity", "P2P demand", "bound")
-	for _, r := range sweep {
-		bound := "—"
-		if r.FabricBound {
-			bound = "fabric"
-		}
-		fmt.Fprintf(w, "  %-8d %9.2f× %9.0f GB %11.2f GB/s %8s\n",
-			r.Devices, r.Speedup, float64(r.CapacityBytes)/1e9, r.P2PDemand/1e9, bound)
-	}
 
 	// DirectGraph construction (§VI-B).
 	fmt.Fprintf(w, "DirectGraph flush (§VI-B): %d pages in %v → %.0f MB/s\n",

@@ -11,6 +11,19 @@ type StepResult struct {
 	OK         int     `json:"ok"`
 	Shed       int     `json:"shed"`
 	Failed     int     `json:"failed,omitempty"`
+
+	// Resilience outcomes (VirtualBackend.Resilience runs only): served
+	// stale under an open breaker, refused at the front door, retries and
+	// hedges launched, hedges that won their race, breaker trips, and the
+	// mean breaker open dwell per recovery.
+	Degraded     int   `json:"degraded,omitempty"`
+	Dropped      int   `json:"dropped,omitempty"`
+	Retries      int   `json:"retries,omitempty"`
+	Hedges       int   `json:"hedges,omitempty"`
+	HedgeWins    int   `json:"hedge_wins,omitempty"`
+	BreakerTrips int   `json:"breaker_trips,omitempty"`
+	MTTRNs       int64 `json:"mttr_ns,omitempty"`
+
 	GoodputQPS float64 `json:"goodput_qps"`
 	MeanNs     int64   `json:"mean_ns"`
 	P50Ns      int64   `json:"p50_ns"`

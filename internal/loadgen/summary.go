@@ -8,13 +8,10 @@ import (
 )
 
 // latSummary computes exact nearest-rank quantiles over raw latency
-// samples. Capacity curves can't use the shared metrics.Histogram here:
-// its 128 log-1.15 buckets top out near 51ms, and an overloaded open
-// queue's intended-start tail routinely reaches seconds — clamping it to
-// the last bucket would understate exactly the divergence the sweep
-// exists to measure. Step sample counts are bounded by the schedule
-// length, so an exact sort is cheap; sorting in place is fine because
-// samples are never needed in arrival order again.
+// samples, for the capacity and chaos sweeps alike. Step sample counts
+// are bounded by the schedule length, so an exact sort is cheap and
+// beats metrics.Histogram's ±15 % bucket estimates; sorting in place is
+// fine because samples are never needed in arrival order again.
 func latSummary(samples []sim.Time) (mean, p50, p99, p999, max int64) {
 	n := len(samples)
 	if n == 0 {

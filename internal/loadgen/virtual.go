@@ -8,11 +8,12 @@ import (
 
 // VirtualBackend models a serving platform as a W-way service center in
 // virtual time: per-class service times (calibrated from memoized real
-// simulations by the capacity experiment), an optional LRU result cache
-// keyed by class, and an optional admission queue bound. The event loop
-// is single-threaded and consumes no randomness, so a run is a pure
-// function of (schedule, backend) — byte-identical at any -parallel
-// width.
+// simulations by the capacity and chaos experiments), an optional LRU
+// result cache keyed by class, an optional admission queue bound, and
+// an optional fault window with the resilience stack that rides it out.
+// The event loop is single-threaded and its only randomness is the
+// seeded per-request decision stream, so a run is a pure function of
+// (schedule, backend) — byte-identical at any -parallel width.
 type VirtualBackend struct {
 	Workers int        // service-center width (> 0)
 	Service []sim.Time // service time per class; len must cover every class
@@ -28,6 +29,10 @@ type VirtualBackend struct {
 	Queue int
 
 	Tracer sim.Tracer // optional: receives loadgen.backend spans
+
+	// Resilience, when set, runs every admitted request through its
+	// fault window and resilience stack; nil is the plain service center.
+	Resilience *Resilience
 }
 
 func (b VirtualBackend) validate(sched []Request) error {
@@ -69,63 +74,84 @@ func (c *lruCache) touch(class int) bool {
 	return false
 }
 
+// virtualRun is one RunVirtual replay's shared state.
+type virtualRun struct {
+	k    *sim.Kernel
+	srv  *sim.Server
+	res  StepResult
+	lat  []sim.Time // full-success latencies
+	last sim.Time   // when the last request settled
+}
+
+// settled notes that a request reached its outcome now.
+func (v *virtualRun) settled() {
+	if now := v.k.Now(); now > v.last {
+		v.last = now
+	}
+}
+
+// served records a full success for a request intended to start at at.
+func (v *virtualRun) served(at sim.Time) {
+	v.res.OK++
+	v.lat = append(v.lat, v.k.Now()-at)
+	v.settled()
+}
+
 // RunVirtual replays the schedule against the backend in virtual time
 // and returns the step's measured curve point. Latency is completion
 // minus the request's intended start — coordinated-omission-safe by
 // construction, since the virtual clock fires every arrival exactly at
 // its intended time no matter how far behind the service center is.
+// Goodput divides full successes by the time the last request settled,
+// not by the clock after timers that outlive every request.
 func RunVirtual(sched []Request, b VirtualBackend) (StepResult, error) {
 	if err := b.validate(sched); err != nil {
 		return StepResult{}, err
 	}
 	k := sim.New()
-	srv := sim.NewServer(k, b.Workers)
+	v := &virtualRun{k: k, srv: sim.NewServer(k, b.Workers), res: StepResult{Requests: len(sched)},
+		lat: make([]sim.Time, 0, len(sched))}
 	if b.Tracer != nil {
-		srv.SetTracer(b.Tracer, "loadgen.backend", 0)
+		v.srv.SetTracer(b.Tracer, "loadgen.backend", 0)
 	}
 	cache := &lruCache{cap: b.CacheCap}
-
-	res := StepResult{Requests: len(sched)}
-	lat := make([]sim.Time, 0, len(sched))
-	var makespan sim.Time
+	var rs *resilience
+	if b.Resilience != nil {
+		rs = newResilience(v, *b.Resilience, b.Service)
+	}
 	for i := range sched {
 		req := sched[i] // capture by value: the closure outlives the loop
 		k.At(req.At, func() {
-			hit := b.CacheCap > 0 && cache.touch(req.Class)
-			if hit {
+			if b.CacheCap > 0 && cache.touch(req.Class) {
 				// Memo fast path: served inline without a worker.
-				done := req.At + b.CacheHit
-				k.At(done, func() {
-					res.OK++
-					lat = append(lat, b.CacheHit)
-					if done > makespan {
-						makespan = done
-					}
-				})
+				k.After(b.CacheHit, func() { v.served(req.At) })
 				return
 			}
-			if b.Queue > 0 && srv.QueueLen() >= b.Queue {
-				res.Shed++
-				if req.At > makespan {
-					makespan = req.At
-				}
+			if b.Queue > 0 && v.srv.QueueLen() >= b.Queue {
+				v.res.Shed++
+				v.settled()
 				return
 			}
-			srv.Submit(b.Service[req.Class], func() {
-				res.OK++
-				lat = append(lat, k.Now()-req.At)
-				if k.Now() > makespan {
-					makespan = k.Now()
-				}
-			})
+			if rs != nil {
+				rs.arrive(req)
+				return
+			}
+			v.srv.Submit(b.Service[req.Class], func() { v.served(req.At) })
 		})
 	}
 	k.Run()
+	if rs != nil {
+		rs.finish()
+	}
 
-	res.MakespanNs = int64(makespan)
-	res.MeanNs, res.P50Ns, res.P99Ns, res.P999Ns, res.MaxNs = latSummary(lat)
-	if makespan > 0 {
-		res.GoodputQPS = float64(res.OK) / makespan.Seconds()
+	res := v.res
+	if n := res.OK + res.Shed + res.Failed + res.Degraded + res.Dropped; n != res.Requests {
+		return StepResult{}, fmt.Errorf("loadgen: outcomes leak: %d settled of %d requests", n, res.Requests)
+	}
+	res.MakespanNs = int64(v.last)
+	res.MeanNs, res.P50Ns, res.P99Ns, res.P999Ns, res.MaxNs = latSummary(v.lat)
+	if v.last > 0 {
+		res.GoodputQPS = float64(res.OK) / v.last.Seconds()
 	}
 	if len(sched) > 0 {
 		span := sched[len(sched)-1].At

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"testing"
 
 	"beacongnn/internal/sim"
@@ -196,5 +197,44 @@ func TestRunVirtualValidation(t *testing.T) {
 	}
 	if _, err := RunVirtual(sched, VirtualBackend{Workers: 1, Service: []sim.Time{1}}); err == nil {
 		t.Fatal("out-of-range class accepted")
+	}
+}
+
+// TestResilienceGoodputUsesLastSettlement: every first attempt arms a
+// hedge timer that can outlive the last request, so the kernel clock at
+// drain overshoots the work. Goodput must divide by the last
+// settlement. The shape is the quick chaos sweep's die-outage row: the
+// last request arrives at 46.339ms and settles one 745.148µs service
+// later, at 47.084ms (4247.7/s); its idle hedge timer fires at 47.829ms
+// (which would read 4181.6/s).
+func TestResilienceGoodputUsesLastSettlement(t *testing.T) {
+	const healthy = 745_148
+	interval := sim.Time(healthy * 10 / 32)
+	sched := make([]Request, 200)
+	for i := range sched {
+		sched[i] = Request{ID: i + 1, At: sim.Time(i) * interval}
+	}
+	span := 199 * interval
+	res, err := RunVirtual(sched, VirtualBackend{
+		Workers: 4,
+		Service: []sim.Time{healthy},
+		Resilience: &Resilience{
+			Window:       [2]sim.Time{span / 4, 3 * span / 4},
+			FaultService: 734_311,
+			MaxAttempts:  3,
+			HedgeAfter:   2 * healthy,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK != 200 || res.Hedges != 0 {
+		t.Fatalf("ok/hedges = %d/%d, want 200/0", res.OK, res.Hedges)
+	}
+	if want := int64(span + healthy); res.MakespanNs != want {
+		t.Fatalf("makespan = %dns, want the last settlement %dns", res.MakespanNs, want)
+	}
+	if got := fmt.Sprintf("%.1f", res.GoodputQPS); got != "4247.7" {
+		t.Fatalf("goodput = %s/s, want 4247.7/s", got)
 	}
 }

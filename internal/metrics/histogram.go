@@ -8,12 +8,17 @@ import (
 	"beacongnn/internal/sim"
 )
 
+// numBuckets log-1.15 buckets cover 1 ns to ≈390 s; the top bucket is
+// open-ended and answers with the exact max (see Quantile), so a tail
+// beyond the range is never clamped to a bucket bound.
+const numBuckets = 192
+
 // Histogram accumulates durations into logarithmic buckets, giving
 // approximate quantiles at O(1) memory — used for per-command lifetime
 // tails (the paper reports means; tails expose the queueing behaviour
 // behind them).
 type Histogram struct {
-	buckets [128]uint64
+	buckets [numBuckets]uint64
 	count   uint64
 	sum     sim.Time
 	min     sim.Time
@@ -23,23 +28,23 @@ type Histogram struct {
 // bucketBound[b] is the smallest duration that falls in bucket b (or a
 // later one), derived in init from the defining floor(log1.15(ns))
 // formula so the integer lookup matches it exactly. Observe sits on the
-// per-event hot path; a binary search over 128 precomputed boundaries
+// per-event hot path; a binary search over the precomputed boundaries
 // replaces two math.Log calls per observation.
-var bucketBound [128]sim.Time
+var bucketBound [numBuckets]sim.Time
 
 func logBucket(d sim.Time) int {
 	b := int(math.Log(float64(d)) / math.Log(1.15))
 	if b < 0 {
 		b = 0
 	}
-	if b >= 128 {
-		b = 127
+	if b >= numBuckets {
+		b = numBuckets - 1
 	}
 	return b
 }
 
 func init() {
-	for b := 1; b < 128; b++ {
+	for b := 1; b < numBuckets; b++ {
 		d := sim.Time(math.Ceil(math.Pow(1.15, float64(b))))
 		// Walk to the exact first integer duration the float formula
 		// assigns to bucket b, absorbing any rounding slop.
@@ -60,7 +65,7 @@ func bucketOf(d sim.Time) int {
 		return 0
 	}
 	// Largest b with bucketBound[b] <= d.
-	lo, hi := 0, 127
+	lo, hi := 0, numBuckets-1
 	for lo < hi {
 		mid := (lo + hi + 1) >> 1
 		if bucketBound[mid] <= d {
@@ -76,13 +81,10 @@ func bucketOf(d sim.Time) int {
 // [bucketBound[b], bucketBound[b+1]). The old estimator returned the
 // float math.Pow lower bound, which both sat at the bucket floor and
 // could disagree with the exact integer boundaries derived in init.
+// The open top bucket has no midpoint; Quantile answers it with the max.
 func bucketMid(b int) sim.Time {
 	lo := bucketBound[b]
-	hi := lo
-	if b+1 < len(bucketBound) {
-		hi = bucketBound[b+1] - 1
-	}
-	return lo + (hi-lo)/2
+	return lo + (bucketBound[b+1]-1-lo)/2
 }
 
 // Observe records one duration.
@@ -156,7 +158,7 @@ func (h *Histogram) Max() sim.Time { return h.max }
 // the bucket width (±15 %). The estimate is the bucket midpoint of the
 // nearest-rank observation — rank ⌈q·n⌉, so the median of two samples
 // is the smaller one, not always the larger — bounded by the exact
-// min/max.
+// min/max. A rank in the open top bucket answers the exact max.
 func (h *Histogram) Quantile(q float64) sim.Time {
 	if h.count == 0 {
 		return 0
@@ -182,6 +184,9 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	for b, n := range h.buckets {
 		cum += n
 		if cum >= rank {
+			if b == numBuckets-1 {
+				return h.max
+			}
 			est := bucketMid(b)
 			if est < h.min {
 				est = h.min

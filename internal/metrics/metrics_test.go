@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -208,6 +209,53 @@ func TestHistogramSingleSampleExact(t *testing.T) {
 				t.Fatalf("single sample %v: Quantile(%v) = %v", v, q, got)
 			}
 		}
+	}
+}
+
+// TestHistogramQuantileWithinOneBucketOfExact checks the estimator
+// against an exact sort over log-uniform samples from 1 ns to 100 s:
+// every quantile must land within one log-1.15 bucket of the exact
+// nearest-rank value. A histogram whose range ends below the sample
+// range clamps its tail to the top bucket bound and fails here.
+func TestHistogramQuantileWithinOneBucketOfExact(t *testing.T) {
+	trueBucket := func(d sim.Time) int { return int(math.Floor(math.Log(float64(d)) / math.Log(1.15))) }
+	r := uint64(99)
+	for trial := 0; trial < 20; trial++ {
+		var h Histogram
+		n := 50 + 97*trial
+		samples := make([]sim.Time, n)
+		for i := range samples {
+			r = r*6364136223846793005 + 1442695040888963407
+			u := float64(r>>11) / (1 << 53)
+			samples[i] = sim.Time(math.Exp(u * math.Log(100*float64(sim.Second))))
+			h.Observe(samples[i])
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.99, 0.999} {
+			rank := int(math.Ceil(q * float64(n) * (1 - 1e-9)))
+			if rank < 1 {
+				rank = 1
+			}
+			exact, got := samples[rank-1], h.Quantile(q)
+			if d := trueBucket(got) - trueBucket(exact); d < -1 || d > 1 {
+				t.Fatalf("n=%d q=%v: estimate %v is %d buckets from exact %v", n, q, got, d, exact)
+			}
+		}
+	}
+}
+
+// TestHistogramTopBucketAnswersMax: a rank in the open top bucket
+// returns the exact max, not a bucket bound.
+func TestHistogramTopBucketAnswersMax(t *testing.T) {
+	var h Histogram
+	for _, d := range []sim.Time{sim.Millisecond, 500 * sim.Second, 900 * sim.Second} {
+		h.Observe(d)
+	}
+	if got := h.Quantile(0.5); got != 900*sim.Second {
+		t.Fatalf("p50 in the top bucket = %v, want the exact max 900s", got)
+	}
+	if got := h.Quantile(0.2); got != sim.Millisecond {
+		t.Fatalf("p20 = %v, want 1ms", got)
 	}
 }
 

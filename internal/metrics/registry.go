@@ -70,9 +70,9 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Prometheus summary (quantiles + _sum + _count). It reuses the
 // log-bucket Histogram, so quantiles are ±15 % bucket-resolution
 // estimates bounded by the exact min/max. Observations are bucketed in
-// microseconds — the histogram's 128 log-1.15 buckets then span ~1 µs
-// to ~51 s, the whole useful range of HTTP handler latencies — while
-// the sum stays exact.
+// microseconds — the histogram's log-1.15 buckets then span ~1 µs to
+// ~4.5 days, far past any HTTP handler latency — while the sum stays
+// exact.
 type Summary struct {
 	mu  sync.Mutex
 	h   Histogram // microsecond-valued observations
