@@ -28,8 +28,9 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Run every fuzz target briefly — a smoke net over the decoder and wire
-# formats (Go runs one fuzz target per invocation, hence the loop).
+# Run every fuzz target briefly — a smoke net over the decoder, the wire
+# formats and the event kernel's dispatch order (Go runs one fuzz target
+# per invocation, hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
 		echo "== $$t"; \
@@ -39,6 +40,8 @@ fuzz-smoke:
 		echo "== $$t"; \
 		$(GO) test ./internal/sampler/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	@echo "== FuzzKernelOrder"
+	@$(GO) test ./internal/sim/ -run=NONE -fuzz=FuzzKernelOrder -fuzztime=$(FUZZTIME)
 
 cover:
 	$(GO) test -coverprofile=$(COVERPROFILE) ./...
