@@ -1,16 +1,16 @@
 package sim
 
 // Microbenchmarks for the event kernel and the FIFO service center.
-// Run with -benchmem: the slice-backed 4-ary heap schedules events with
-// zero per-event interface allocations (container/heap boxed every
-// Push/Pop through `any`), and the head-indexed Server ring pops without
-// reslicing the backlog.
+// Run with -benchmem: the delay-lane queue schedules events with zero
+// per-event allocations (lane events are recycled through one slab), and
+// the head-indexed Server ring pops without reslicing the backlog.
 
 import "testing"
 
 // BenchmarkEventKernel measures raw schedule+dispatch throughput: a
-// chain of self-rescheduling events interleaved with a fan-out burst,
-// which keeps the heap at a realistic mixed depth.
+// chain of self-rescheduling events interleaved with a fan-out burst of
+// 64 distinct delays, so most lanes hold a single event and the head
+// heap works at depth.
 func BenchmarkEventKernel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -32,8 +32,9 @@ func BenchmarkEventKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDeep measures scheduling against a deep standing queue,
-// the regime where heap arity and boxing dominate.
+// BenchmarkKernelDeep measures scheduling against a deep standing queue
+// of mostly unique delays: the lanes fill and the rest overflows into
+// the 4-ary overflow heap.
 func BenchmarkKernelDeep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

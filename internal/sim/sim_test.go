@@ -403,7 +403,7 @@ func TestEventQueueHeapProperty(t *testing.T) {
 		first := true
 		for q.len() > 0 {
 			e := q.pop()
-			if !first && e.before(prev) {
+			if !first && e.before(&prev) {
 				return false
 			}
 			prev, first = e, false
