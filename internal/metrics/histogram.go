@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"beacongnn/internal/sim"
@@ -28,9 +29,14 @@ type Histogram struct {
 // bucketBound[b] is the smallest duration that falls in bucket b (or a
 // later one), derived in init from the defining floor(log1.15(ns))
 // formula so the integer lookup matches it exactly. Observe sits on the
-// per-event hot path; a binary search over the precomputed boundaries
-// replaces two math.Log calls per observation.
+// per-event hot path, so bucketOf replaces two math.Log calls per
+// observation with a table lookup and a short walk over these bounds.
 var bucketBound [numBuckets]sim.Time
+
+// octaveFirst[n] is the bucket of 2^(n-1), the smallest duration whose
+// bit length is n. A bucket spans a factor of 1.15 and an octave a
+// factor of 2, so at most five bounds lie inside any one octave.
+var octaveFirst [65]uint8
 
 func logBucket(d sim.Time) int {
 	b := int(math.Log(float64(d)) / math.Log(1.15))
@@ -56,25 +62,28 @@ func init() {
 		}
 		bucketBound[b] = d
 	}
+	b := 0
+	for n := 1; n < 64; n++ {
+		v := sim.Time(1) << (n - 1)
+		for b+1 < numBuckets && bucketBound[b+1] <= v {
+			b++
+		}
+		octaveFirst[n] = uint8(b)
+	}
 }
 
 // bucketOf maps a duration to a bucket: ~18 buckets per decade
-// (bucket = floor(log1.15(ns))), clamped to the array.
+// (bucket = floor(log1.15(ns))), clamped to the array. It is the largest
+// b with bucketBound[b] <= d, found from d's octave in a few steps.
 func bucketOf(d sim.Time) int {
 	if d <= 0 {
 		return 0
 	}
-	// Largest b with bucketBound[b] <= d.
-	lo, hi := 0, numBuckets-1
-	for lo < hi {
-		mid := (lo + hi + 1) >> 1
-		if bucketBound[mid] <= d {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	b := int(octaveFirst[bits.Len64(uint64(d))])
+	for b+1 < numBuckets && bucketBound[b+1] <= d {
+		b++
 	}
-	return lo
+	return b
 }
 
 // bucketMid returns the midpoint of bucket b's exact integer range

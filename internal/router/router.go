@@ -8,6 +8,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/directgraph"
@@ -51,6 +52,13 @@ type Router struct {
 	inFlight []int // routed commands currently executing on the die
 	planes   int   // per-die concurrency (one command per plane)
 	rrNext   []int // per-channel round-robin pointer over its dies
+
+	// ready is a per-channel bitset of the dies the issuer may start a
+	// command on: a die's bit is set iff it has a free plane and a
+	// non-empty dispatch queue (see markReady). Each channel owns
+	// readyWords consecutive words.
+	ready      []uint64
+	readyWords int
 
 	stats Stats
 
@@ -107,6 +115,7 @@ func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) 
 	if planes < 1 {
 		planes = 1
 	}
+	words := (cfg.DiesPerChannel + 63) / 64
 	r := &Router{
 		k: k, backend: backend, cfg: cfg,
 		crossbarLat: crossbarLat, parseLat: parseLat,
@@ -115,6 +124,8 @@ func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) 
 		inFlight:    make([]int, cfg.TotalDies()),
 		planes:      planes,
 		rrNext:      make([]int, cfg.Channels),
+		ready:       make([]uint64, cfg.Channels*words),
+		readyWords:  words,
 	}
 	r.fnArrive = r.arrive
 	return r
@@ -183,37 +194,78 @@ func (r *Router) arrive() {
 	cmd := r.transit.pop()
 	// Section addresses embed the physical page; geometry maps it.
 	page := r.pageOf(cmd)
-	q := &r.dispatch[r.backend.Geometry().GlobalDie(page)]
+	die := r.backend.Geometry().GlobalDie(page)
+	q := &r.dispatch[die]
 	q.push(cmd)
 	if n := q.len(); n > r.stats.MaxQueue {
 		r.stats.MaxQueue = n
 	}
+	r.markReady(die)
 	r.pump(r.backend.Geometry().Channel(page))
 }
 
-// pump is the channel's round-robin command issuer: it repeatedly scans
-// the channel's dies from the last issue point, starting every queued
-// command whose die is idle.
-func (r *Router) pump(channel int) {
+// markReady sets or clears the die's ready bit after its dispatch queue
+// or in-flight count changed.
+func (r *Router) markReady(die int) {
 	d := r.cfg.DiesPerChannel
-	base := channel * d
-	for issued := true; issued; {
-		issued = false
-		for i := 0; i < d; i++ {
-			idx := (r.rrNext[channel] + i) % d
-			die := base + idx
-			if r.inFlight[die] >= r.planes || r.dispatch[die].len() == 0 {
-				continue
-			}
-			op := cmdOpPool.Get()
-			op.r, op.cmd, op.channel, op.die, op.released = r, r.dispatch[die].pop(), channel, die, false
-			r.inFlight[die]++
-			r.rrNext[channel] = (idx + 1) % d
-			// Issue: command cycles on the channel, then execution.
-			r.backend.IssueCommand(r.pageOf(op.cmd), op.fnIssued)
-			issued = true
-			break
+	idx := die % d
+	w := &r.ready[die/d*r.readyWords+idx>>6]
+	bit := uint64(1) << (idx & 63)
+	if r.inFlight[die] < r.planes && r.dispatch[die].len() > 0 {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+// pick returns the channel's next die to issue to, as an index within
+// the channel: the first ready die at or after the round-robin pointer,
+// wrapping around. It reports -1 when no die is ready.
+func (r *Router) pick(channel int) int {
+	words := r.ready[channel*r.readyWords : (channel+1)*r.readyWords]
+	start := r.rrNext[channel]
+	first := start >> 6
+	if m := words[first] >> (start & 63); m != 0 {
+		return start + bits.TrailingZeros64(m)
+	}
+	for i := first + 1; i < len(words); i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
 		}
+	}
+	// Wrap: the first word's bits at or after start are already known
+	// to be clear, so any bit found here precedes start.
+	for i := 0; i <= first; i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
+		}
+	}
+	return -1
+}
+
+// take dequeues the next command for the die at index idx of the
+// channel, occupies one of its planes and advances the round-robin
+// pointer past it.
+func (r *Router) take(channel, idx int) (die int, cmd sampler.Command) {
+	d := r.cfg.DiesPerChannel
+	die = channel*d + idx
+	cmd = r.dispatch[die].pop()
+	r.inFlight[die]++
+	r.markReady(die)
+	r.rrNext[channel] = (idx + 1) % d
+	return die, cmd
+}
+
+// pump is the channel's round-robin command issuer: it starts queued
+// commands on idle dies, in round-robin order from the last issue
+// point, until no die of the channel is ready.
+func (r *Router) pump(channel int) {
+	for idx := r.pick(channel); idx >= 0; idx = r.pick(channel) {
+		op := cmdOpPool.Get()
+		op.r, op.channel, op.released = r, channel, false
+		op.die, op.cmd = r.take(channel, idx)
+		// Issue: command cycles on the channel, then execution.
+		r.backend.IssueCommand(r.pageOf(op.cmd), op.fnIssued)
 	}
 }
 
@@ -230,6 +282,7 @@ func (op *cmdOp) release() {
 	}
 	op.released = true
 	op.r.inFlight[op.die]--
+	op.r.markReady(op.die)
 	op.r.pump(op.channel)
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/rand"
 	"testing"
 
 	"beacongnn/internal/config"
@@ -167,5 +168,72 @@ func TestOnRoutedHook(t *testing.T) {
 	k.Run()
 	if n != 1 {
 		t.Fatalf("hook fired %d times", n)
+	}
+}
+
+// scanPick is the issuer's original die selection, kept as the reference
+// for pick: scan the channel's dies from the round-robin pointer and
+// take the first with a free plane and a queued command.
+func scanPick(r *Router, channel int) int {
+	d := r.cfg.DiesPerChannel
+	for i := 0; i < d; i++ {
+		idx := (r.rrNext[channel] + i) % d
+		die := channel*d + idx
+		if r.inFlight[die] < r.planes && r.dispatch[die].len() > 0 {
+			return idx
+		}
+	}
+	return -1
+}
+
+// TestPickMatchesScan drives random arrive/issue/release sequences
+// through the ready bitset and asserts every pick equals the reference
+// scan's, across die counts below, at and above one 64-bit word.
+func TestPickMatchesScan(t *testing.T) {
+	for _, g := range []struct{ channels, dies, planes int }{
+		{2, 4, 1}, {3, 8, 2}, {2, 63, 1}, {2, 64, 2}, {2, 65, 1}, {1, 130, 3},
+	} {
+		k := sim.New()
+		cfg := config.Default().Flash
+		cfg.Channels, cfg.DiesPerChannel, cfg.PlanesPerDie = g.channels, g.dies, g.planes
+		b, err := flash.New(k, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(k, b, 0, 0)
+		rng := rand.New(rand.NewSource(int64(g.dies)))
+		var running []int // dies with a command in flight, one entry per plane
+		picks := 0
+		for step := 0; step < 20_000; step++ {
+			ch := rng.Intn(g.channels)
+			switch op := rng.Intn(10); {
+			case op < 4: // arrive
+				die := ch*g.dies + rng.Intn(g.dies)
+				r.dispatch[die].push(sampler.Command{})
+				r.markReady(die)
+			case op < 7 && len(running) > 0: // release
+				i := rng.Intn(len(running))
+				die := running[i]
+				running = append(running[:i], running[i+1:]...)
+				r.inFlight[die]--
+				r.markReady(die)
+			default: // issue until the channel has no ready die
+				for {
+					want, got := scanPick(r, ch), r.pick(ch)
+					if got != want {
+						t.Fatalf("%+v step %d: pick(%d) = %d, scan = %d", g, step, ch, got, want)
+					}
+					if got < 0 {
+						break
+					}
+					die, _ := r.take(ch, got)
+					running = append(running, die)
+					picks++
+				}
+			}
+		}
+		if picks == 0 {
+			t.Fatalf("%+v: no command was ever issued", g)
+		}
 	}
 }
