@@ -14,15 +14,17 @@ import (
 
 // The cluster study scales the BG-2 model out: the DirectGraph is
 // sharded across N simulated devices behind a scatter-gather
-// coordinator, and the sweep reports speedup vs N, the cross-shard
+// coordinator, and the sweep reports throughput vs N, the cross-shard
 // traffic each placement policy leaves on the fabric, and how serving
 // availability behaves through a device failure and re-replication.
 // Every grid point is one single-threaded kernel, so the report is
 // byte-identical at any -parallel width.
 
 // clusterDataset is the workload every scaling curve serves — the same
-// dataset (and memoized instance) the fig14 baseline runs on, so the
-// single-device column is directly comparable.
+// dataset (and memoized instance) the fig14 baseline runs on. The
+// cluster's devices are its own shard model, not the BG-2 simulation,
+// so its N = 1 row does not equal the baseline; every row reports its
+// throughput against both.
 const clusterDataset = "amazon"
 
 // clusterShardCounts returns the swept device counts.
@@ -44,11 +46,12 @@ func clusterSeed(base uint64, part string, shards int) uint64 {
 	return base ^ h.Sum64()
 }
 
-// ClusterPoint is one grid point: the raw run plus its speedup over the
-// same partitioner's single-device row.
+// ClusterPoint is one grid point: the raw run plus its throughput over
+// the same partitioner's single-device row and over the BG-2 baseline.
 type ClusterPoint struct {
 	cluster.Result
-	Speedup float64 `json:"speedup"`
+	SpeedupVsN1  float64 `json:"speedup_vs_n1"`
+	SpeedupVsBG2 float64 `json:"speedup_vs_bg2"`
 }
 
 // ClusterReport is the machine-readable cluster study
@@ -64,9 +67,8 @@ type ClusterReport struct {
 }
 
 // BuildClusterReport runs the scaling grid and the failure drill. The
-// baseline row delegates to the exact memoized BG-2 simulation the
-// paper figures use, so a cluster report never perturbs (and always
-// agrees with) the single-device numbers.
+// baseline is the exact memoized BG-2 simulation the paper figures use,
+// so a cluster report never perturbs the single-device numbers.
 func BuildClusterReport(o *Options) (*ClusterReport, error) {
 	o.fill()
 	base, err := o.simulate(platform.BG2, clusterDataset, simTimeline)
@@ -126,7 +128,10 @@ func BuildClusterReport(o *Options) (*ClusterReport, error) {
 			}
 			p := ClusterPoint{Result: *r}
 			if one != nil && one.Throughput > 0 {
-				p.Speedup = r.Throughput / one.Throughput
+				p.SpeedupVsN1 = r.Throughput / one.Throughput
+			}
+			if base.Throughput > 0 {
+				p.SpeedupVsBG2 = r.Throughput / base.Throughput
 			}
 			rep.Scaling = append(rep.Scaling, p)
 		}
@@ -181,8 +186,8 @@ func checkCluster(rep *ClusterReport) error {
 			return fmt.Errorf("cluster %s/%d: workload moved with placement: %d/%d fetches, %d/%d samples",
 				r.Partitioner, r.Shards, r.Fetches, first.Fetches, r.Samples, first.Samples)
 		}
-		if r.Shards == 1 && rep.Scaling[i].Speedup != 1 {
-			return fmt.Errorf("cluster %s: single-device speedup %g != 1", r.Partitioner, rep.Scaling[i].Speedup)
+		if r.Shards == 1 && rep.Scaling[i].SpeedupVsN1 != 1 {
+			return fmt.Errorf("cluster %s: single-device speedup %g != 1", r.Partitioner, rep.Scaling[i].SpeedupVsN1)
 		}
 	}
 	f := rep.Failure
@@ -213,11 +218,11 @@ func RunCluster(o *Options, w io.Writer) error {
 		if p.Partitioner != last {
 			last = p.Partitioner
 			fmt.Fprintf(w, "   %s placement\n", p.Partitioner)
-			fmt.Fprintf(w, "   %7s %12s %10s %8s %8s %8s %12s %10s\n",
-				"devices", "elapsed", "targets/s", "speedup", "cross%", "intra%", "fabric", "imbalance")
+			fmt.Fprintf(w, "   %7s %12s %10s %8s %8s %8s %8s %12s %10s\n",
+				"devices", "elapsed", "targets/s", "vs N=1", "vs BG-2", "cross%", "intra%", "fabric", "imbalance")
 		}
-		fmt.Fprintf(w, "   %7d %12v %10.1f %8.2f %7.1f%% %7.1f%% %9.2f MB %10.2f\n",
-			p.Shards, sim.Time(p.ElapsedNs), p.Throughput, p.Speedup,
+		fmt.Fprintf(w, "   %7d %12v %10.1f %8.2f %8.2f %7.1f%% %7.1f%% %9.2f MB %10.2f\n",
+			p.Shards, sim.Time(p.ElapsedNs), p.Throughput, p.SpeedupVsN1, p.SpeedupVsBG2,
 			100*p.CrossFrac, 100*p.IntraEdgeFrac, float64(p.FabricBytes)/1e6, p.ReadImbalance)
 	}
 	f := rep.Failure
@@ -226,6 +231,8 @@ func RunCluster(o *Options, w io.Writer) error {
 	fmt.Fprintf(w, "   backup shard %d took ownership; moved %.2f MB in %v; %d of %d fetches degraded; availability %.4f\n",
 		f.BackupShard, float64(f.MovedBytes)/1e6, sim.Time(f.RebalanceNs),
 		f.DegradedFetches, f.Fetches, f.Availability)
+	fmt.Fprintln(w, "note:   the cluster simulates its own shard devices, so N=1 differs from the BG-2 baseline;")
+	fmt.Fprintln(w, "        vs N=1 is relative to each placement's own 1-device row, vs BG-2 to the baseline")
 	fmt.Fprintln(w, "expect: speedup grows with device count but sub-linearly — the per-hop coordinator")
 	fmt.Fprintln(w, "        barrier and fabric round trips are the serial fraction; locality placement")
 	fmt.Fprintln(w, "        trades read balance for co-residency; the drill serves every request through the failure,")
