@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"beacongnn/internal/dataset"
+	"beacongnn/internal/pool"
 )
 
 var (
@@ -196,5 +197,26 @@ func TestCoordinatorRaceHammer(t *testing.T) {
 		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Fatalf("concurrent run %d diverged from run 0", i)
 		}
+	}
+}
+
+// TestWarmRunConstructsNoSenseState checks that a cluster run hands
+// every shard backend's free list back: a second identical run draws
+// all of its flash sense state from them and constructs nothing.
+func TestWarmRunConstructsNoSenseState(t *testing.T) {
+	if pool.Disabled() {
+		t.Skip("pooling disabled")
+	}
+	inst := testInstance(t)
+	c := testConfig(4)
+	if _, err := Run(c, inst); err != nil {
+		t.Fatal(err)
+	}
+	before := pool.Constructed()
+	if _, err := Run(c, inst); err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.Constructed() - before; n != 0 {
+		t.Fatalf("warm cluster run constructed %d pooled objects, want 0", n)
 	}
 }

@@ -87,6 +87,9 @@ func newRun(c Config, inst *dataset.Instance, pt Partitioner) (*run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d backend: %w", s, err)
 		}
+		if s > 0 {
+			b.ShareFreeLists(r.devices[0])
+		}
 		r.devices[s] = b
 	}
 	r.res = &Result{
@@ -122,6 +125,7 @@ func (r *run) targets(b int) []graph.NodeID {
 func (r *run) run() (*Result, error) {
 	r.k.At(0, func() { r.startBatch(0) })
 	r.k.Run()
+	r.devices[0].Release() // the shards share one free list
 	return r.finalize()
 }
 

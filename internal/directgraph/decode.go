@@ -78,14 +78,27 @@ func (v *SectionView) Entry(i int) Addr {
 	return Addr(getU32(v.page, v.StartOffset+secondaryHeaderLen+i*addrLen))
 }
 
+// FeatureBytes returns a primary's feature vector in place:
+// FeatureDim little-endian FP16 values, two bytes each. The slice
+// aliases the page and is capped at its end, so an append copies.
+func (v *SectionView) FeatureBytes() []byte {
+	off := v.featureOff()
+	end := off + 2*v.FeatureDim
+	return v.page[off:end:end]
+}
+
 // AppendFeatureBits appends a primary's FP16 feature vector to dst.
 func (v *SectionView) AppendFeatureBits(dst []uint16) []uint16 {
-	n := len(dst)
-	dst = slices.Grow(dst, v.FeatureDim)[:n+v.FeatureDim]
-	src := v.page[v.featureOff():][:2*v.FeatureDim]
+	return AppendFP16(dst, v.FeatureBytes())
+}
+
+// AppendFP16 decodes little-endian FP16 bytes (two per element; an odd
+// trailing byte is ignored) and appends the bit patterns to dst.
+func AppendFP16(dst []uint16, src []byte) []uint16 {
+	n, dim := len(dst), len(src)/2
+	dst = slices.Grow(dst, dim)[:n+dim]
 	out := dst[n:]
-	// Four elements per 8-byte load: this copy is the die data path's
-	// largest per-command cost (602 dims on reddit).
+	// Four elements per 8-byte load (602 dims on reddit).
 	i := 0
 	for ; i+4 <= len(out); i += 4 {
 		x := binary.LittleEndian.Uint64(src[2*i:])

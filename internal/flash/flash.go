@@ -85,6 +85,10 @@ type Backend struct {
 	OnRetrySense func(senses int)
 
 	tracer sim.Tracer
+
+	// senses is the free list of sense state, owned by this backend or
+	// shared with the other backends on its kernel (ShareFreeLists).
+	senses *pool.List[senseOp]
 }
 
 // New builds a backend on the kernel. timelinePoints bounds the
@@ -98,6 +102,8 @@ func New(k *sim.Kernel, cfg config.Flash, timelinePoints int) (*Backend, error) 
 		DieUtil:  sim.NewUtilization(timelinePoints),
 		ChanUtil: sim.NewUtilization(timelinePoints),
 	}
+	senses := senseShelf.List()
+	b.senses = &senses
 	planes := cfg.PlanesPerDie
 	if planes < 1 {
 		planes = 1
@@ -223,7 +229,7 @@ func (b *Backend) SensePageDeadline(page uint32, dieExtra, deadline sim.Time, se
 			b.OnRetrySense(out.RetrySenses)
 		}
 	}
-	op := sensePool.Get()
+	op := b.senses.Get()
 	op.b, op.die, op.dieExtra, op.out = b, die, dieExtra, out
 	op.deadline = deadline
 	op.arrived = b.k.Now()
@@ -253,27 +259,35 @@ type senseOp struct {
 	fnSampler func()
 }
 
-// sensePool is wired in init: the constructor references senseOp methods
-// whose release path references the pool back, which a package-level
-// initializer expression would reject as an initialization cycle.
-var sensePool *pool.Pool[senseOp]
-
-func init() {
-	sensePool = pool.New(func() *senseOp {
-		op := &senseOp{}
-		op.fnStart = op.onStart
-		op.fnDone = op.onDone
-		op.fnSampler = op.onSampler
-		return op
-	})
-}
+// senseShelf keeps the idle senseOp lists between runs; each Backend
+// draws its own list from it (see Release).
+var senseShelf = pool.NewShelf(func() *senseOp {
+	op := &senseOp{}
+	op.fnStart = op.onStart
+	op.fnDone = op.onDone
+	op.fnSampler = op.onSampler
+	return op
+})
 
 func (op *senseOp) release() {
+	b := op.b
 	op.b = nil
 	op.senseStart = nil
 	op.done = nil
-	sensePool.Put(op)
+	b.senses.Put(op)
 }
+
+// Release hands the backend's recycled sense state back to the process
+// for the next run. Call it once the kernel driving the backend has
+// returned and no sense is in flight.
+func (b *Backend) Release() { b.senses.Release() }
+
+// ShareFreeLists makes b draw its sense state from other's free list.
+// Backends driven by one kernel run on one goroutine, so they can share
+// a list; one list sized by their combined peak is handed back whole,
+// where per-backend lists would be dealt to different backends by the
+// next run and fall short. Releasing either backend releases it.
+func (b *Backend) ShareFreeLists(other *Backend) { b.senses = other.senses }
 
 func (op *senseOp) onStart(start sim.Time) {
 	op.b.WaitStats.Observe(start - op.arrived)

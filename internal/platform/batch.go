@@ -37,7 +37,7 @@ type batchState struct {
 
 func (s *System) newBatch(id int, done func()) *batchState {
 	hops := s.cfg.GNN.Hops
-	b := batchPool.Get()
+	b := s.lists.batch.Get()
 	b.sys, b.id, b.done = s, int32(id), done
 	b.outstanding, b.featBytes, b.finished = 0, 0, false
 	b.hopOut = resizeZero(b.hopOut, hops+1)
@@ -47,10 +47,11 @@ func (s *System) newBatch(id int, done func()) *batchState {
 	return b
 }
 
-// release returns the batch to the pool once finish has run its
-// completion callback; nothing references the batch past that point
+// release returns the batch to the System's list once finish has run
+// its completion callback; nothing references the batch past that point
 // (outstanding hit zero, so no command in flight can name it).
 func (b *batchState) release() {
+	s := b.sys
 	b.sys, b.done = nil, nil
 	for i := range b.pendDie {
 		b.pendDie[i] = nil
@@ -68,14 +69,17 @@ func (b *batchState) release() {
 	for i := range b.coalesce {
 		b.coalesce[i] = nil
 	}
-	batchPool.Put(b)
+	s.lists.batch.Put(b)
 }
 
 // prepBatch starts batch i's data preparation and calls done when every
 // feature vector and subgraph edge for the batch is in place.
 func (s *System) prepBatch(i int, done func()) {
 	b := s.newBatch(i, done)
-	s.batches[int32(i)] = b
+	for len(s.batches) <= i {
+		s.batches = append(s.batches, nil)
+	}
+	s.batches[i] = b
 	var targets []graph.NodeID
 	if s.targetSource != nil {
 		targets = s.targetSource(i)
@@ -163,7 +167,7 @@ func (b *batchState) finish() {
 		s.coll.TargetDone()
 	}
 	s.coll.BatchDone()
-	delete(s.batches, b.id)
+	s.batches[b.id] = nil
 	b.done()
 	b.release()
 }
@@ -244,7 +248,7 @@ func (b *batchState) dispatchDie(cmd sampler.Command) {
 	if !s.caps.DirectGraph {
 		cost += s.cfg.Firmware.TranslateCost
 	}
-	op := dieOpPool.Get()
+	op := s.lists.dieOp.Get()
 	op.b, op.cmd = b, cmd
 	s.fwPhase(cost)
 	s.fw.Do(cost, op.fnFwDone)
@@ -276,7 +280,7 @@ func (op *dieOp) onParsed() {
 	b, cmd, res := op.b, op.cmd, op.res
 	op.release()
 	children := b.accountDie(cmd, res)
-	resultPool.Put(res)
+	b.sys.putResult(res)
 	for _, c := range children {
 		b.dispatchDie(c)
 	}
@@ -296,7 +300,7 @@ func (b *batchState) execDie(cmd sampler.Command, onSense func(), onDone func(*s
 		draws = s.cfg.GNN.Fanout
 	}
 	extra := s.cfg.DieSampler.Fixed + sim.Time(draws)*s.cfg.DieSampler.PerDraw
-	op := execOpPool.Get()
+	op := s.lists.execOp.Get()
 	op.b, op.cmd, op.onSense, op.onDone = b, cmd, onSense, onDone
 	s.senseManaged(page, extra, s.ioDeadline(cmd.Created), op.fnSenseStart, op.fnSenseDone)
 }
@@ -326,11 +330,11 @@ func (op *execOp) onSenseDone(final uint32) {
 	die := s.backend.Geometry().GlobalDie(final)
 	// The die's section iterator reads the page bytes in place, so a
 	// remapped or relocated page is always seen as it is now.
-	res := resultPool.Get()
+	res := s.lists.result.Get()
 	if err := sampler.ExecuteInto(res, s.layout, pageBytes, op.cmd, s.samplerCfg, s.dieTRNG[die]); err != nil {
 		// Section VI-E: the sampler aborts and control returns to
 		// firmware. The run fails with context instead of crashing.
-		resultPool.Put(res)
+		s.putResult(res)
 		op.release()
 		s.fail(fmt.Errorf("platform: die sampler failed on page %d: %w", final, err))
 		return
@@ -369,7 +373,7 @@ func (b *batchState) accountDie(cmd sampler.Command, res *sampler.Result) []samp
 	if b.id == 0 {
 		s.coll.HopEnd(cmd.Hop, s.k.Now())
 	}
-	b.featBytes += int64(len(res.FeatureBits) * 2)
+	b.featBytes += int64(len(res.Features))
 	now := s.k.Now()
 	immediate := b.dieScratch[:0]
 	for _, c := range res.Commands {

@@ -48,7 +48,7 @@ func (s *System) senseManaged(page uint32, dieExtra, ioDL sim.Time, senseStart f
 	if s.chk != nil {
 		s.chk.CountSenseRequest()
 	}
-	c := senseCtxPool.Get()
+	c := s.lists.senseCtx.Get()
 	c.s, c.page, c.dieExtra, c.ioDL = s, page, dieExtra, ioDL
 	c.senseStart, c.done = senseStart, done
 	c.attempt, c.deadline = 0, 0

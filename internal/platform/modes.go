@@ -83,6 +83,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 		})
 	}
 	k.Run()
+	backend.Release()
 	if remaining != 0 {
 		return nil, fmt.Errorf("platform: construction stalled with %d pages pending", remaining)
 	}
@@ -156,6 +157,7 @@ func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, err
 		func() { finished = true },
 	)
 	s.k.Run()
+	s.releaseLists()
 	if !finished {
 		return nil, nil, fmt.Errorf("platform: simulation deadlocked")
 	}
@@ -215,5 +217,6 @@ func RegularIOBaseline(cfg config.Config) (sim.Time, error) {
 		})
 	})
 	k.Run()
+	backend.Release()
 	return latency, nil
 }

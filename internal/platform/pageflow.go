@@ -90,7 +90,7 @@ func (b *batchState) dispatchPage(r nodeRead) {
 // sense, full-page channel transfer, DRAM landing. Per-read state lives
 // in a pooled pageOp (pools.go).
 func (s *System) flashPageRead(page uint32, created sim.Time, step int, record bool, done func()) {
-	op := pageOpPool.Get()
+	op := s.lists.pageOp.Get()
 	op.s, op.created, op.step, op.record, op.done = s, created, step, record, done
 	s.senseManaged(page, 0, s.ioDeadline(created), op.fnSenseStart, op.fnSenseDone)
 }
@@ -134,11 +134,11 @@ func (op *pageOp) onXferDone() {
 // the per-page chains run on pooled rapOps under one rapGroup.
 func (b *batchState) readAllPages(pages []uint32, created sim.Time, step int, hostBytes int, done func()) {
 	s := b.sys
-	g := rapGroupPool.Get()
+	g := s.lists.rapGroup.Get()
 	g.b, g.remaining, g.hostBytes = b, len(pages), hostBytes
 	g.created, g.step, g.done = created, step, done
 	for _, p := range pages {
-		op := rapOpPool.Get()
+		op := s.lists.rapOp.Get()
 		op.g, op.page = g, p
 		cost := s.cfg.Firmware.FlashCmdCost
 		if !s.caps.DirectGraph {
@@ -207,7 +207,7 @@ func (b *batchState) fwRead(r nodeRead) {
 	if !s.caps.InternalFT && !r.sample {
 		hostBytes = s.cfg.Flash.PageSize
 	}
-	op := fwReadOpPool.Get()
+	op := s.lists.fwReadOp.Get()
 	op.b, op.r = b, r
 	b.readAllPages(b.pageScratch, r.created, r.step(), hostBytes, op.fnPagesDone)
 }
@@ -250,7 +250,7 @@ func (op *fwReadOp) onSampled() {
 // fwSecondaryRead reads one BG-DG secondary page whose children were
 // drawn during the parent's sampling; they release when it lands.
 func (b *batchState) fwSecondaryRead(r nodeRead) {
-	op := fwSecOpPool.Get()
+	op := b.sys.lists.fwSecOp.Get()
 	op.b, op.r = b, r
 	b.pageScratch = append(b.pageScratch[:0], r.secPage)
 	b.readAllPages(b.pageScratch, r.created, r.step(), 0, op.fnPagesDone)
@@ -292,10 +292,10 @@ func (b *batchState) hostRead(r nodeRead) {
 	if r.feature && !r.sample {
 		stack = s.cfg.Host.BatchedIOCost
 	}
-	g := hostGroupPool.Get()
+	g := s.lists.hostGroup.Get()
 	g.b, g.r, g.remaining = b, r, len(b.pageScratch)
 	for _, p := range b.pageScratch {
-		op := hostOpPool.Get()
+		op := s.lists.hostOp.Get()
 		op.g, op.page = g, p
 		s.hostDo(stack, op.fnHostDone)
 	}

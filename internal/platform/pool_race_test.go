@@ -11,13 +11,16 @@ import (
 )
 
 // TestPooledStateIsolationUnderConcurrency hammers the pooled
-// request/batch state machines: many simulations run concurrently, all
-// drawing senseCtx/pageOp/dieOp/batchState objects from the shared
-// package-global pools, and every measurement must match a run with
-// pooling disabled (every Get a fresh allocation). A reset-discipline
-// bug — a reference field surviving Put, an object migrating between
-// kernels with stale state — shows up as a diverging Result; under
-// -race the same test catches unsynchronized reuse directly.
+// request/batch state machines: many simulations run concurrently, each
+// drawing senseCtx/pageOp/dieOp/batchState objects from its own free
+// lists, which it takes off the process-wide shelves and hands back when
+// it returns. The pooled round runs twice, so the second round runs on
+// lists the first one handed back — often from another goroutine — and
+// every measurement of both rounds must match a run with pooling
+// disabled (every Get a fresh allocation). A reset-discipline bug — a
+// reference field surviving Put, an object migrating between kernels
+// with stale state — shows up as a diverging Result; under -race the
+// same test catches unsynchronized reuse directly.
 func TestPooledStateIsolationUnderConcurrency(t *testing.T) {
 	d, err := dataset.ByName("amazon")
 	if err != nil {
@@ -54,16 +57,18 @@ func TestPooledStateIsolationUnderConcurrency(t *testing.T) {
 		return out
 	}
 
-	pooled := run()
+	pooled := [][]*Result{run(), run()}
 	if t.Failed() {
 		t.FailNow()
 	}
 	pool.Disable(true)
 	defer pool.Disable(false)
 	fresh := run()
-	for i := range kinds {
-		if !reflect.DeepEqual(pooled[i], fresh[i]) {
-			t.Errorf("%v (slot %d): pooled result differs from fresh-alloc result — pooled state leaked", kinds[i], i)
+	for round, rs := range pooled {
+		for i := range kinds {
+			if !reflect.DeepEqual(rs[i], fresh[i]) {
+				t.Errorf("round %d, %v (slot %d): pooled result differs from fresh-alloc result — pooled state leaked", round+1, kinds[i], i)
+			}
 		}
 	}
 }

@@ -9,12 +9,59 @@ import (
 
 // Pooled request-path state machines. Each hot closure chain in the data
 // path is flattened into a struct whose continuation funcs are bound once
-// in the pool constructor (method values allocate, so the funcs are
-// captured into fields). Reset discipline: release() clears every
-// reference field before Put, and callers that invoke a final callback
-// copy it to a local, release, then call — the object must never be
-// touched after Put. pool.Disable turns all of this into fresh
-// allocation for the determinism tests.
+// in its shelf's constructor (method values allocate, so the funcs are
+// captured into fields). Every System owns one free list per type
+// (lists), drawn from the type's shelf at first use and handed back
+// when Run returns. Reset discipline: release() clears every reference
+// field before Put, and callers that invoke a final callback copy it to
+// a local, release, then call — the object must never be touched after
+// Put. pool.Disable turns all of this into fresh allocation for the
+// determinism tests.
+
+// lists are a System's free lists, one per pooled type.
+type lists struct {
+	senseCtx  pool.List[senseCtx]
+	pageOp    pool.List[pageOp]
+	execOp    pool.List[execOp]
+	dieOp     pool.List[dieOp]
+	rtrOp     pool.List[rtrOp]
+	rapGroup  pool.List[rapGroup]
+	rapOp     pool.List[rapOp]
+	fwReadOp  pool.List[fwReadOp]
+	fwSecOp   pool.List[fwSecOp]
+	hostGroup pool.List[hostGroup]
+	hostOp    pool.List[hostOp]
+	batch     pool.List[batchState]
+	result    pool.List[sampler.Result]
+}
+
+func newLists() lists {
+	return lists{
+		senseCtx: senseCtxShelf.List(), pageOp: pageOpShelf.List(),
+		execOp: execOpShelf.List(), dieOp: dieOpShelf.List(), rtrOp: rtrOpShelf.List(),
+		rapGroup: rapGroupShelf.List(), rapOp: rapOpShelf.List(),
+		fwReadOp: fwReadOpShelf.List(), fwSecOp: fwSecOpShelf.List(),
+		hostGroup: hostGroupShelf.List(), hostOp: hostOpShelf.List(),
+		batch: batchShelf.List(), result: resultShelf.List(),
+	}
+}
+
+// release hands every list back to its shelf for the next run.
+func (l *lists) release() {
+	l.senseCtx.Release()
+	l.pageOp.Release()
+	l.execOp.Release()
+	l.dieOp.Release()
+	l.rtrOp.Release()
+	l.rapGroup.Release()
+	l.rapOp.Release()
+	l.fwReadOp.Release()
+	l.fwSecOp.Release()
+	l.hostGroup.Release()
+	l.hostOp.Release()
+	l.batch.Release()
+	l.result.Release()
+}
 
 // senseCtx carries one senseManaged request through the fault-recovery
 // ladder in fault.go.
@@ -32,23 +79,17 @@ type senseCtx struct {
 	fnRetry   func()
 }
 
-// The pools are wired in init: constructors reference methods whose
-// release path references the pool back, which package-level initializer
-// expressions reject as an initialization cycle.
-var senseCtxPool *pool.Pool[senseCtx]
-
-func init() {
-	senseCtxPool = pool.New(func() *senseCtx {
-		c := &senseCtx{}
-		c.fnOutcome = c.onOutcome
-		c.fnRetry = func() { c.s.senseAttempt(c) }
-		return c
-	})
-}
+var senseCtxShelf = pool.NewShelf(func() *senseCtx {
+	c := &senseCtx{}
+	c.fnOutcome = c.onOutcome
+	c.fnRetry = func() { c.s.senseAttempt(c) }
+	return c
+})
 
 func (c *senseCtx) release() {
+	s := c.s
 	c.s, c.senseStart, c.done = nil, nil, nil
-	senseCtxPool.Put(c)
+	s.lists.senseCtx.Put(c)
 }
 
 // pageOp carries one flashPageRead (page platforms) through
@@ -67,11 +108,18 @@ type pageOp struct {
 	fnXferDone   func()
 }
 
-var pageOpPool *pool.Pool[pageOp]
+var pageOpShelf = pool.NewShelf(func() *pageOp {
+	op := &pageOp{}
+	op.fnSenseStart = op.onSenseStart
+	op.fnSenseDone = op.onSenseDone
+	op.fnXferDone = op.onXferDone
+	return op
+})
 
 func (op *pageOp) release() {
+	s := op.s
 	op.s, op.done = nil, nil
-	pageOpPool.Put(op)
+	s.lists.pageOp.Put(op)
 }
 
 // execOp carries one execDie (die platforms) through
@@ -90,11 +138,18 @@ type execOp struct {
 	fnXferDone   func()
 }
 
-var execOpPool *pool.Pool[execOp]
+var execOpShelf = pool.NewShelf(func() *execOp {
+	op := &execOp{}
+	op.fnSenseStart = op.onSenseStart
+	op.fnSenseDone = op.onSenseDone
+	op.fnXferDone = op.onXferDone
+	return op
+})
 
 func (op *execOp) release() {
+	s := op.b.sys
 	op.b, op.onSense, op.onDone, op.res = nil, nil, nil, nil
-	execOpPool.Put(op)
+	s.lists.execOp.Put(op)
 }
 
 // dieOp carries one firmware-scheduled die command (BG-SP, BG-DGSP)
@@ -111,11 +166,20 @@ type dieOp struct {
 	fnParsed   func()
 }
 
-var dieOpPool *pool.Pool[dieOp]
+var dieOpShelf = pool.NewShelf(func() *dieOp {
+	op := &dieOp{}
+	op.fnFwDone = op.onFwDone
+	op.fnIssued = op.onIssued
+	op.fnExecDone = op.onExecDone
+	op.fnDramDone = op.onDramDone
+	op.fnParsed = op.onParsed
+	return op
+})
 
 func (op *dieOp) release() {
+	s := op.b.sys
 	op.b, op.res = nil, nil
-	dieOpPool.Put(op)
+	s.lists.dieOp.Put(op)
 }
 
 // rtrOp is the per-command state of the BG-2 hardware data path wired in
@@ -130,30 +194,43 @@ type rtrOp struct {
 	fnExecDone func(*sampler.Result)
 }
 
-var rtrOpPool *pool.Pool[rtrOp]
+var rtrOpShelf = pool.NewShelf(func() *rtrOp {
+	op := &rtrOp{}
+	op.fnExecDone = op.onExecDone
+	return op
+})
 
 func (op *rtrOp) release() {
+	s := op.s
 	op.s, op.b, op.done = nil, nil, nil
-	rtrOpPool.Put(op)
+	s.lists.rtrOp.Put(op)
 }
 
 func (op *rtrOp) onExecDone(res *sampler.Result) {
 	s, b, cmd, done := op.s, op.b, op.cmd, op.done
 	op.release()
-	if n := len(res.FeatureBits) * 2; n > 0 {
+	if n := len(res.Features); n > 0 {
 		s.dramWrite(n, nil)
 	}
 	children := b.accountDie(cmd, res)
-	resultPool.Put(res)
+	s.putResult(res)
 	done(children) // the router copies children before yielding
 	b.stepDone(cmd.Hop)
 }
 
-// resultPool recycles die-sampler Results: execDie fills one through
+// resultShelf recycles die-sampler Results: execDie fills one through
 // sampler.ExecuteInto and the consumer (dieOp.onParsed, rtrOp.onExecDone)
-// puts it back once accountDie has read it. A Result holds no pointers
-// beyond its own slices, whose backing arrays are what the pool reuses.
-var resultPool = pool.New(func() *sampler.Result { return &sampler.Result{} })
+// puts it back once accountDie has read it. Besides its own slices,
+// whose backing arrays are what the list reuses, a Result references
+// only the page its feature bytes alias, which putResult drops.
+var resultShelf = pool.NewShelf(func() *sampler.Result { return &sampler.Result{} })
+
+// putResult returns a Result to the System's list. Dropping the feature
+// view keeps an idle Result from pinning the dataset's page image.
+func (s *System) putResult(res *sampler.Result) {
+	res.Features = nil
+	s.lists.result.Put(res)
+}
 
 // rapGroup fans one readAllPages call across its pages; rapOp is the
 // per-page chain (fw scheduling → issue → flashPageRead → optional
@@ -179,18 +256,28 @@ type rapOp struct {
 }
 
 var (
-	rapGroupPool *pool.Pool[rapGroup]
-	rapOpPool    *pool.Pool[rapOp]
+	rapGroupShelf = pool.NewShelf(func() *rapGroup { return &rapGroup{} })
+	rapOpShelf    = pool.NewShelf(func() *rapOp {
+		op := &rapOp{}
+		op.fnStart = op.onStart
+		op.fnIssued = op.onIssued
+		op.fnPageDone = op.onPageDone
+		op.fnDramDone = op.onDramDone
+		op.fnPcieDone = op.onPcieDone
+		return op
+	})
 )
 
 func (g *rapGroup) release() {
+	s := g.b.sys
 	g.b, g.done = nil, nil
-	rapGroupPool.Put(g)
+	s.lists.rapGroup.Put(g)
 }
 
 func (op *rapOp) release() {
+	s := op.g.b.sys
 	op.g = nil
-	rapOpPool.Put(op)
+	s.lists.rapOp.Put(op)
 }
 
 // fwReadOp carries one firmware-driven node read (fwRead) across the
@@ -203,11 +290,17 @@ type fwReadOp struct {
 	fnSampled   func()
 }
 
-var fwReadOpPool *pool.Pool[fwReadOp]
+var fwReadOpShelf = pool.NewShelf(func() *fwReadOp {
+	op := &fwReadOp{}
+	op.fnPagesDone = op.onPagesDone
+	op.fnSampled = op.onSampled
+	return op
+})
 
 func (op *fwReadOp) release() {
+	s := op.b.sys
 	op.b, op.r = nil, nodeRead{}
-	fwReadOpPool.Put(op)
+	s.lists.fwReadOp.Put(op)
 }
 
 // fwSecOp carries one BG-DG secondary-section read (fwSecondaryRead).
@@ -219,11 +312,17 @@ type fwSecOp struct {
 	fnParsed    func()
 }
 
-var fwSecOpPool *pool.Pool[fwSecOp]
+var fwSecOpShelf = pool.NewShelf(func() *fwSecOp {
+	op := &fwSecOp{}
+	op.fnPagesDone = op.onPagesDone
+	op.fnParsed = op.onParsed
+	return op
+})
 
 func (op *fwSecOp) release() {
+	s := op.b.sys
 	op.b, op.r = nil, nodeRead{}
-	fwSecOpPool.Put(op)
+	s.lists.fwSecOp.Put(op)
 }
 
 // hostGroup fans one host-controlled node read (hostRead) across its
@@ -251,81 +350,12 @@ type hostOp struct {
 }
 
 var (
-	hostGroupPool *pool.Pool[hostGroup]
-	hostOpPool    *pool.Pool[hostOp]
-)
-
-func (g *hostGroup) release() {
-	g.b, g.r = nil, nodeRead{}
-	hostGroupPool.Put(g)
-}
-
-func (op *hostOp) release() {
-	op.g = nil
-	hostOpPool.Put(op)
-}
-
-// batchPool recycles batchState across batches and runs; newBatch
-// resizes the per-hop slices and release clears every reference.
-var batchPool = pool.New(func() *batchState { return &batchState{} })
-
-func init() {
-	pageOpPool = pool.New(func() *pageOp {
-		op := &pageOp{}
-		op.fnSenseStart = op.onSenseStart
-		op.fnSenseDone = op.onSenseDone
-		op.fnXferDone = op.onXferDone
-		return op
-	})
-	execOpPool = pool.New(func() *execOp {
-		op := &execOp{}
-		op.fnSenseStart = op.onSenseStart
-		op.fnSenseDone = op.onSenseDone
-		op.fnXferDone = op.onXferDone
-		return op
-	})
-	dieOpPool = pool.New(func() *dieOp {
-		op := &dieOp{}
-		op.fnFwDone = op.onFwDone
-		op.fnIssued = op.onIssued
-		op.fnExecDone = op.onExecDone
-		op.fnDramDone = op.onDramDone
-		op.fnParsed = op.onParsed
-		return op
-	})
-	rtrOpPool = pool.New(func() *rtrOp {
-		op := &rtrOp{}
-		op.fnExecDone = op.onExecDone
-		return op
-	})
-	rapGroupPool = pool.New(func() *rapGroup { return &rapGroup{} })
-	rapOpPool = pool.New(func() *rapOp {
-		op := &rapOp{}
-		op.fnStart = op.onStart
-		op.fnIssued = op.onIssued
-		op.fnPageDone = op.onPageDone
-		op.fnDramDone = op.onDramDone
-		op.fnPcieDone = op.onPcieDone
-		return op
-	})
-	fwReadOpPool = pool.New(func() *fwReadOp {
-		op := &fwReadOp{}
-		op.fnPagesDone = op.onPagesDone
-		op.fnSampled = op.onSampled
-		return op
-	})
-	fwSecOpPool = pool.New(func() *fwSecOp {
-		op := &fwSecOp{}
-		op.fnPagesDone = op.onPagesDone
-		op.fnParsed = op.onParsed
-		return op
-	})
-	hostGroupPool = pool.New(func() *hostGroup {
+	hostGroupShelf = pool.NewShelf(func() *hostGroup {
 		g := &hostGroup{}
 		g.fnSampled = g.onSampled
 		return g
 	})
-	hostOpPool = pool.New(func() *hostOp {
+	hostOpShelf = pool.NewShelf(func() *hostOp {
 		op := &hostOp{}
 		op.fnHostDone = op.onHostDone
 		op.fnPcie64 = op.onPcie64
@@ -336,7 +366,23 @@ func init() {
 		op.fnPcieDone = op.onPcieDone
 		return op
 	})
+)
+
+func (g *hostGroup) release() {
+	s := g.b.sys
+	g.b, g.r = nil, nodeRead{}
+	s.lists.hostGroup.Put(g)
 }
+
+func (op *hostOp) release() {
+	s := op.g.b.sys
+	op.g = nil
+	s.lists.hostOp.Put(op)
+}
+
+// batchShelf recycles batchState across batches and runs; newBatch
+// resizes the per-hop slices and release clears every reference.
+var batchShelf = pool.NewShelf(func() *batchState { return &batchState{} })
 
 // resizeZero returns s with length n and every element zeroed, reusing
 // the backing array when it is large enough.

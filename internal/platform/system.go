@@ -48,7 +48,10 @@ type System struct {
 	dieTRNG    []*xrand.Source
 	rng        *xrand.Source
 	samplerCfg sampler.Config
-	batches    map[int32]*batchState
+	// batches[id] is the batch in preparation with that id, nil once it
+	// has finished.
+	batches []*batchState
+	lists   lists // free lists of the pooled data-path state (pools.go)
 
 	// build is the DirectGraph image this system reads. It aliases
 	// inst.Build normally; with the fault model enabled it is a private
@@ -183,6 +186,7 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 		accelQ: sim.NewServer(k, 1),
 		meter:  energy.NewMeter(cfg.Energy),
 		coll:   metrics.NewCollector(),
+		lists:  newLists(),
 		layout: inst.Build.Layout,
 		rng:    xrand.New(cfg.Seed ^ uint64(kind)<<32),
 		samplerCfg: sampler.Config{
@@ -230,7 +234,6 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	s.mem.OnBytes = s.meter.DRAMBytes
 	s.qp.OnPCIeBytes = s.meter.PCIeBytes
 	s.qp.Device = func(cmd nvme.Command) {} // commands handled inline by flows
-	s.batches = make(map[int32]*batchState)
 	if s.caps.HWRouting {
 		s.rtr = router.New(k, backend, cfg.DieSampler.CrossbarLat, cfg.DieSampler.ParseLat)
 		s.rtr.OnRouted = s.meter.RouterCmd
@@ -239,16 +242,27 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 		// crossbar, and the batch counters advance — no embedded core
 		// touches any of it.
 		s.rtr.Exec = func(cmd sampler.Command, release func(), done func([]sampler.Command)) {
-			b, ok := s.batches[cmd.Batch]
-			if !ok {
+			if uint32(cmd.Batch) >= uint32(len(s.batches)) || s.batches[cmd.Batch] == nil {
 				panic(fmt.Sprintf("platform: routed command for unknown batch %d", cmd.Batch))
 			}
-			op := rtrOpPool.Get()
+			b := s.batches[cmd.Batch]
+			op := s.lists.rtrOp.Get()
 			op.s, op.b, op.cmd, op.done = s, b, cmd, done
 			b.execDie(cmd, release, op.fnExecDone)
 		}
 	}
 	return s, nil
+}
+
+// releaseLists hands the free lists of the system, its flash backend
+// and its router back for the next run, once the event loop has
+// returned.
+func (s *System) releaseLists() {
+	s.lists.release()
+	s.backend.Release()
+	if s.rtr != nil {
+		s.rtr.Release()
+	}
 }
 
 // Kind returns the platform kind.
@@ -337,6 +351,7 @@ func (s *System) Run(numBatches int) (*Result, error) {
 		func() { finished = true },
 	)
 	s.k.Run()
+	s.releaseLists()
 	if s.failErr != nil {
 		return nil, s.failErr
 	}

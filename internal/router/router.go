@@ -61,6 +61,7 @@ type Router struct {
 	readyWords int
 
 	stats Stats
+	ops   pool.List[cmdOp]
 
 	// Exec runs a command on its die. The callee must call release once
 	// the die's sense completes (the cache register frees the array, so
@@ -126,6 +127,7 @@ func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) 
 		rrNext:      make([]int, cfg.Channels),
 		ready:       make([]uint64, cfg.Channels*words),
 		readyWords:  words,
+		ops:         cmdOpShelf.List(),
 	}
 	r.fnArrive = r.arrive
 	return r
@@ -141,9 +143,9 @@ func (r *Router) pageOf(cmd sampler.Command) uint32 {
 }
 
 // cmdOp carries one issued command through die execution and parsing.
-// Its continuations are bound once when the pool constructs it, so
-// issuing a command allocates nothing in steady state; the op returns
-// to the pool after its follow-up commands have been forwarded.
+// Its continuations are bound once at construction, so issuing a
+// command allocates nothing in steady state; the op returns to the
+// router's free list after its follow-up commands have been forwarded.
 type cmdOp struct {
 	r        *Router
 	cmd      sampler.Command
@@ -158,21 +160,21 @@ type cmdOp struct {
 	fnParsed  func()
 }
 
-// cmdOpPool is wired in init: the constructor binds onParsed, which
-// puts ops back into the pool — an initialization cycle for a
-// package-level initializer.
-var cmdOpPool *pool.Pool[cmdOp]
+// cmdOpShelf keeps the idle cmdOp lists between runs; each Router
+// draws its own list from it (see Release).
+var cmdOpShelf = pool.NewShelf(func() *cmdOp {
+	op := &cmdOp{}
+	op.fnIssued = op.onIssued
+	op.fnRelease = op.release
+	op.fnDone = op.onDone
+	op.fnParsed = op.onParsed
+	return op
+})
 
-func init() {
-	cmdOpPool = pool.New(func() *cmdOp {
-		op := &cmdOp{}
-		op.fnIssued = op.onIssued
-		op.fnRelease = op.release
-		op.fnDone = op.onDone
-		op.fnParsed = op.onParsed
-		return op
-	})
-}
+// Release hands the router's recycled command state back to the
+// process for the next run. Call it once the kernel driving the router
+// has returned and no command is in flight.
+func (r *Router) Release() { r.ops.Release() }
 
 // Route injects a command into the crossbar from the given source
 // channel (−1 for the initial injection from the frontend).
@@ -261,7 +263,7 @@ func (r *Router) take(channel, idx int) (die int, cmd sampler.Command) {
 // point, until no die of the channel is ready.
 func (r *Router) pump(channel int) {
 	for idx := r.pick(channel); idx >= 0; idx = r.pick(channel) {
-		op := cmdOpPool.Get()
+		op := r.ops.Get()
 		op.r, op.channel, op.released = r, channel, false
 		op.die, op.cmd = r.take(channel, idx)
 		// Issue: command cycles on the channel, then execution.
@@ -302,7 +304,7 @@ func (op *cmdOp) onParsed() {
 	}
 	r.pump(op.channel)
 	op.r, op.next = nil, op.next[:0]
-	cmdOpPool.Put(op)
+	r.ops.Put(op)
 }
 
 // QueuedCommands returns the total commands waiting in dispatch queues.

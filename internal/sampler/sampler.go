@@ -67,12 +67,19 @@ const ResultHeaderBytes = 16
 
 // Result is what leaves the die after executing one command.
 type Result struct {
-	Node        uint32           // graph node the section belongs to
-	Commands    []Command        // follow-up sampling commands (coalesced)
-	FeatureBits []uint16         // retrieved feature vector (primary sections)
-	SampledIdx  []int            // raw sampled neighbor indices (diagnostics)
-	Addr        directgraph.Addr // echo of the executed command's address
-	Hop         int
+	Node       uint32           // graph node the section belongs to
+	Commands   []Command        // follow-up sampling commands (coalesced)
+	SampledIdx []int            // raw sampled neighbor indices (diagnostics)
+	Addr       directgraph.Addr // echo of the executed command's address
+	Hop        int
+
+	// Features is the retrieved feature vector (primary sections) as
+	// it crosses the bus: little-endian FP16, two bytes per element.
+	// The vector retriever ships the bytes without looking at them, so
+	// an executed Result reads them in place: Features aliases the page
+	// the section came from, like directgraph.SectionView, and sees it
+	// as it is when read. FeatureBits decodes a copy.
+	Features []byte
 
 	// draws is the command generator's per-secondary draw count,
 	// scratch kept with the Result so a recycled one coalesces without
@@ -83,7 +90,12 @@ type Result struct {
 // BusBytes returns the result's channel-bus footprint — the quantity
 // that replaces full-page transfer in BG-SP and later designs.
 func (r *Result) BusBytes() int {
-	return ResultHeaderBytes + len(r.Commands)*EncodedBytes + len(r.FeatureBits)*2
+	return ResultHeaderBytes + len(r.Commands)*EncodedBytes + len(r.Features)
+}
+
+// FeatureBits decodes the feature vector into FP16 bit patterns.
+func (r *Result) FeatureBits() []uint16 {
+	return directgraph.AppendFP16(make([]uint16, 0, len(r.Features)/2), r.Features)
 }
 
 // Execute runs one sampling command against a page image, drawing
@@ -98,10 +110,11 @@ func Execute(l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *x
 }
 
 // ExecuteInto is Execute writing into a caller-owned Result: it
-// overwrites every field and reuses the backing arrays of Commands,
-// SampledIdx and FeatureBits, so a recycled Result makes the die data
-// path allocation-free. The section is read in place from the page
-// bytes; on error res holds partial output and must not be used.
+// overwrites every field and reuses the backing arrays of Commands and
+// SampledIdx, so a recycled Result makes the die data path
+// allocation-free. The section is read in place from the page bytes,
+// and Features aliases them; on error res holds partial output and must
+// not be used.
 func ExecuteInto(res *Result, l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *xrand.Source) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -114,7 +127,7 @@ func ExecuteInto(res *Result, l directgraph.Layout, page []byte, cmd Command, cf
 	res.Node, res.Addr, res.Hop = sec.NodeID, cmd.Addr, cmd.Hop
 	res.Commands = res.Commands[:0]
 	res.SampledIdx = res.SampledIdx[:0]
-	res.FeatureBits = res.FeatureBits[:0]
+	res.Features = nil
 	if cmd.Secondary {
 		return sampleSecondary(res, &sec, cmd, trng)
 	}
@@ -154,7 +167,7 @@ func samplePrimary(res *Result, l directgraph.Layout, sec *directgraph.SectionVi
 		return fmt.Errorf("sampler: %w: expected primary at %#x", directgraph.ErrBadSectionType, uint32(cmd.Addr))
 	}
 	// Vector retriever: primary sections carry the node's feature.
-	res.FeatureBits = sec.AppendFeatureBits(res.FeatureBits)
+	res.Features = sec.FeatureBytes()
 	if cmd.Hop >= cfg.Hops {
 		return nil // final hop: feature retrieval only
 	}

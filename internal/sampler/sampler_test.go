@@ -40,13 +40,14 @@ func TestExecutePrimarySamples(t *testing.T) {
 	if res.Node != 5 {
 		t.Fatalf("node = %d", res.Node)
 	}
-	if len(res.FeatureBits) != 8 {
-		t.Fatalf("feature len = %d", len(res.FeatureBits))
+	if len(res.Features) != 2*8 {
+		t.Fatalf("feature len = %d bytes", len(res.Features))
 	}
 	// Feature must match the graph bit-exactly.
 	want := g.FeatureBits(5)
+	got := res.FeatureBits()
 	for i := range want {
-		if res.FeatureBits[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatal("feature bits differ from graph")
 		}
 	}
@@ -87,7 +88,7 @@ func TestExecuteFinalHopFeatureOnly(t *testing.T) {
 	if len(res.Commands) != 0 {
 		t.Fatalf("final hop emitted %d commands", len(res.Commands))
 	}
-	if len(res.FeatureBits) != 4 {
+	if len(res.Features) != 2*4 {
 		t.Fatal("final hop missing feature")
 	}
 }
@@ -224,8 +225,8 @@ func TestExecuteZeroDegreeNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Commands) != 0 || len(res.FeatureBits) != 2 {
-		t.Fatalf("zero-degree result: %d cmds, %d feature", len(res.Commands), len(res.FeatureBits))
+	if len(res.Commands) != 0 || len(res.Features) != 2*2 {
+		t.Fatalf("zero-degree result: %d cmds, %d feature bytes", len(res.Commands), len(res.Features))
 	}
 }
 
@@ -267,7 +268,7 @@ func TestSamplingUniformity(t *testing.T) {
 }
 
 func TestBusBytes(t *testing.T) {
-	r := Result{Commands: make([]Command, 3), FeatureBits: make([]uint16, 100)}
+	r := Result{Commands: make([]Command, 3), Features: make([]byte, 2*100)}
 	if got := r.BusBytes(); got != 16+3*16+200 {
 		t.Fatalf("bus bytes = %d", got)
 	}
@@ -339,7 +340,7 @@ func TestExecuteIntoRecycledResult(t *testing.T) {
 		}
 		if res.Node != want.Node || res.Addr != want.Addr || res.Hop != want.Hop ||
 			!slices.Equal(res.Commands, want.Commands) || !slices.Equal(res.SampledIdx, want.SampledIdx) ||
-			!slices.Equal(res.FeatureBits, want.FeatureBits) {
+			!slices.Equal(res.Features, want.Features) || !slices.Equal(res.FeatureBits(), want.FeatureBits()) {
 			t.Fatalf("command %d (%+v): recycled result %+v, fresh %+v", n, cmd, res, *want)
 		}
 		if cmd.Secondary {

@@ -35,7 +35,8 @@ import (
 //	    [8]     hop
 //	    [9]     status (0 = ok)
 //	    [10:16] reserved
-//	followed by count × 16-byte commands, then the FP16 feature bits.
+//	followed by count × 16-byte commands, then the feature vector as
+//	little-endian FP16 (Result.Features, byte for byte).
 
 // MarshalConfig encodes the global GNN configuration command payload.
 func MarshalConfig(c Config) ([]byte, error) {
@@ -118,13 +119,16 @@ func UnmarshalCommand(buf []byte) (Command, error) {
 // length equals Result.BusBytes(), keeping the timing model and the
 // wire format consistent by construction.
 func MarshalResult(r *Result) ([]byte, error) {
-	if len(r.Commands) > 65535 || len(r.FeatureBits) > 65535 {
+	if len(r.Commands) > 65535 || len(r.Features) > 2*65535 {
 		return nil, fmt.Errorf("sampler: result too large for frame header")
+	}
+	if len(r.Features)%2 != 0 {
+		return nil, fmt.Errorf("sampler: feature vector of %d bytes is not FP16", len(r.Features))
 	}
 	buf := make([]byte, ResultHeaderBytes, r.BusBytes())
 	binary.LittleEndian.PutUint32(buf[0:], r.Node)
 	binary.LittleEndian.PutUint16(buf[4:], uint16(len(r.Commands)))
-	binary.LittleEndian.PutUint16(buf[6:], uint16(len(r.FeatureBits)))
+	binary.LittleEndian.PutUint16(buf[6:], uint16(len(r.Features)/2))
 	if r.Hop < 0 || r.Hop > 255 {
 		return nil, fmt.Errorf("sampler: result hop %d out of wire range", r.Hop)
 	}
@@ -136,17 +140,12 @@ func MarshalResult(r *Result) ([]byte, error) {
 		}
 		buf = append(buf, enc...)
 	}
-	for _, fb := range r.FeatureBits {
-		var two [2]byte
-		binary.LittleEndian.PutUint16(two[:], fb)
-		buf = append(buf, two[:]...)
-	}
-	return buf, nil
+	return append(buf, r.Features...), nil
 }
 
 // UnmarshalResult parses a result frame — the data-stream parser's job
 // in the channel router (Section V-B): classify the payload into new
-// sampling commands and feature data.
+// sampling commands and feature data. Features aliases buf.
 func UnmarshalResult(buf []byte) (*Result, error) {
 	if len(buf) < ResultHeaderBytes {
 		return nil, fmt.Errorf("sampler: result frame too short (%d)", len(buf))
@@ -174,11 +173,7 @@ func UnmarshalResult(buf []byte) (*Result, error) {
 		off += EncodedBytes
 	}
 	if nFeat > 0 {
-		r.FeatureBits = make([]uint16, nFeat)
-		for i := range r.FeatureBits {
-			r.FeatureBits[i] = binary.LittleEndian.Uint16(buf[off:])
-			off += 2
-		}
+		r.Features = buf[off:need:need]
 	}
 	return r, nil
 }

@@ -1,6 +1,8 @@
 package sampler
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -97,7 +99,7 @@ func TestResultWireRoundTrip(t *testing.T) {
 			{Addr: 1, Hop: 3, ParentNode: 99},
 			{Addr: 2, Hop: 2, Secondary: true, SampleCount: 4, ParentNode: 99},
 		},
-		FeatureBits: []uint16{1, 2, 3, 0xFFFF},
+		Features: []byte{1, 0, 2, 0, 3, 0, 0xFF, 0xFF},
 	}
 	buf, err := MarshalResult(r)
 	if err != nil {
@@ -110,7 +112,7 @@ func TestResultWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Node != r.Node || got.Hop != r.Hop || len(got.Commands) != 2 || len(got.FeatureBits) != 4 {
+	if got.Node != r.Node || got.Hop != r.Hop || len(got.Commands) != 2 || len(got.Features) != 2*4 {
 		t.Fatalf("round trip = %+v", got)
 	}
 	for i := range r.Commands {
@@ -118,10 +120,8 @@ func TestResultWireRoundTrip(t *testing.T) {
 			t.Fatalf("command %d mismatch", i)
 		}
 	}
-	for i := range r.FeatureBits {
-		if got.FeatureBits[i] != r.FeatureBits[i] {
-			t.Fatalf("feature %d mismatch", i)
-		}
+	if !slices.Equal(got.FeatureBits(), []uint16{1, 2, 3, 0xFFFF}) {
+		t.Fatalf("features = %v", got.FeatureBits())
 	}
 }
 
@@ -164,27 +164,42 @@ func TestExecuteResultIsWireSerializable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", v, err)
 		}
-		if len(got.Commands) != len(res.Commands) || len(got.FeatureBits) != len(res.FeatureBits) {
+		if len(got.Commands) != len(res.Commands) || len(got.Features) != len(res.Features) {
 			t.Fatalf("node %d: lossy round trip", v)
 		}
 	}
 }
 
 func FuzzUnmarshalResult(f *testing.F) {
-	r := &Result{Node: 7, Commands: []Command{{Addr: 3, Hop: 1}}, FeatureBits: []uint16{9}}
+	r := &Result{Node: 7, Commands: []Command{{Addr: 3, Hop: 1}}, Features: []byte{9, 0}}
 	seed, _ := MarshalResult(r)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(make([]byte, ResultHeaderBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; on success, re-marshaling must reproduce
-		// the same frame length.
+		// the same frame length, the feature bytes must be the frame's
+		// tail, and the re-marshaled frame must round-trip byte for byte.
 		got, err := UnmarshalResult(data)
 		if err != nil {
 			return
 		}
 		if got.BusBytes() != len(data) {
 			t.Fatalf("accepted frame of %d bytes but BusBytes = %d", len(data), got.BusBytes())
+		}
+		if !bytes.Equal(got.Features, data[len(data)-len(got.Features):]) {
+			t.Fatal("feature bytes are not the frame's tail")
+		}
+		frame, err := MarshalResult(got)
+		if err != nil {
+			t.Fatalf("decoded result does not re-encode: %v", err)
+		}
+		back, err := UnmarshalResult(frame)
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		if again, err := MarshalResult(back); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("re-encoded frame does not round-trip: %v", err)
 		}
 	})
 }

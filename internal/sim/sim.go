@@ -336,11 +336,16 @@ type Kernel struct {
 	cancel   func() bool
 	// cancelEvery overrides cancelStride when non-zero (SetCancelStride).
 	cancelEvery uint64
+	// nextPoll is the step number of the next cancellation poll, the
+	// first multiple of the stride at or after the step count it was
+	// computed at, so the per-event check is one comparison.
+	nextPoll uint64
 }
 
 // cancelStride is how many events run between cancellation polls. The
-// hot loop stays branch-cheap (one mask + nil check per event) while a
-// cancelled simulation still stops within microseconds of wall time.
+// hot loop stays branch-cheap (a nil check and one comparison per
+// event) while a cancelled simulation still stops within microseconds
+// of wall time.
 const cancelStride = 1024
 
 // New returns a fresh kernel with the clock at zero.
@@ -412,6 +417,7 @@ func (k *Kernel) SetCancel(poll func() bool) { k.cancel = poll }
 // poll finer. Polling only observes: results are identical at any
 // stride.
 func (k *Kernel) SetCancelStride(n int) {
+	k.nextPoll = 0 // recomputed under the new stride at the next poll
 	if n <= 0 {
 		k.cancelEvery = 0
 		return
@@ -422,15 +428,25 @@ func (k *Kernel) SetCancelStride(n int) {
 // Canceled reports whether the cancel poll stopped the loop.
 func (k *Kernel) Canceled() bool { return k.canceled }
 
+// pollCancel runs the cancel poll when the step count is a multiple of
+// the stride. RunUntil may call it more than once at one step count
+// (once per window), and each of those calls polls.
 func (k *Kernel) pollCancel() bool {
-	if k.cancel == nil {
+	if k.cancel == nil || k.steps < k.nextPoll {
 		return false
 	}
-	stride := k.cancelEvery
-	if stride == 0 {
-		stride = cancelStride
+	if k.steps > k.nextPoll {
+		// The first call past the last poll step: find the next one.
+		stride := k.cancelEvery
+		if stride == 0 {
+			stride = cancelStride
+		}
+		k.nextPoll = (k.steps + stride - 1) / stride * stride
+		if k.steps != k.nextPoll {
+			return false
+		}
 	}
-	if k.steps%stride == 0 && k.cancel() {
+	if k.cancel() {
 		k.canceled = true
 		k.stopped = true
 		return true

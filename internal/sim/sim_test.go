@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -643,5 +644,65 @@ func TestKernelNilCancelUnchanged(t *testing.T) {
 	k.Run()
 	if n != 10 || k.Canceled() {
 		t.Fatalf("n=%d canceled=%v, want 10/false", n, k.Canceled())
+	}
+}
+
+// TestKernelCancelPollSteps pins the step numbers at which the cancel
+// poll runs: before every event whose step count is a multiple of the
+// stride, under Run, across RunUntil windows (each window's final check
+// polls too, so a window that ends on a multiple and the next one that
+// starts there both poll at that step) and across SetCancelStride
+// changes between windows.
+func TestKernelCancelPollSteps(t *testing.T) {
+	k := New()
+	var polled, want []uint64
+	k.SetCancel(func() bool {
+		polled = append(polled, k.Steps())
+		return false
+	})
+	ticks := 0
+	var tick func()
+	tick = func() {
+		ticks++
+		if ticks < 3000 {
+			k.After(1, tick)
+		}
+		k.After(0, func() {})
+		k.After(2, func() {})
+	}
+	k.At(0, tick)
+	// expect records the polls of calls at steps from..to under stride n.
+	expect := func(n int, from, to uint64) {
+		stride := uint64(n)
+		if n <= 0 {
+			stride = cancelStride
+		}
+		for s := from; s <= to; s++ {
+			if s%stride == 0 {
+				want = append(want, s)
+			}
+		}
+	}
+	limit := Time(0)
+	for _, n := range []int{0, 5, 1, 1, 0, 256, 7, 1, 3} {
+		k.SetCancelStride(n)
+		limit += 250
+		from := k.Steps()
+		k.RunUntil(limit)
+		expect(n, from, k.Steps()) // one call per event plus the final check
+		// A second window at the same limit runs nothing and checks once.
+		from = k.Steps()
+		k.RunUntil(limit)
+		expect(n, from, from)
+	}
+	k.SetCancelStride(4)
+	from := k.Steps()
+	k.Run()
+	expect(4, from, k.Steps()-1) // Run checks before each event only
+	if k.Pending() != 0 || k.Steps() < 9000 {
+		t.Fatalf("program ran %d events, %d pending", k.Steps(), k.Pending())
+	}
+	if !slices.Equal(polled, want) {
+		t.Fatalf("polled at %d steps, modulo rule gives %d\ngot  %v\nwant %v", len(polled), len(want), polled, want)
 	}
 }

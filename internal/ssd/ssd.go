@@ -68,6 +68,10 @@ func New(k *sim.Kernel, cfg config.Config) (*Device, error) {
 	}, nil
 }
 
+// Release hands the flash backend's recycled request state back to the
+// process for the next device. Call it once the kernel has drained.
+func (d *Device) Release() { d.backend.Release() }
+
 // Kernel returns the simulation kernel driving the device.
 func (d *Device) Kernel() *sim.Kernel { return d.k }
 

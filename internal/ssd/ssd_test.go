@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"beacongnn/internal/config"
+	"beacongnn/internal/pool"
 	"beacongnn/internal/sim"
 )
 
@@ -25,6 +26,7 @@ func newDevice(t *testing.T) (*sim.Kernel, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.Release)
 	return k, d
 }
 
@@ -124,6 +126,7 @@ func TestGCSparesDirectGraphBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.Release)
 	first, count, err := d.FTL.ReserveForPages(8) // 2 rows = 8 blocks... row=4 blocks
 	if err != nil {
 		t.Fatal(err)
@@ -177,5 +180,29 @@ func TestDeviceFullErrors(t *testing.T) {
 	k.Run()
 	if firstErr == nil {
 		t.Fatal("overfilling the device did not error")
+	}
+}
+
+// TestReleaseRecyclesSenseState checks that a released device hands its
+// flash backend's free list on: the next device running the same
+// workload draws every sense from it and constructs nothing.
+func TestReleaseRecyclesSenseState(t *testing.T) {
+	if pool.Disabled() {
+		t.Skip("pooling disabled")
+	}
+	workload := func() {
+		k, d := newDevice(t)
+		for lpa := uint32(0); lpa < 16; lpa++ {
+			lpa := lpa
+			d.Write(lpa, func(error) { d.Read(lpa, func(error) {}) })
+		}
+		k.Run()
+		d.Release()
+	}
+	workload()
+	before := pool.Constructed()
+	workload()
+	if n := pool.Constructed() - before; n != 0 {
+		t.Fatalf("second device constructed %d pooled objects, want 0", n)
 	}
 }
