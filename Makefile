@@ -6,7 +6,7 @@ BENCHOUT ?= bench.out
 BENCHREPORT ?= bench_report.txt
 PROFILEDIR ?= profiles
 
-.PHONY: build test race vet bench check cover invariants fuzz-smoke \
+.PHONY: build test race vet perfbench bench check cover invariants fuzz-smoke \
 	lint bench-run bench-gate bench-baseline smoke smoke-chaos \
 	smoke-capacity smoke-cluster profile
 
@@ -29,8 +29,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Run every fuzz target briefly — a smoke net over the decoder, the wire
-# formats and the event kernel's dispatch order (Go runs one fuzz target
-# per invocation, hence the loops).
+# formats, the event kernel's dispatch order and the simulate request
+# validator (Go runs one fuzz target per invocation, hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
 		echo "== $$t"; \
@@ -42,6 +42,8 @@ fuzz-smoke:
 	done
 	@echo "== FuzzKernelOrder"
 	@$(GO) test ./internal/sim/ -run=NONE -fuzz=FuzzKernelOrder -fuzztime=$(FUZZTIME)
+	@echo "== FuzzSimRequest"
+	@$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzSimRequest -fuzztime=$(FUZZTIME)
 
 cover:
 	$(GO) test -coverprofile=$(COVERPROFILE) ./...
@@ -154,5 +156,11 @@ smoke-capacity:
 smoke-cluster:
 	./ci/smoke_cluster.sh
 
+# perfbench is a nested module, so the root ./... skips it; build and vet
+# it here so a change that breaks its imports fails before the benchmark
+# runs. -o /dev/null keeps the binary out of the source tree.
+perfbench:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
 # Tier-1 verification: everything CI gates on.
-check: build vet test race invariants
+check: build vet perfbench test race invariants

@@ -47,7 +47,7 @@ func parseCLI(args []string, stderr io.Writer) (*cliConfig, error) {
 		jsonOut  = fs.Bool("json", false, "emit the numeric series as JSON instead of text")
 		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = all CPU cores, 1 = sequential)")
 		check    = fs.Bool("check", false, "verify run invariants on every simulation; fail with a named diagnostic")
-		fullSim  = fs.Bool("full-resim", false, "disable result memoization and stage reuse; resimulate everything from scratch")
+		fullSim  = fs.Bool("full-resim", false, "disable result memoization; resimulate everything from scratch")
 		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON request trace to this file and exit")
 		tracePlt = fs.String("trace-platform", "BG-2", "platform to trace with -trace")
 		traceDS  = fs.String("trace-dataset", "amazon", "dataset to trace with -trace")

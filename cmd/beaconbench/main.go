@@ -8,7 +8,7 @@
 //	beaconbench -exp fig18 -quick   # shrunken sweep for a fast look
 //	beaconbench -exp all -parallel 8 # fan simulations over 8 workers
 //	beaconbench -exp all -quick -check # verify run invariants everywhere
-//	beaconbench -exp fig18 -full-resim # bypass all caches; resimulate from scratch
+//	beaconbench -exp fig18 -full-resim # bypass the result memo; resimulate from scratch
 //	beaconbench -list               # available experiment ids
 //	beaconbench -trace out.json -trace-platform BG-2   # request trace
 //	beaconbench -drive http://localhost:8080 -drive-requests 100   # live availability drill

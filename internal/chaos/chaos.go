@@ -128,24 +128,16 @@ type Injector struct {
 	mu     sync.Mutex
 	stream Stream // guarded by mu
 
-	// sleep performs stall/latency injection; time.Sleep in production,
-	// stubbed in tests so schedules can be asserted without waiting.
-	sleep func(time.Duration)
-
 	stats Stats
 }
 
 // New builds an injector from cfg (which must have been Validated).
 // The injector starts armed iff cfg.Enabled.
 func New(cfg Config) *Injector {
-	in := &Injector{cfg: cfg, stream: *NewStream(cfg.Seed), sleep: time.Sleep}
+	in := &Injector{cfg: cfg, stream: *NewStream(cfg.Seed)}
 	in.armed.Store(cfg.Enabled)
 	return in
 }
-
-// SetSleep replaces the stall/latency sleep function — tests stub it
-// to record injected delays instead of serving them.
-func (in *Injector) SetSleep(fn func(time.Duration)) { in.sleep = fn }
 
 // Disarm stops all future injections without tearing down wiring —
 // tests use it to let a faulted system recover (breakers close, probes

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"time"
 
 	"beacongnn/internal/exp"
 )
@@ -37,7 +38,7 @@ func (in *Injector) engineFault(eng *exp.Engine, digest uint64, attempt int) err
 	}
 	if in.cfg.EngineStallRate > 0 && in.draw(siteEngineStall, key) < in.cfg.EngineStallRate {
 		in.stats.EngineStalls.Add(1)
-		in.sleep(in.cfg.EngineStall)
+		time.Sleep(in.cfg.EngineStall)
 	}
 	if in.cfg.EngineFailRate > 0 && in.draw(siteEngineFail, key) < in.cfg.EngineFailRate {
 		in.stats.EngineFails.Add(1)

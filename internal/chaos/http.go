@@ -3,6 +3,7 @@ package chaos
 import (
 	"hash/fnv"
 	"net/http"
+	"time"
 )
 
 // truncWriter forwards at most limit body bytes, then reports how much
@@ -72,7 +73,7 @@ func (in *Injector) WrapHTTP(next http.Handler, onInject func(class string)) htt
 		if in.cfg.HTTPLatencyRate > 0 && in.draw(siteHTTPLatency, key) < in.cfg.HTTPLatencyRate {
 			in.stats.HTTPDelays.Add(1)
 			note("latency")
-			in.sleep(in.cfg.HTTPLatency)
+			time.Sleep(in.cfg.HTTPLatency)
 		}
 		if in.cfg.HTTPTruncRate > 0 && in.draw(siteHTTPTrunc, key) < in.cfg.HTTPTruncRate {
 			in.stats.HTTPTruncs.Add(1)

@@ -28,10 +28,10 @@ type Options struct {
 	Workers    int  // concurrent simulations (0 = GOMAXPROCS, 1 = sequential)
 	Check      bool // verify run invariants on every simulation (-check)
 
-	// FullResim disables the engine's result memo and stage reuse
-	// (precomputed frontiers), forcing every requested simulation to run
-	// from scratch (-full-resim). Incremental and full runs are
-	// byte-identical by construction; this switch exists to prove it.
+	// FullResim disables the engine's result memo, forcing every
+	// requested simulation to run from scratch (-full-resim). Memoized
+	// and full runs are byte-identical by construction; this switch
+	// exists to prove it.
 	// Only applies to the private engine — a shared Engine is left as
 	// its owner configured it.
 	FullResim bool

@@ -9,8 +9,8 @@ import (
 
 // TestSweepIncrementalMatchesFullResim is the referee for incremental
 // sweeps: Figure 18 rendered with every cache enabled (result memo,
-// precomputed frontiers, instance reuse) must be byte-identical to the
-// same sweep with FullResim forcing every simulation from scratch. The
+// instance reuse) must be byte-identical to the same sweep with
+// FullResim forcing every simulation from scratch. The
 // incremental run must also demonstrably reuse work — otherwise the
 // comparison proves nothing.
 func TestSweepIncrementalMatchesFullResim(t *testing.T) {

@@ -38,7 +38,6 @@ import (
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
-	"beacongnn/internal/graph"
 	"beacongnn/internal/platform"
 )
 
@@ -70,24 +69,16 @@ type Engine struct {
 	// hook, when set, injects engine-boundary faults (see FaultHook).
 	hook FaultHook
 
-	// simFn is the simulation leaf; platform.SimulateTargetsCtx in
+	// simFn is the simulation leaf; platform.SimulateCtx in
 	// production, replaceable in tests (e.g. to exercise panic
-	// recovery). targets is a precomputed frontier to inject, or nil for
-	// self-drawn targets — one entry point so stage reuse and stubbing
-	// cannot diverge.
-	simFn func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int, [][]graph.NodeID) (*platform.Result, error)
-
-	// frontiers caches precomputed target frontiers across simulations:
-	// every sweep point that keeps (kind, dataset, seed, GNN batch
-	// shape, batch count) fixed reuses the same drawn targets instead of
-	// re-deriving them inside each run.
-	frontiers *StageCache[FrontierKey, [][]graph.NodeID]
+	// recovery).
+	simFn func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error)
 
 	mu      sync.Mutex
 	memo    map[SimKey]*memoEntry
 	lru     list.List // completed keys, most recent at front; used iff memoCap > 0
 	memoCap int       // max completed entries kept (0 = unbounded)
-	noMemo  bool      // bypass result memo and stage reuse (forced full resimulation)
+	noMemo  bool      // bypass the result memo (forced full resimulation)
 	hits    uint64
 	runs    uint64
 	evicted uint64
@@ -100,10 +91,9 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		sem:       make(chan struct{}, workers),
-		simFn:     platform.SimulateTargetsCtx,
-		frontiers: NewStageCache[FrontierKey, [][]graph.NodeID](),
-		memo:      make(map[SimKey]*memoEntry),
+		sem:   make(chan struct{}, workers),
+		simFn: platform.SimulateCtx,
+		memo:  make(map[SimKey]*memoEntry),
 	}
 }
 
@@ -158,14 +148,13 @@ func (e *Engine) EvictOldest(n int) int {
 // named-invariant diagnostic if any breaks. Checked results are
 // identical to unchecked ones — checking only observes — so the memo
 // key is unchanged. Call before the first Simulate.
-func (e *Engine) EnableChecks() { e.simFn = platform.SimulateTargetsCheckedCtx }
+func (e *Engine) EnableChecks() { e.simFn = platform.SimulateCheckedCtx }
 
 // DisableMemo forces every Simulate call to run a fresh simulation,
-// bypassing both the result memo and stage reuse (precomputed
-// frontiers). This is the -full-resim escape hatch: incremental sweeps
-// are byte-identical to full resimulation by construction, and this
-// switch lets a dedicated test (and a suspicious user) prove it. Call
-// before the first Simulate.
+// bypassing the result memo. This is the -full-resim escape hatch:
+// memoized sweeps are byte-identical to full resimulation by
+// construction, and this switch lets a dedicated test (and a suspicious
+// user) prove it. Call before the first Simulate.
 func (e *Engine) DisableMemo() { e.noMemo = true }
 
 // Stats returns the number of simulations executed and the number served
@@ -238,44 +227,6 @@ type SimKey struct {
 	Timeline int
 }
 
-// FrontierKey identifies one precomputable target-frontier stage: it
-// captures exactly the config inputs that feed target selection (seed,
-// batch shape, skew) plus the graph they index into, so sweep points
-// that vary anything else — timing, geometry, ablations — share the
-// stage while anything frontier-relevant misses it.
-type FrontierKey struct {
-	Kind      platform.Kind
-	Dataset   string
-	Nodes     int
-	Seed      uint64
-	BatchSize int
-	Skew      float64
-	Batches   int
-}
-
-// frontier returns the precomputed target frontier for this simulation,
-// or nil when the platform draws targets mid-run (page-granular kinds)
-// or stage reuse is disabled. Cached frontiers are shared read-only
-// across all simulations with the same key.
-func (e *Engine) frontier(kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches int) [][]graph.NodeID {
-	if e.noMemo || !platform.FrontierPrecomputable(kind) {
-		return nil
-	}
-	key := FrontierKey{
-		Kind:      kind,
-		Dataset:   inst.Desc.Name,
-		Nodes:     inst.Graph.NumNodes(),
-		Seed:      cfg.Seed,
-		BatchSize: cfg.GNN.BatchSize,
-		Skew:      cfg.GNN.TargetSkew,
-		Batches:   batches,
-	}
-	targets, _ := e.frontiers.Do(key, func() ([][]graph.NodeID, error) {
-		return platform.Frontiers(kind, cfg, inst, batches), nil
-	})
-	return targets
-}
-
 type memoEntry struct {
 	done chan struct{} // closed when res/err (or abandoned) are valid
 	res  *platform.Result
@@ -343,7 +294,7 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 		e.mu.Lock()
 		e.runs++
 		e.mu.Unlock()
-		return e.simFn(ctx, kind, cfg, inst, batches, timeline, nil)
+		return e.simFn(ctx, kind, cfg, inst, batches, timeline)
 	}
 	key := Key(kind, cfg, inst, batches, timeline)
 	for {
@@ -400,20 +351,18 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 			e.mu.Lock()
 			e.runs++
 			e.mu.Unlock()
-			ent.res, ent.err = e.simFn(ctx, kind, cfg, inst, batches, timeline,
-				e.frontier(kind, cfg, inst, batches))
+			ent.res, ent.err = e.simFn(ctx, kind, cfg, inst, batches, timeline)
 		}()
 		return ent.res, ent.err
 	}
 }
 
 // SimulateFreshCtx runs one simulation without consulting or updating
-// the result memo, while still reusing precomputed frontiers and
-// holding a worker slot. It exists for hedged duplicates: a hedge of an
-// in-flight key must not dedupe into the very attempt it is racing, and
-// its result must not fight the primary's over the memo slot. attempt
-// is forwarded to the fault hook so injection schedules can tell
-// primaries from hedges.
+// the result memo, while still holding a worker slot. It exists for
+// hedged duplicates: a hedge of an in-flight key must not dedupe into
+// the very attempt it is racing, and its result must not fight the
+// primary's over the memo slot. attempt is forwarded to the fault hook
+// so injection schedules can tell primaries from hedges.
 func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline, attempt int) (*platform.Result, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
@@ -432,11 +381,7 @@ func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg c
 	e.mu.Lock()
 	e.runs++
 	e.mu.Unlock()
-	var frontier [][]graph.NodeID
-	if !e.noMemo {
-		frontier = e.frontier(kind, cfg, inst, batches)
-	}
-	return e.simFn(ctx, kind, cfg, inst, batches, timeline, frontier)
+	return e.simFn(ctx, kind, cfg, inst, batches, timeline)
 }
 
 // abandon releases a never-run entry whose caller was cancelled while

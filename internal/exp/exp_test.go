@@ -11,7 +11,6 @@ import (
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
-	"beacongnn/internal/graph"
 	"beacongnn/internal/platform"
 )
 
@@ -132,7 +131,7 @@ func TestSimulatePanicUnblocksDedupedWaiters(t *testing.T) {
 	e := New(2)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int, [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error) {
 		close(started)
 		<-release // hold the leaf until a waiter has deduped onto the key
 		panic("boom in leaf")
@@ -294,7 +293,7 @@ func TestSimulateCtxCancelWhileWaitingForSlot(t *testing.T) {
 	cfg := config.Default()
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	e.simFn = func(_ context.Context, kind platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int, _ [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(_ context.Context, kind platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int) (*platform.Result, error) {
 		started <- struct{}{}
 		if kind == platform.BG2 {
 			<-block
@@ -336,7 +335,7 @@ func TestSimulateCtxWaiterOutlivesCancelledRunner(t *testing.T) {
 	var calls atomic.Int32
 	started := make(chan struct{}, 2)
 	runnerCtx, cancelRunner := context.WithCancel(context.Background())
-	e.simFn = func(ctx context.Context, _ platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int, _ [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(ctx context.Context, _ platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int) (*platform.Result, error) {
 		started <- struct{}{}
 		if calls.Add(1) == 1 {
 			<-ctx.Done() // first runner parks until cancelled
@@ -381,7 +380,7 @@ func TestSetMemoCapEvictsLRU(t *testing.T) {
 	inst := testInstance(t)
 	cfg := config.Default()
 	var calls atomic.Int32
-	e.simFn = func(_ context.Context, k platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int, _ [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(_ context.Context, k platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int) (*platform.Result, error) {
 		calls.Add(1)
 		return &platform.Result{Platform: k.String()}, nil
 	}

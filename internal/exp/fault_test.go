@@ -8,7 +8,6 @@ import (
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
-	"beacongnn/internal/graph"
 	"beacongnn/internal/platform"
 )
 
@@ -32,7 +31,7 @@ func TestFaultHookTransientDoesNotPoisonMemo(t *testing.T) {
 	e := New(2)
 	inst := testInstance(t)
 	cfg := config.Default()
-	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int, [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error) {
 		return &platform.Result{Platform: "ok"}, nil
 	}
 	calls := 0
@@ -62,7 +61,7 @@ func TestFaultHookDeterministicErrorStaysCached(t *testing.T) {
 	cfg := config.Default()
 	hard := errors.New("deterministic simulation failure")
 	leafCalls := 0
-	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int, [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error) {
 		leafCalls++
 		return nil, hard
 	}
@@ -124,7 +123,7 @@ func TestEvictOldest(t *testing.T) {
 	e.SetMemoCap(16)
 	inst := testInstance(t)
 	cfg := config.Default()
-	e.simFn = func(_ context.Context, k platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int, _ [][]graph.NodeID) (*platform.Result, error) {
+	e.simFn = func(_ context.Context, k platform.Kind, _ config.Config, _ *dataset.Instance, _, _ int) (*platform.Result, error) {
 		return &platform.Result{Platform: k.String()}, nil
 	}
 	kinds := []platform.Kind{platform.CC, platform.BG1, platform.BG2, platform.BGSP}

@@ -6,8 +6,7 @@ import (
 )
 
 // StageCache memoizes one pipeline stage of an experiment — dataset
-// materialization, precomputed target frontiers, any expensive pure
-// function of a key. Concurrent Do calls for the same key deduplicate:
+// materialization, any expensive pure function of a key. Concurrent Do calls for the same key deduplicate:
 // the first caller computes, the rest park on its completion. Results
 // (including errors) are cached forever; keys must therefore capture
 // every input the stage depends on.

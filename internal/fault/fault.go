@@ -92,7 +92,6 @@ type Injector struct {
 	cfg      config.Fault
 	pageBits float64
 	streams  []*xrand.Source // one per die
-	wear     func(die, block int) int
 	deadDie  []bool
 	deadChan []bool
 	probs    map[int]classProbs // P/E count → class boundaries
@@ -130,11 +129,6 @@ func NewInjector(fc config.Fault, fl config.Flash, seed uint64) *Injector {
 	}
 	return in
 }
-
-// SetWearSource installs the per-block P/E count callback (typically
-// backed by ftl.EraseCount). Without one, only InitialPECycles wear
-// applies.
-func (in *Injector) SetWearSource(f func(die, block int) int) { in.wear = f }
 
 // DieDead reports whether the die is injected as failed.
 func (in *Injector) DieDead(die int) bool { return in.deadDie[die] }
@@ -225,8 +219,10 @@ func (in *Injector) Classify(die, block int) Outcome {
 }
 
 // ClassifyAt draws one sense outcome for a page on (die, block) at
-// simulated time now, applying the uncorrectable-storm excursion when
-// now falls inside the configured window. Exactly one value is consumed
+// simulated time now. Every block reads at the configured
+// InitialPECycles (no simulated work erases a block), so block does not
+// change the odds. The uncorrectable-storm excursion applies when now
+// falls inside the configured window. Exactly one value is consumed
 // from the die's stream per call — dead die, storm, or not — so outcome
 // sequences stay aligned across configurations that differ only in
 // outage or storm injection.
@@ -243,11 +239,7 @@ func (in *Injector) ClassifyAt(die, block int, now sim.Time) Outcome {
 			DieDead:      true,
 		}
 	}
-	pe := in.cfg.InitialPECycles
-	if in.wear != nil {
-		pe += in.wear(die, block)
-	}
-	p := in.boundaries(pe, in.stormActive(now))
+	p := in.boundaries(in.cfg.InitialPECycles, in.stormActive(now))
 	switch {
 	case u < p.clean:
 		in.stats.CleanReads++

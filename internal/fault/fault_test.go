@@ -209,38 +209,30 @@ func TestPerDieSeedingDeterminism(t *testing.T) {
 	}
 }
 
-// Wear source: blocks with more P/E cycles must fail more. The wear
-// callback receives the (die, block) being read.
-func TestSetWearSource(t *testing.T) {
+// Wear: a device with more P/E cycles must fail more. Every block reads
+// at InitialPECycles, so a worn device degrades where a fresh one stays
+// clean.
+func TestInitialPECyclesRaiseFailures(t *testing.T) {
 	fc := testFault()
 	fc.BaseRBER = 60.0 / 32768 // fresh blocks mostly clean
 	fc.WearRBERPerPE = 1e-6    // 200k P/E → λ ≈ 6600, far past the soft tier
-	in := NewInjector(fc, testGeometry(), 9)
-	var gotDie, gotBlock int
-	in.SetWearSource(func(die, block int) int {
-		gotDie, gotBlock = die, block
-		if block == 1 {
-			return 200000 // worn: pushes λ far past the soft tier
-		}
-		return 0
-	})
-	fresh, worn := 0, 0
+	fresh := NewInjector(fc, testGeometry(), 9)
+	fc.InitialPECycles = 200000
+	worn := NewInjector(fc, testGeometry(), 9)
+	clean, degraded := 0, 0
 	for i := 0; i < 500; i++ {
-		if in.Classify(0, 0).Class == Clean {
-			fresh++
+		if fresh.Classify(0, 0).Class == Clean {
+			clean++
 		}
-		if o := in.Classify(0, 1); o.Class == SoftDecode || o.Class == Uncorrectable {
-			worn++
+		if o := worn.Classify(0, 1); o.Class == SoftDecode || o.Class == Uncorrectable {
+			degraded++
 		}
 	}
-	if gotDie != 0 || gotBlock != 1 {
-		t.Fatalf("wear source saw (%d, %d), want (0, 1)", gotDie, gotBlock)
+	if clean < 400 {
+		t.Fatalf("fresh device only %d/500 clean", clean)
 	}
-	if fresh < 400 {
-		t.Fatalf("fresh block only %d/500 clean", fresh)
-	}
-	if worn < 400 {
-		t.Fatalf("worn block only %d/500 degraded", worn)
+	if degraded < 400 {
+		t.Fatalf("worn device only %d/500 degraded", degraded)
 	}
 }
 

@@ -397,13 +397,6 @@ func (b *Backend) Counts() (reads, programs, erases uint64) {
 	return b.reads, b.programs, b.erases
 }
 
-// DieQueueLen returns queued requests for the page's die (used by the
-// round-robin command issuer to find idle dies).
-func (b *Backend) DieQueueLen(page uint32) int {
-	d := b.dies[b.geom.GlobalDie(page)]
-	return d.Busy() + d.QueueLen()
-}
-
 // ContentionResult is the outcome of the Figure 7a microbenchmark.
 type ContentionResult struct {
 	ActiveDies     int

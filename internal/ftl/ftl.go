@@ -1,9 +1,8 @@
-// Package ftl models the flash translation layer and the firmware-side
-// DirectGraph block management of Sections VI-A and VI-F: LPA→PPA
-// mapping for regular I/O, reservation of physical blocks for host
-// direct manipulation (bypassing the FTL), exemption of those blocks
-// from garbage collection, and the wear-levelling reclamation that
-// migrates DirectGraph when the P/E-count discrepancy grows too large.
+// Package ftl models the firmware-side DirectGraph block management of
+// Sections VI-A and VI-F that the reliability model drives: reservation
+// of physical blocks for host direct manipulation (bypassing the FTL),
+// retirement of failed blocks with remapping into a spare region, and
+// the reclamation that migrates DirectGraph onto fresh rows.
 //
 // Reservation granularity is one block row: the same block index across
 // every die. A row's pages are exactly a contiguous range of global page
@@ -26,14 +25,6 @@ type BlockID struct {
 	Block int
 }
 
-// blockState tracks one physical block.
-type blockState struct {
-	eraseCount int
-	reserved   bool // pinned for DirectGraph, invisible to regular FTL
-	allocated  bool // holds regular mapped data
-	retired    bool // worn out or failed; never allocated or reserved again
-}
-
 // FTL is the translation-layer state. It is a functional model (no
 // simulated time of its own); the timing cost of FTL work is charged to
 // firmware cores by the firmware package.
@@ -41,8 +32,7 @@ type FTL struct {
 	cfg  config.Flash
 	geom flash.Geometry
 
-	mapping map[uint32]uint32 // LPA → PPA for regular I/O
-	blocks  map[BlockID]*blockState
+	retired map[BlockID]bool // worn out or failed; never reserved or remapped onto
 
 	reservedStart int // first reserved row
 	reservedRows  int // number of reserved rows (0 = none)
@@ -53,8 +43,6 @@ type FTL struct {
 
 	remap  map[uint32]uint32 // retired page → spare page (retire.go)
 	relocs []relocation      // DirectGraph moves, in order (retire.go)
-
-	al *allocState // regular-path log allocator + GC state (gc.go)
 }
 
 // New returns an FTL over the given flash geometry.
@@ -62,18 +50,8 @@ func New(cfg config.Flash) *FTL {
 	return &FTL{
 		cfg:     cfg,
 		geom:    flash.NewGeometry(cfg),
-		mapping: make(map[uint32]uint32),
-		blocks:  make(map[BlockID]*blockState),
+		retired: make(map[BlockID]bool),
 	}
-}
-
-func (f *FTL) block(id BlockID) *blockState {
-	b, ok := f.blocks[id]
-	if !ok {
-		b = &blockState{}
-		f.blocks[id] = b
-	}
-	return b
 }
 
 // rowPages is the number of global pages covered by one block row.
@@ -84,32 +62,6 @@ func (f *FTL) rowPages() uint32 {
 // blockOfPage returns the physical block holding page p.
 func (f *FTL) blockOfPage(p uint32) BlockID {
 	return BlockID{Die: f.geom.GlobalDie(p), Block: f.geom.BlockOf(p)}
-}
-
-// Map records an LPA→PPA translation (regular write path). Mapping into
-// a reserved block is the isolation violation of Section VI-E and is
-// rejected.
-func (f *FTL) Map(lpa, ppa uint32) error {
-	id := f.blockOfPage(ppa)
-	if f.rowReserved(id.Block) {
-		return fmt.Errorf("ftl: PPA %d lies in reserved DirectGraph block %v", ppa, id)
-	}
-	f.block(id).allocated = true
-	f.mapping[lpa] = ppa
-	return nil
-}
-
-// Lookup translates an LPA, reporting whether it is mapped.
-func (f *FTL) Lookup(lpa uint32) (uint32, bool) {
-	ppa, ok := f.mapping[lpa]
-	return ppa, ok
-}
-
-// MappedCount returns the number of live LPA mappings.
-func (f *FTL) MappedCount() int { return len(f.mapping) }
-
-func (f *FTL) rowReserved(row int) bool {
-	return f.reservedRows > 0 && row >= f.reservedStart && row < f.reservedStart+f.reservedRows
 }
 
 // ReserveForPages pins enough block rows to hold pageCount DirectGraph
@@ -128,103 +80,13 @@ func (f *FTL) ReserveForPages(pageCount int) (first uint32, count uint32, err er
 	if rows > f.cfg.BlocksPerDie {
 		return 0, 0, fmt.Errorf("ftl: need %d rows, device has %d", rows, f.cfg.BlocksPerDie)
 	}
-	for r := 0; r < rows; r++ {
-		for d := 0; d < f.cfg.TotalDies(); d++ {
-			if f.block(BlockID{Die: d, Block: r}).allocated {
-				return 0, 0, fmt.Errorf("ftl: block row %d holds regular data", r)
-			}
-		}
-	}
 	f.reservedStart, f.reservedRows = 0, rows
 	return 0, uint32(rows) * f.rowPages(), nil
 }
 
-// ReservedBlocks returns all pinned DirectGraph blocks.
-func (f *FTL) ReservedBlocks() []BlockID {
-	out := make([]BlockID, 0, f.reservedRows*f.cfg.TotalDies())
-	for r := f.reservedStart; r < f.reservedStart+f.reservedRows; r++ {
-		for d := 0; d < f.cfg.TotalDies(); d++ {
-			out = append(out, BlockID{Die: d, Block: r})
-		}
-	}
-	return out
-}
-
-// IsReserved reports whether the page lies in a pinned block — the
-// firmware's write-destination check of Section VI-E.
-func (f *FTL) IsReserved(page uint32) bool {
-	return f.rowReserved(f.geom.BlockOf(page))
-}
-
-// Allocator returns a directgraph.PageAllocator dispensing the reserved
-// page range sequentially (striped across all dies by the geometry).
-func (f *FTL) Allocator() *ReservedAllocator {
-	start := uint32(f.reservedStart) * f.rowPages()
-	return &ReservedAllocator{
-		ftl:   f,
-		next:  start,
-		limit: start + uint32(f.reservedRows)*f.rowPages(),
-	}
-}
-
-// ReservedAllocator walks the reserved rows' pages in stripe order.
-type ReservedAllocator struct {
-	ftl         *FTL
-	next, limit uint32
-}
-
-// NextPage implements directgraph.PageAllocator.
-func (a *ReservedAllocator) NextPage() (uint32, error) {
-	if a.next >= a.limit {
-		return 0, fmt.Errorf("ftl: reserved DirectGraph region exhausted at page %d", a.limit)
-	}
-	p := a.next
-	a.next++
-	return p, nil
-}
-
-// RecordErase bumps a block's P/E count.
-func (f *FTL) RecordErase(id BlockID) { f.block(id).eraseCount++ }
-
-// EraseCount returns a block's P/E count.
-func (f *FTL) EraseCount(id BlockID) int { return f.block(id).eraseCount }
-
-// WearDiscrepancy returns the gap between the mean P/E count of regular
-// (touched) blocks and of reserved DirectGraph blocks — the trigger
-// metric for Section VI-F's reclamation.
-func (f *FTL) WearDiscrepancy() float64 {
-	var regSum, regN, resSum float64
-	for id, st := range f.blocks {
-		if st.retired {
-			// Retired blocks take no further wear; counting their frozen
-			// P/E totals would skew the gap toward reclaiming forever.
-			continue
-		}
-		if f.rowReserved(id.Block) {
-			resSum += float64(st.eraseCount)
-		} else if st.allocated || st.eraseCount > 0 {
-			regSum += float64(st.eraseCount)
-			regN++
-		}
-	}
-	if regN == 0 {
-		return 0
-	}
-	resMean := 0.0
-	if n := f.reservedRows * f.cfg.TotalDies(); n > 0 {
-		resMean = resSum / float64(n)
-	}
-	return regSum/regN - resMean
-}
-
-// NeedsReclamation reports whether the wear gap exceeds the threshold.
-func (f *FTL) NeedsReclamation(threshold float64) bool {
-	return f.WearDiscrepancy() >= threshold
-}
-
-// ReclaimPlan describes a DirectGraph migration (Section VI-F): old
-// pinned rows rejoin regular FTL management, fresh rows are pinned, and
-// every embedded page number shifts by PageDelta.
+// ReclaimPlan describes a DirectGraph migration (Section VI-F): the old
+// pinned rows are released, fresh rows are pinned, and every embedded
+// page number shifts by PageDelta.
 type ReclaimPlan struct {
 	OldFirstPage uint32
 	NewFirstPage uint32
@@ -241,8 +103,8 @@ func (f *FTL) PlanReclamation() (*ReclaimPlan, error) {
 		return nil, fmt.Errorf("ftl: nothing to reclaim")
 	}
 	rows := f.reservedRows
-	// Scan forward for the first run of rows that are free of regular
-	// data and retired blocks, stopping short of the spare region.
+	// Scan forward for the first run of rows free of retired blocks,
+	// stopping short of the spare region.
 	limit := f.cfg.BlocksPerDie - f.spareRows
 	newStart := f.reservedStart + rows
 scan:
@@ -252,8 +114,7 @@ scan:
 		}
 		for r := newStart; r < newStart+rows; r++ {
 			for d := 0; d < f.cfg.TotalDies(); d++ {
-				st := f.block(BlockID{Die: d, Block: r})
-				if st.allocated || st.retired {
+				if f.retired[BlockID{Die: d, Block: r}] {
 					newStart = r + 1
 					continue scan
 				}

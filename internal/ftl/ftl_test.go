@@ -11,38 +11,6 @@ import (
 
 func newFTL() *FTL { return New(config.Default().Flash) }
 
-func TestMapLookup(t *testing.T) {
-	f := newFTL()
-	// Reserve first so reserved region exists; map outside it.
-	if _, _, err := f.ReserveForPages(100); err != nil {
-		t.Fatal(err)
-	}
-	outside := f.rowPages() * 2 // beyond the single reserved row
-	if err := f.Map(7, outside); err != nil {
-		t.Fatal(err)
-	}
-	ppa, ok := f.Lookup(7)
-	if !ok || ppa != outside {
-		t.Fatalf("lookup = %d,%v", ppa, ok)
-	}
-	if _, ok := f.Lookup(8); ok {
-		t.Fatal("unmapped LPA resolved")
-	}
-	if f.MappedCount() != 1 {
-		t.Fatalf("mapped = %d", f.MappedCount())
-	}
-}
-
-func TestMapIntoReservedRejected(t *testing.T) {
-	f := newFTL()
-	if _, _, err := f.ReserveForPages(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Map(1, 0); err == nil {
-		t.Fatal("mapping into reserved DirectGraph block accepted (isolation breach)")
-	}
-}
-
 func TestReserveForPagesRowGranularity(t *testing.T) {
 	f := newFTL()
 	first, count, err := f.ReserveForPages(1)
@@ -55,15 +23,10 @@ func TestReserveForPagesRowGranularity(t *testing.T) {
 	if count != f.rowPages() { // rounded up to one full row
 		t.Fatalf("count = %d, want %d", count, f.rowPages())
 	}
-	if !f.IsReserved(0) || !f.IsReserved(count-1) {
-		t.Fatal("reserved range not marked")
-	}
-	if f.IsReserved(count) {
-		t.Fatal("page beyond range marked reserved")
-	}
-	blocks := f.ReservedBlocks()
-	if len(blocks) != config.Default().Flash.TotalDies() {
-		t.Fatalf("reserved %d blocks, want one per die", len(blocks))
+	// One page past a full row needs a second row.
+	g := newFTL()
+	if _, count, err := g.ReserveForPages(int(g.rowPages()) + 1); err != nil || count != 2*g.rowPages() {
+		t.Fatalf("count = %d (err %v), want two rows (%d)", count, err, 2*g.rowPages())
 	}
 }
 
@@ -85,89 +48,52 @@ func TestReserveTooLarge(t *testing.T) {
 	}
 }
 
-func TestAllocatorDispensesReservedPages(t *testing.T) {
-	f := newFTL()
-	_, count, err := f.ReserveForPages(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f.Allocator()
-	for i := uint32(0); i < count; i++ {
-		p, err := a.NextPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != i {
-			t.Fatalf("page %d, want %d", p, i)
-		}
-		if !f.IsReserved(p) {
-			t.Fatalf("allocator handed out unreserved page %d", p)
-		}
-	}
-	if _, err := a.NextPage(); err == nil {
-		t.Fatal("allocator did not exhaust")
-	}
-}
-
-func TestAllocatorFeedsDirectGraphBuild(t *testing.T) {
-	f := newFTL()
-	if _, _, err := f.ReserveForPages(40_000); err != nil {
-		t.Fatal(err)
-	}
+// The platform reserves exactly the pages DirectGraph was built into
+// (dense from page 0); the reservation must cover every one of them —
+// the Section VI-E flush check.
+func TestReservationCoversDirectGraphBuild(t *testing.T) {
 	g, err := graph.Generate(graph.GenSpec{Nodes: 2000, AvgDegree: 20, FeatureDim: 16, PowerLaw: 2.0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := directgraph.BuildGraph(directgraph.Layout{PageSize: 4096, FeatureDim: 16}, g, f.Allocator())
+	b, err := directgraph.BuildGraph(directgraph.Layout{PageSize: 4096, FeatureDim: 16}, g, &directgraph.SeqAllocator{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every DirectGraph page must be inside the reserved region — the
-	// Section VI-E flush check.
+	f := newFTL()
+	first, count, err := f.ReserveForPages(len(b.Pages))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for pn := range b.PageNumbers() {
-		if !f.IsReserved(pn) {
-			t.Fatalf("DirectGraph page %d outside reserved blocks", pn)
+		if pn < first || pn >= first+count {
+			t.Fatalf("DirectGraph page %d outside reserved range [%d, %d)", pn, first, first+count)
 		}
 	}
 }
 
-func TestWearDiscrepancyAndReclamation(t *testing.T) {
+func TestPlanReclamationMovesReservation(t *testing.T) {
 	f := newFTL()
-	_, count, err := f.ReserveForPages(10)
-	if err != nil {
+	if _, _, err := f.ReserveForPages(10); err != nil {
 		t.Fatal(err)
-	}
-	// Hammer regular blocks with erases.
-	regular := count + f.rowPages()*3
-	id := BlockID{Die: f.geom.GlobalDie(regular), Block: f.geom.BlockOf(regular)}
-	for i := 0; i < 50; i++ {
-		f.RecordErase(id)
-	}
-	if f.EraseCount(id) != 50 {
-		t.Fatalf("erase count = %d", f.EraseCount(id))
-	}
-	if !f.NeedsReclamation(40) {
-		t.Fatalf("discrepancy %.1f should trigger at threshold 40", f.WearDiscrepancy())
-	}
-	if f.NeedsReclamation(60) {
-		t.Fatal("threshold 60 should not trigger")
 	}
 	plan, err := f.PlanReclamation()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if plan.OldFirstPage != 0 || plan.NewFirstPage != f.rowPages() || plan.Rows != 1 {
+		t.Fatalf("plan = %+v, want one row moved from page 0 to %d", *plan, f.rowPages())
+	}
 	if plan.PageDelta != f.rowPages() {
 		t.Fatalf("delta = %d, want one row (%d)", plan.PageDelta, f.rowPages())
 	}
-	if f.IsReserved(plan.OldFirstPage) {
-		t.Fatal("old region still reserved")
+	// The reservation moved: the next reclamation starts from the new rows.
+	next, err := f.PlanReclamation()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !f.IsReserved(plan.NewFirstPage) {
-		t.Fatal("new region not reserved")
-	}
-	// Old region becomes mappable again.
-	if err := f.Map(1, plan.OldFirstPage); err != nil {
-		t.Fatalf("old region not released: %v", err)
+	if next.OldFirstPage != plan.NewFirstPage {
+		t.Fatalf("second plan starts at %d, want %d", next.OldFirstPage, plan.NewFirstPage)
 	}
 }
 
@@ -209,37 +135,5 @@ func TestRelocatePatchesEmbeddedAddresses(t *testing.T) {
 		if sec.NodeID != uint32(v) {
 			t.Fatalf("node %d decoded as %d", v, sec.NodeID)
 		}
-	}
-}
-
-func TestWearDiscrepancyUntouchedReserved(t *testing.T) {
-	f := newFTL()
-	if d := f.WearDiscrepancy(); d != 0 {
-		t.Fatalf("pristine FTL discrepancy = %v, want 0", d)
-	}
-	if _, _, err := f.ReserveForPages(10); err != nil {
-		t.Fatal(err)
-	}
-	// Reserved rows exist but none was ever erased, and no regular block
-	// was touched either: still zero, not NaN.
-	if d := f.WearDiscrepancy(); d != 0 {
-		t.Fatalf("untouched discrepancy = %v, want 0", d)
-	}
-	// One regular block at 12 erases against completely untouched
-	// reserved rows: the gap is exactly the regular mean.
-	regular := f.rowPages() * uint32(f.reservedRows+3)
-	id := BlockID{Die: f.geom.GlobalDie(regular), Block: f.geom.BlockOf(regular)}
-	for i := 0; i < 12; i++ {
-		f.RecordErase(id)
-	}
-	if d := f.WearDiscrepancy(); d != 12 {
-		t.Fatalf("discrepancy = %v, want 12 (reserved blocks untouched)", d)
-	}
-	// Touching one reserved block averages over the whole reserved
-	// population, not just the touched entries.
-	f.RecordErase(BlockID{Die: 0, Block: f.reservedStart})
-	want := 12 - 1/float64(f.reservedRows*f.cfg.TotalDies())
-	if d := f.WearDiscrepancy(); d != want {
-		t.Fatalf("discrepancy = %v, want %v", d, want)
 	}
 }

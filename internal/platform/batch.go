@@ -3,11 +3,13 @@ package platform
 import (
 	"fmt"
 
+	"beacongnn/internal/config"
 	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/metrics"
 	"beacongnn/internal/sampler"
 	"beacongnn/internal/sim"
+	"beacongnn/internal/xrand"
 )
 
 // batchState tracks one mini-batch's data preparation: outstanding work,
@@ -70,6 +72,19 @@ func (b *batchState) release() {
 		b.coalesce[i] = nil
 	}
 	s.lists.batch.Put(b)
+}
+
+// drawTargets draws one mini-batch's target nodes from the system RNG.
+func drawTargets(rng *xrand.Source, numNodes int, gnn config.GNN) []graph.NodeID {
+	targets := make([]graph.NodeID, gnn.BatchSize)
+	for t := range targets {
+		if skew := gnn.TargetSkew; skew > 0 {
+			targets[t] = graph.NodeID(rng.Zipf(numNodes, skew))
+		} else {
+			targets[t] = graph.NodeID(rng.Intn(numNodes))
+		}
+	}
+	return targets
 }
 
 // prepBatch starts batch i's data preparation and calls done when every

@@ -214,10 +214,6 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 			return nil, fmt.Errorf("platform: fault model: %w", err)
 		}
 		s.inj = fault.NewInjector(cfg.Fault, cfg.Flash, cfg.Seed)
-		f := s.ftl
-		s.inj.SetWearSource(func(die, block int) int {
-			return f.EraseCount(ftl.BlockID{Die: die, Block: block})
-		})
 		backend.FaultInjector = s.inj
 		backend.OnRetrySense = s.meter.FlashRetrySenses
 	}

@@ -112,9 +112,6 @@ func NewCluster(n int, cfg Config) *Cluster {
 	return c
 }
 
-// Replicas returns the replica count.
-func (c *Cluster) Replicas() int { return len(c.replicas) }
-
 // Replica returns replica i's Server (tests and stats).
 func (c *Cluster) Replica(i int) *Server { return c.replicas[i].srv }
 

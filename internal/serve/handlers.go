@@ -274,16 +274,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batches %d outside [0, %d]", req.Batches, s.cfg.MaxBatches)
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS < 0 {
-		s.writeError(w, http.StatusBadRequest, "timeout_ms must be non-negative")
+	timeout, err := s.requestTimeout(req.TimeoutMS)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
 	}
 	release, ok := s.admit(w)
 	if !ok {

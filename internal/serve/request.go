@@ -148,18 +148,26 @@ func (s *Server) validate(req *SimRequest) (*simJob, error) {
 		return nil, badf("%v", err)
 	}
 	job.cfg = cfg
-
-	job.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS != 0 {
-		if req.TimeoutMS < 0 {
-			return nil, badf("timeout_ms must be non-negative")
-		}
-		job.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if job.timeout > s.cfg.MaxTimeout {
-			job.timeout = s.cfg.MaxTimeout
-		}
+	if job.timeout, err = s.requestTimeout(req.TimeoutMS); err != nil {
+		return nil, err
 	}
 	return job, nil
+}
+
+// requestTimeout resolves a request's timeout_ms: 0 takes the server
+// default and anything above MaxTimeout is capped. The cap applies in
+// milliseconds, before converting, because a Duration wraps past about
+// 9.2e12 ms.
+func (s *Server) requestTimeout(ms int64) (time.Duration, error) {
+	switch {
+	case ms < 0:
+		return 0, badf("timeout_ms must be non-negative")
+	case ms == 0:
+		return s.cfg.DefaultTimeout, nil
+	case ms > s.cfg.MaxTimeout.Milliseconds():
+		return s.cfg.MaxTimeout, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // SimResponse is the JSON reply of POST /v1/simulate.

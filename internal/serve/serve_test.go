@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -177,6 +178,40 @@ func TestSimulateDeadlineExceeded(t *testing.T) {
 	}
 	if !strings.Contains(w.Body.String(), "deadline") {
 		t.Fatalf("body %s does not mention the deadline", w.Body)
+	}
+}
+
+// A timeout_ms past what a Duration holds (~9.2e12 ms) must cap at
+// MaxTimeout on both endpoints, not wrap into a negative deadline that
+// fires at once.
+func TestHugeTimeoutCapsAtMax(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, MaxTimeout: time.Minute})
+	max := s.cfg.MaxTimeout
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, s.cfg.DefaultTimeout},
+		{1, time.Millisecond},
+		{max.Milliseconds(), max},
+		{max.Milliseconds() + 1, max},
+		{10_000_000_000_000, max},
+		{math.MaxInt64, max},
+	} {
+		got, err := s.requestTimeout(c.ms)
+		if err != nil || got != c.want {
+			t.Errorf("requestTimeout(%d) = %v, %v; want %v", c.ms, got, err, c.want)
+		}
+	}
+
+	const huge = `"timeout_ms":10000000000000`
+	if w := post(t, s, "/v1/simulate", simBody("BG-2", huge)); w.Code != http.StatusOK {
+		t.Fatalf("simulate: code = %d body %s, want 200", w.Code, w.Body)
+	}
+	// fig14 simulates under the request context, so a wrapped deadline
+	// would surface as 504.
+	if w := post(t, s, "/v1/experiment", `{"id":"fig14","quick":true,"nodes":1000,"batches":1,`+huge+`}`); w.Code != http.StatusOK {
+		t.Fatalf("experiment: code = %d body %s, want 200", w.Code, w.Body)
 	}
 }
 

@@ -35,9 +35,6 @@ func NewFabric(k *Kernel, endpoints int, bytesPerSec float64, latency Time) *Fab
 	return f
 }
 
-// Endpoints returns how many ports the fabric was built with.
-func (f *Fabric) Endpoints() int { return len(f.egress) }
-
 // Send moves n bytes from src to dst and runs done when the message has
 // cleared both ports. A loopback send (src == dst) completes without
 // touching the fabric — co-resident traffic is free, which is exactly
