@@ -29,8 +29,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Run every fuzz target briefly — a smoke net over the decoder, the wire
-# formats, the event kernel's dispatch order and the simulate request
-# validator (Go runs one fuzz target per invocation, hence the loops).
+# formats, the event kernel's dispatch order and the simulate and
+# experiment request validators (Go runs one fuzz target per invocation,
+# hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
 		echo "== $$t"; \
@@ -42,8 +43,10 @@ fuzz-smoke:
 	done
 	@echo "== FuzzKernelOrder"
 	@$(GO) test ./internal/sim/ -run=NONE -fuzz=FuzzKernelOrder -fuzztime=$(FUZZTIME)
-	@echo "== FuzzSimRequest"
-	@$(GO) test ./internal/serve/ -run=NONE -fuzz=FuzzSimRequest -fuzztime=$(FUZZTIME)
+	@for t in FuzzSimRequest FuzzExpRequest; do \
+		echo "== $$t"; \
+		$(GO) test ./internal/serve/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
+	done
 
 cover:
 	$(GO) test -coverprofile=$(COVERPROFILE) ./...

@@ -436,9 +436,9 @@ func BenchmarkRegularIOInterference(b *testing.B) {
 
 // benchRunAll drives the full evaluation suite at reduced scale with a
 // fixed worker count, discarding the report text. A fresh Options value
-// per iteration keeps the per-engine memo cache cold, so each iteration
-// measures real simulation work; dataset instances stay warm in the
-// process-wide cache, identically for both variants.
+// per iteration gets a fresh engine, so the result memo and the dataset
+// instances start cold and each iteration measures real
+// materialization and simulation work, identically for both variants.
 func benchRunAll(b *testing.B, workers int) {
 	b.Helper()
 	b.ResetTimer()

@@ -98,13 +98,11 @@ func BuildClusterReport(o *Options) (*ClusterReport, error) {
 			Seed:        clusterSeed(o.Cfg.Seed, "scale", 0),
 		}
 		var res *cluster.Result
-		var rerr error
-		if terr := o.engine().ThrottleCtx(o.context(), func() {
-			res, rerr = cluster.Run(c, inst)
-		}); terr != nil {
-			return nil, terr
-		}
-		return res, rerr
+		err := o.engine().ThrottleCtx(o.context(), func() (err error) {
+			res, err = cluster.Run(c, inst)
+			return err
+		})
+		return res, err
 	})
 	if err != nil {
 		return nil, err
@@ -149,14 +147,11 @@ func BuildClusterReport(o *Options) (*ClusterReport, error) {
 		FailShard:      1,
 		FailAfterBatch: o.Batches / 2,
 	}
-	var drillErr error
-	if terr := o.engine().ThrottleCtx(o.context(), func() {
-		rep.Failure, drillErr = cluster.Run(fc, inst)
-	}); terr != nil {
-		return nil, terr
-	}
-	if drillErr != nil {
-		return nil, drillErr
+	if err := o.engine().ThrottleCtx(o.context(), func() (err error) {
+		rep.Failure, err = cluster.Run(fc, inst)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

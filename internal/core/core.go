@@ -36,15 +36,17 @@ type Options struct {
 	// its owner configured it.
 	FullResim bool
 
-	// Ctx, when set, bounds every simulation the runners request:
-	// cancellation or deadline expiry aborts in-flight event loops and
-	// fails the experiment with the context's error. Nil means
+	// Ctx, when set, bounds every simulation, materialization and
+	// worker-slot wait the runners request: cancellation or deadline
+	// expiry aborts in-flight event loops and fails the experiment with
+	// the context's error. Nil means
 	// context.Background() — the CLI batch behaviour. The serving layer
 	// sets it to the HTTP request context.
 	Ctx context.Context
 
 	// Engine, when set, is used instead of a private engine — the
-	// serving layer shares one pool (and one memo) across all requests.
+	// serving layer shares one pool, one memo and one instance cache
+	// across all requests.
 	Engine *exp.Engine
 
 	filled bool
@@ -185,40 +187,15 @@ func RunAll(o *Options, w io.Writer) error {
 	return nil
 }
 
-// instance materializes one dataset at a given scale, caching globally
-// per (name, nodes, pageSize, seed) — everything Materialize depends on,
-// so changing the seed or scale between Options values can never return
-// a stale instance. The cache is safe under the parallel engine:
-// concurrent requests for the same key materialize once, and distinct
-// keys materialize concurrently (throttled by the caller's engine).
-// Materialization is deterministic in its key, so the cache stays on
-// even under FullResim.
-type instKey struct {
-	name     string
-	nodes    int
-	pageSize int
-	seed     uint64
-}
-
-var instCache = exp.NewStageCache[instKey, *dataset.Instance]()
-
-// instanceAt materializes (or fetches) a dataset instance for an
-// explicit page size and seed — sweeps that mutate either get their own
-// cache entries.
+// instanceAt fetches (materializing on first use) a dataset instance
+// for an explicit page size and seed from the Options' engine, keyed by
+// everything Materialize depends on — sweeps that mutate the page size
+// or seed get their own entries, and a changed scale or seed can never
+// return a stale instance. The cache stays on even under FullResim:
+// materialization is deterministic in its key.
 func (o *Options) instanceAt(name string, pageSize int, seed uint64) (*dataset.Instance, error) {
 	o.fill()
-	d, err := dataset.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return instCache.Do(instKey{name, o.ScaleNodes, pageSize, seed}, func() (*dataset.Instance, error) {
-		var inst *dataset.Instance
-		var merr error
-		o.engine().Throttle(func() {
-			inst, merr = dataset.Materialize(d, o.ScaleNodes, pageSize, seed)
-		})
-		return inst, merr
-	})
+	return o.eng.Instance(o.context(), name, o.ScaleNodes, pageSize, seed)
 }
 
 func (o *Options) instance(name string) (*dataset.Instance, error) {

@@ -47,29 +47,30 @@ func RunExtensions(o *Options, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			eng.Throttle(func() {
+			return eng.ThrottleCtx(o.context(), func() (err error) {
 				cons, err = platform.SimulateConstruction(o.Cfg, inst)
+				return err
 			})
-			return err
 		},
 		func() error {
 			inst, err := o.instance("amazon")
 			if err != nil {
 				return err
 			}
-			eng.Throttle(func() {
-				var s *platform.System
-				s, err = platform.NewSystem(platform.BG2, o.Cfg, inst, 0)
+			return eng.ThrottleCtx(o.context(), func() error {
+				s, err := platform.NewSystem(platform.BG2, o.Cfg, inst, 0)
 				if err != nil {
-					return
+					return err
 				}
 				_, ioStats, err = s.RunWithRegularIO(o.Batches)
+				return err
 			})
-			return err
 		},
-		func() (err error) {
-			eng.Throttle(func() { idle, err = platform.RegularIOBaseline(o.Cfg) })
-			return
+		func() error {
+			return eng.ThrottleCtx(o.context(), func() (err error) {
+				idle, err = platform.RegularIOBaseline(o.Cfg)
+				return err
+			})
 		},
 	)
 	if err != nil {

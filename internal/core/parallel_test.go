@@ -54,8 +54,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestInstanceCacheKeyedBySeedAndScale is the regression test for the
-// instCache bug: the global cache used to key only on (name, pageSize),
+// TestInstanceCacheKeyedBySeedAndScale is the regression test for an
+// instance-cache bug: the cache used to key only on (name, pageSize),
 // so changing the seed or scale between Options values could silently
 // return a stale instance.
 func TestInstanceCacheKeyedBySeedAndScale(t *testing.T) {

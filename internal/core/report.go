@@ -98,9 +98,9 @@ func BuildReport(o *Options) (*Report, error) {
 			}
 			points, err := exp.Map(counts, func(n int) (flash.ContentionResult, error) {
 				var res flash.ContentionResult
-				var err error
-				eng.Throttle(func() {
+				err := eng.ThrottleCtx(o.context(), func() (err error) {
 					res, err = flash.RunChannelContention(o.Cfg.Flash, n, 2*sim.Millisecond)
+					return err
 				})
 				return res, err
 			})
@@ -202,9 +202,9 @@ func BuildReport(o *Options) (*Report, error) {
 			}
 			stats, err := exp.Map(dataset.All(), func(d dataset.Desc) (directgraph.Stats, error) {
 				var st directgraph.Stats
-				var err error
-				eng.Throttle(func() {
+				err := eng.ThrottleCtx(o.context(), func() (err error) {
 					st, err = dataset.FullScaleInflation(d, o.Cfg.Flash.PageSize, sample, o.Cfg.Seed)
+					return err
 				})
 				return st, err
 			})

@@ -59,9 +59,9 @@ func RunFig7(o *Options, w io.Writer) error {
 	eng := o.engine()
 	points, err := exp.Map(counts, func(n int) (flash.ContentionResult, error) {
 		var res flash.ContentionResult
-		var err error
-		eng.Throttle(func() {
+		err := eng.ThrottleCtx(o.context(), func() (err error) {
 			res, err = flash.RunChannelContention(o.Cfg.Flash, n, 2*sim.Millisecond)
+			return err
 		})
 		return res, err
 	})
@@ -365,9 +365,9 @@ func RunTable4(o *Options, w io.Writer) error {
 	eng := o.engine()
 	stats, err := exp.Map(dataset.All(), func(d dataset.Desc) (directgraph.Stats, error) {
 		var st directgraph.Stats
-		var err error
-		eng.Throttle(func() {
+		err := eng.ThrottleCtx(o.context(), func() (err error) {
 			st, err = dataset.FullScaleInflation(d, o.Cfg.Flash.PageSize, sample, o.Cfg.Seed)
+			return err
 		})
 		return st, err
 	})

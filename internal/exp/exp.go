@@ -11,16 +11,19 @@
 //
 // Two mechanisms compose:
 //
-//   - a worker-limited scheduler (Throttle / Simulate): heavy leaf work
-//     holds one of W slots, where W defaults to runtime.GOMAXPROCS(0).
-//     Structured fan-out (Map) deliberately does NOT hold a slot, so
-//     nested fan-outs — RunAll over experiments, an experiment over its
-//     simulations — never deadlock and only leaves compete for cores;
-//   - a memoized simulation cache keyed by (platform kind, dataset name,
-//     materialized node count, config digest, batches, timeline points),
-//     so each distinct simulation executes at most once per engine, no
-//     matter how many figures ask for it. Determinism makes the cached
-//     result indistinguishable from a re-run.
+//   - a worker-limited scheduler (ThrottleCtx / Simulate): heavy leaf
+//     work holds one of W slots, where W defaults to
+//     runtime.GOMAXPROCS(0). Structured fan-out (Map) deliberately does
+//     NOT hold a slot, so nested fan-outs — RunAll over experiments, an
+//     experiment over its simulations — never deadlock and only leaves
+//     compete for cores;
+//   - two Caches: simulation results keyed by (platform kind, dataset
+//     name, materialized node count, config digest, batches, timeline
+//     points), and dataset instances keyed by (name, nodes, page size,
+//     seed), so each distinct simulation and instance is computed at
+//     most once per resident entry, no matter how many figures ask for
+//     it. Determinism makes a cached result indistinguishable from a
+//     re-run.
 //
 // Determinism contract: callers collect results first (Map preserves
 // input order) and format afterwards; with that discipline, output is
@@ -28,13 +31,13 @@
 package exp
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
@@ -61,8 +64,8 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 type FaultHook func(key SimKey, attempt int) error
 
 // Engine schedules simulations across a bounded worker pool and memoizes
-// their results. It is safe for concurrent use. The zero value is not
-// usable; call New.
+// their results and the dataset instances they read. It is safe for
+// concurrent use. The zero value is not usable; call New.
 type Engine struct {
 	sem chan struct{} // one token per concurrently running leaf
 
@@ -74,14 +77,20 @@ type Engine struct {
 	// recovery).
 	simFn func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error)
 
-	mu      sync.Mutex
-	memo    map[SimKey]*memoEntry
-	lru     list.List // completed keys, most recent at front; used iff memoCap > 0
-	memoCap int       // max completed entries kept (0 = unbounded)
-	noMemo  bool      // bypass the result memo (forced full resimulation)
-	hits    uint64
-	runs    uint64
-	evicted uint64
+	memo   *Cache[SimKey, *platform.Result]
+	insts  *Cache[instKey, *dataset.Instance]
+	noMemo bool          // bypass the result memo (forced full resimulation)
+	runs   atomic.Uint64 // simulation leaves executed
+}
+
+// instKey identifies one materialized dataset instance: every input
+// dataset.Materialize depends on, so distinct scales, page sizes and
+// seeds never alias.
+type instKey struct {
+	name     string
+	nodes    int
+	pageSize int
+	seed     uint64
 }
 
 // New returns an engine running at most workers leaves concurrently.
@@ -93,7 +102,8 @@ func New(workers int) *Engine {
 	return &Engine{
 		sem:   make(chan struct{}, workers),
 		simFn: platform.SimulateCtx,
-		memo:  make(map[SimKey]*memoEntry),
+		memo:  NewCache[SimKey, *platform.Result](0),
+		insts: NewCache[instKey, *dataset.Instance](0),
 	}
 }
 
@@ -102,11 +112,12 @@ func New(workers int) *Engine {
 // long-lived daemon needs where a batch run wants the unbounded
 // default. In-flight entries are never evicted (waiters are parked on
 // them). n <= 0 restores unbounded. Call before the first Simulate.
-func (e *Engine) SetMemoCap(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.memoCap = n
-}
+func (e *Engine) SetMemoCap(n int) { e.memo.SetCap(n) }
+
+// SetInstanceCap bounds the instance cache to the n most recently used
+// materialized instances, the daemon's dominant memory cost. n <= 0
+// restores unbounded. Call before the first Instance.
+func (e *Engine) SetInstanceCap(n int) { e.insts.SetCap(n) }
 
 // Workers returns the configured parallel width.
 func (e *Engine) Workers() int { return cap(e.sem) }
@@ -119,28 +130,9 @@ func (e *Engine) SetFaultHook(h FaultHook) { e.hook = h }
 // EvictOldest drops up to n least-recently-used completed memo entries
 // and reports how many were dropped. It is a no-op on an unbounded memo
 // (batch runs depend on every result staying resident) and never
-// touches in-flight entries, which keep their map slot until finish.
-// The chaos harness uses it to model eviction storms against a capped
-// daemon memo.
-func (e *Engine) EvictOldest(n int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.memoCap <= 0 {
-		return 0
-	}
-	dropped := 0
-	for dropped < n {
-		back := e.lru.Back()
-		if back == nil {
-			break
-		}
-		delete(e.memo, back.Value.(SimKey))
-		e.lru.Remove(back)
-		e.evicted++
-		dropped++
-	}
-	return dropped
-}
+// touches in-flight entries. The chaos harness uses it to model
+// eviction storms against a capped daemon memo.
+func (e *Engine) EvictOldest(n int) int { return e.memo.EvictOldest(n) }
 
 // EnableChecks routes every subsequent simulation through the invariant
 // checker (platform.SimulateChecked): each leaf run is verified against
@@ -154,67 +146,70 @@ func (e *Engine) EnableChecks() { e.simFn = platform.SimulateCheckedCtx }
 // bypassing the result memo. This is the -full-resim escape hatch:
 // memoized sweeps are byte-identical to full resimulation by
 // construction, and this switch lets a dedicated test (and a suspicious
-// user) prove it. Call before the first Simulate.
+// user) prove it. Instances stay cached: materialization is
+// deterministic in its key. Call before the first Simulate.
 func (e *Engine) DisableMemo() { e.noMemo = true }
 
 // Stats returns the number of simulations executed and the number served
 // from the memo cache.
 func (e *Engine) Stats() (runs, hits uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runs, e.hits
+	_, hits = e.memo.Stats()
+	return e.runs.Load(), hits
 }
 
-// Evictions returns how many completed memo entries the LRU cap has
-// dropped (always 0 with the unbounded default).
-func (e *Engine) Evictions() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evicted
-}
+// Evictions returns how many completed memo entries the LRU cap and
+// EvictOldest have dropped (always 0 with the unbounded default).
+func (e *Engine) Evictions() uint64 { return e.memo.Evictions() }
 
 // Cached reports whether key's result is already completed in the memo,
 // i.e. a Simulate for it would return without running or waiting. A
 // serving layer uses it to label responses as cache hits.
-func (e *Engine) Cached(key SimKey) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.memo[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-ent.done:
-		return !ent.abandoned
-	default:
-		return false
-	}
+func (e *Engine) Cached(key SimKey) bool { return e.memo.Cached(key) }
+
+// Instances reports how many materialized instances are resident and
+// how many cache misses started a materialization.
+func (e *Engine) Instances() (resident int, materialized uint64) {
+	runs, _ := e.insts.Stats()
+	return e.insts.Len(), runs
 }
 
-// Throttle runs fn while holding one worker slot. Use it around heavy
-// leaf work that is not a platform simulation (dataset materialization,
-// contention microbenchmarks, inflation sampling) so the pool bounds
-// total CPU oversubscription. Do not wrap calls that themselves wait on
-// other throttled work — waiting must never hold a slot.
-func (e *Engine) Throttle(fn func()) {
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
-	fn()
-}
-
-// ThrottleCtx is Throttle with a cancellable slot wait: if ctx expires
-// before a worker slot frees up, fn never runs and ctx.Err() is
-// returned. Once fn starts it runs to completion — pass ctx into fn
-// itself if the work can be abandoned midway.
-func (e *Engine) ThrottleCtx(ctx context.Context, fn func()) error {
+// ThrottleCtx runs fn while holding one worker slot and returns its
+// error. Use it around heavy leaf work that is not a platform
+// simulation (dataset materialization, contention microbenchmarks,
+// inflation sampling) so the pool bounds total CPU oversubscription. If
+// ctx expires before a slot frees up, fn never runs and ctx.Err() is
+// returned; once fn starts it runs to completion — pass ctx into fn
+// itself if the work can be abandoned midway. Do not wrap calls that
+// themselves wait on other throttled work: waiting must never hold a
+// slot.
+func (e *Engine) ThrottleCtx(ctx context.Context, fn func() error) error {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	defer func() { <-e.sem }()
-	fn()
-	return nil
+	return fn()
+}
+
+// Instance returns the dataset instance for (name, nodes, pageSize,
+// seed), materializing it on first use. Concurrent requests for one
+// instance materialize once; materialization holds a worker slot, so
+// it competes with simulations for CPU rather than running alongside
+// them, and the slot wait honours ctx. The returned instance is shared
+// and must be treated as read-only.
+func (e *Engine) Instance(ctx context.Context, name string, nodes, pageSize int, seed uint64) (*dataset.Instance, error) {
+	d, err := dataset.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.insts.Do(ctx, instKey{name, nodes, pageSize, seed}, func() (inst *dataset.Instance, err error) {
+		err = e.ThrottleCtx(ctx, func() (err error) {
+			inst, err = dataset.Materialize(d, nodes, pageSize, seed)
+			return err
+		})
+		return inst, err
+	})
 }
 
 // SimKey identifies one memoizable simulation.
@@ -225,20 +220,6 @@ type SimKey struct {
 	Digest   uint64 // ConfigDigest of the full config
 	Batches  int
 	Timeline int
-}
-
-type memoEntry struct {
-	done chan struct{} // closed when res/err (or abandoned) are valid
-	res  *platform.Result
-	err  error
-
-	// abandoned marks an entry whose runner was cancelled before
-	// producing a result. It is removed from the memo (set strictly
-	// before close(done)), and deduped waiters that observe it retry the
-	// key instead of inheriting a cancellation that was not theirs.
-	abandoned bool
-
-	elem *list.Element // position in the LRU list; nil when unbounded
 }
 
 // ConfigDigest returns a stable digest of every field of the config.
@@ -285,76 +266,11 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
 	if e.noMemo {
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-e.sem }()
-		e.mu.Lock()
-		e.runs++
-		e.mu.Unlock()
-		return e.simFn(ctx, kind, cfg, inst, batches, timeline)
+		return e.leaf(ctx, 0, kind, cfg, inst, batches, timeline)
 	}
-	key := Key(kind, cfg, inst, batches, timeline)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		if ent, ok := e.memo[key]; ok {
-			e.hits++
-			if ent.elem != nil {
-				e.lru.MoveToFront(ent.elem)
-			}
-			e.mu.Unlock()
-			select {
-			case <-ent.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if ent.abandoned {
-				continue // runner was cancelled; the key is free again — retry
-			}
-			return ent.res, ent.err
-		}
-		ent := &memoEntry{done: make(chan struct{})}
-		e.memo[key] = ent
-		e.mu.Unlock()
-
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			e.abandon(key, ent)
-			return nil, ctx.Err()
-		}
-		func() {
-			defer func() { <-e.sem }()
-			// The channel must close even if the leaf panics: deduped
-			// waiters block on it, and a skipped close would strand every
-			// caller of this key forever. The panic is converted into the
-			// entry's error so waiters and the runner observe the same
-			// failure.
-			defer func() {
-				if rec := recover(); rec != nil {
-					ent.res = nil
-					ent.err = fmt.Errorf("exp: simulation %v on %s panicked: %v", kind, inst.Desc.Name, rec)
-				}
-				e.finish(key, ent)
-			}()
-			if e.hook != nil {
-				if herr := e.hook(key, 0); herr != nil {
-					ent.err = herr
-					return
-				}
-			}
-			e.mu.Lock()
-			e.runs++
-			e.mu.Unlock()
-			ent.res, ent.err = e.simFn(ctx, kind, cfg, inst, batches, timeline)
-		}()
-		return ent.res, ent.err
-	}
+	return e.memo.Do(ctx, Key(kind, cfg, inst, batches, timeline), func() (*platform.Result, error) {
+		return e.leaf(ctx, 0, kind, cfg, inst, batches, timeline)
+	})
 }
 
 // SimulateFreshCtx runs one simulation without consulting or updating
@@ -367,59 +283,29 @@ func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg c
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	if e.hook != nil {
-		if err := e.hook(Key(kind, cfg, inst, batches, timeline), attempt); err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	e.runs++
-	e.mu.Unlock()
-	return e.simFn(ctx, kind, cfg, inst, batches, timeline)
+	return e.leaf(ctx, attempt, kind, cfg, inst, batches, timeline)
 }
 
-// abandon releases a never-run entry whose caller was cancelled while
-// waiting for a worker slot.
-func (e *Engine) abandon(key SimKey, ent *memoEntry) {
-	e.mu.Lock()
-	delete(e.memo, key)
-	e.mu.Unlock()
-	ent.abandoned = true
-	close(ent.done)
-}
-
-// finish publishes a completed entry: cancelled and transient-failed
-// runs are removed from the memo (waiters retry — a chaos-injected
-// fault must never poison the cache), everything else — results and
-// real errors alike — is cached and enters the LRU when a cap is set.
-func (e *Engine) finish(key SimKey, ent *memoEntry) {
-	e.mu.Lock()
-	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) || IsTransient(ent.err)) {
-		delete(e.memo, key)
-		ent.abandoned = true
-	} else if e.memoCap > 0 {
-		ent.elem = e.lru.PushFront(key)
-		for e.lru.Len() > e.memoCap {
-			back := e.lru.Back()
-			delete(e.memo, back.Value.(SimKey))
-			e.lru.Remove(back)
-			e.evicted++
+// leaf runs one simulation under a worker slot, after consulting the
+// fault hook.
+func (e *Engine) leaf(ctx context.Context, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (res *platform.Result, err error) {
+	err = e.ThrottleCtx(ctx, func() (err error) {
+		if e.hook != nil {
+			if err = e.hook(Key(kind, cfg, inst, batches, timeline), attempt); err != nil {
+				return err
+			}
 		}
-	}
-	e.mu.Unlock()
-	close(ent.done)
+		e.runs.Add(1)
+		res, err = e.simFn(ctx, kind, cfg, inst, batches, timeline)
+		return err
+	})
+	return res, err
 }
 
 // Map applies f to every item concurrently and returns the results in
 // input order, which is what makes downstream formatting deterministic.
 // Map itself is unbounded — parallelism is limited where the work is,
-// inside Simulate/Throttle leaves — so Maps nest freely. If any call
+// inside Simulate/ThrottleCtx leaves — so Maps nest freely. If any call
 // fails, the error of the lowest-indexed failure is returned (again for
 // determinism); the result slice is still fully populated with whatever
 // succeeded.

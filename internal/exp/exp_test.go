@@ -176,8 +176,8 @@ func TestSimulatePanicUnblocksDedupedWaiters(t *testing.T) {
 	// The worker slot must have been released too: the engine stays usable.
 	done := make(chan struct{})
 	go func() {
-		e.Throttle(func() {})
-		e.Throttle(func() {})
+		_ = e.ThrottleCtx(context.Background(), func() error { return nil })
+		_ = e.ThrottleCtx(context.Background(), func() error { return nil })
 		close(done)
 	}()
 	select {
@@ -193,7 +193,7 @@ func TestThrottleBoundsConcurrency(t *testing.T) {
 	var active, peak, over int32
 	err := Go(func() error {
 		_, err := Map(make([]int, 64), func(int) (struct{}, error) {
-			e.Throttle(func() {
+			return struct{}{}, e.ThrottleCtx(context.Background(), func() error {
 				n := atomic.AddInt32(&active, 1)
 				for {
 					p := atomic.LoadInt32(&peak)
@@ -205,8 +205,8 @@ func TestThrottleBoundsConcurrency(t *testing.T) {
 					atomic.AddInt32(&over, 1)
 				}
 				atomic.AddInt32(&active, -1)
+				return nil
 			})
-			return struct{}{}, nil
 		})
 		return err
 	})
@@ -416,19 +416,19 @@ func TestThrottleCtx(t *testing.T) {
 	e := New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go e.Throttle(func() { close(started); <-release })
+	go e.ThrottleCtx(context.Background(), func() error { close(started); <-release; return nil })
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := e.ThrottleCtx(ctx, func() { ran = true }); !errors.Is(err, context.Canceled) {
+	if err := e.ThrottleCtx(ctx, func() error { ran = true; return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran {
 		t.Fatal("fn ran despite cancelled slot wait")
 	}
 	close(release)
-	if err := e.ThrottleCtx(context.Background(), func() { ran = true }); err != nil || !ran {
+	if err := e.ThrottleCtx(context.Background(), func() error { ran = true; return nil }); err != nil || !ran {
 		t.Fatalf("err = %v ran = %v, want nil/true", err, ran)
 	}
 }
@@ -439,5 +439,48 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 	if w := New(5).Workers(); w != 5 {
 		t.Fatalf("Workers = %d, want 5", w)
+	}
+}
+
+// TestInstanceCachedPerEngine: an engine materializes each (name, nodes,
+// page size, seed) once, keeps at most its instance cap resident, and
+// a miss whose slot wait times out leaves nothing behind: the next
+// request for the key materializes it.
+func TestInstanceCachedPerEngine(t *testing.T) {
+	e := New(1)
+	e.SetInstanceCap(1)
+	ctx := context.Background()
+	a, err := e.Instance(ctx, "PPI", 500, 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := e.Instance(ctx, "PPI", 500, 4096, 1); err != nil || again != a {
+		t.Fatalf("repeat key: same instance = %v, err = %v", again == a, err)
+	}
+	if b, err := e.Instance(ctx, "PPI", 500, 4096, 2); err != nil || b == a {
+		t.Fatalf("another seed: distinct instance = %v, err = %v", b != a, err)
+	}
+	if resident, materialized := e.Instances(); resident != 1 || materialized != 2 {
+		t.Fatalf("resident=%d materialized=%d, want 1/2", resident, materialized)
+	}
+	if _, err := e.Instance(ctx, "nosuch", 500, 4096, 1); err == nil {
+		t.Fatal("unknown dataset materialized")
+	}
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go e.ThrottleCtx(ctx, func() error { close(started); <-release; return nil })
+	<-started
+	tctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancel()
+	if _, err := e.Instance(tctx, "PPI", 500, 4096, 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the slot wait to time out", err)
+	}
+	close(release)
+	if c, err := e.Instance(ctx, "PPI", 500, 4096, 3); err != nil || c == nil {
+		t.Fatalf("retry after a timed-out slot wait: err = %v", err)
+	}
+	if _, materialized := e.Instances(); materialized != 4 {
+		t.Fatalf("materialized = %d, want 4 (the timed-out miss and its retry both count)", materialized)
 	}
 }

@@ -66,8 +66,6 @@ type Backend struct {
 	ChanUtil *sim.Utilization
 
 	reads     uint64
-	programs  uint64
-	erases    uint64
 	busBytes  uint64
 	WaitStats sim.WaitStats // queueing before dies (wait_before_flash)
 
@@ -379,22 +377,10 @@ func (b *Backend) IssueCommand(page uint32, done func()) {
 // ProgramPage writes a page: channel transfer of the full page followed
 // by the program latency on the die.
 func (b *Backend) ProgramPage(page uint32, done func()) {
-	b.programs++
 	die := b.geom.GlobalDie(page)
 	b.TransferOnChannel(b.geom.Channel(page), b.cfg.PageSize, func() {
 		b.dies[die].Submit(b.cfg.ProgramLatency, done)
 	})
-}
-
-// EraseBlock erases the block containing the page.
-func (b *Backend) EraseBlock(page uint32, done func()) {
-	b.erases++
-	b.dies[b.geom.GlobalDie(page)].Submit(b.cfg.EraseLatency, done)
-}
-
-// Counts reports (reads, programs, erases).
-func (b *Backend) Counts() (reads, programs, erases uint64) {
-	return b.reads, b.programs, b.erases
 }
 
 // ContentionResult is the outcome of the Figure 7a microbenchmark.

@@ -152,25 +152,16 @@ func TestTransferOccupiesChannel(t *testing.T) {
 	}
 }
 
-func TestProgramAndErase(t *testing.T) {
+func TestProgramPageTiming(t *testing.T) {
 	cfg := testCfg()
 	k := sim.New()
 	b, _ := New(k, cfg, 0)
-	var progDone, eraseDone sim.Time
+	var progDone sim.Time
 	b.ProgramPage(0, func() { progDone = k.Now() })
 	k.Run()
 	want := cfg.TransferTime(cfg.PageSize) + cfg.ProgramLatency
 	if progDone != want {
 		t.Fatalf("program done %v, want %v", progDone, want)
-	}
-	b.EraseBlock(0, func() { eraseDone = k.Now() })
-	k.Run()
-	if eraseDone != progDone+cfg.EraseLatency {
-		t.Fatalf("erase done %v", eraseDone)
-	}
-	_, p, e := b.Counts()
-	if p != 1 || e != 1 {
-		t.Fatalf("counts: programs=%d erases=%d", p, e)
 	}
 }
 

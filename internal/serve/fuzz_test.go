@@ -8,24 +8,38 @@ import (
 	"testing"
 )
 
-// FuzzSimRequest hardens the /v1/simulate request path from body bytes
-// to a runnable job: any body is either rejected as a badRequestError
-// (a 400) or yields a job whose config validates, whose size lies
-// within the server's limits, and whose timeout is positive and at most
-// MaxTimeout. The corpus is the committed bodies in
-// testdata/simrequest, added in file-name order.
-func FuzzSimRequest(f *testing.F) {
-	entries, err := os.ReadDir(filepath.Join("testdata", "simrequest"))
+// addCorpus seeds f with the committed bodies in testdata/<dir>, in
+// file-name order.
+func addCorpus(f *testing.F, dir string) {
+	entries, err := os.ReadDir(filepath.Join("testdata", dir))
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, e := range entries { // ReadDir sorts by file name
-		body, err := os.ReadFile(filepath.Join("testdata", "simrequest", e.Name()))
+		body, err := os.ReadFile(filepath.Join("testdata", dir, e.Name()))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body)
 	}
+}
+
+// checkRejection fails t unless err is a badRequestError (a 400).
+func checkRejection(t *testing.T, err error) {
+	t.Helper()
+	if !errors.As(err, new(badRequestError)) {
+		t.Fatalf("rejection is not a bad request: %T %v", err, err)
+	}
+}
+
+// FuzzSimRequest hardens the /v1/simulate request path from body bytes
+// to a runnable job: any body is either rejected as a badRequestError
+// (a 400) or yields a job whose config validates, whose size lies
+// within the server's limits, and whose timeout is positive and at most
+// MaxTimeout. The corpus is the committed bodies in
+// testdata/simrequest.
+func FuzzSimRequest(f *testing.F) {
+	addCorpus(f, "simrequest")
 	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SimRequest
@@ -35,15 +49,44 @@ func FuzzSimRequest(f *testing.F) {
 			job, err = s.validate(&req)
 		}
 		if err != nil {
-			if !errors.As(err, new(badRequestError)) {
-				t.Fatalf("rejection is not a bad request: %T %v", err, err)
-			}
+			checkRejection(t, err)
 			return
 		}
 		if err := job.cfg.Validate(); err != nil {
 			t.Fatalf("accepted job has an invalid config: %v", err)
 		}
 		if job.nodes < 1 || job.nodes > s.cfg.MaxNodes || job.batches < 1 || job.batches > s.cfg.MaxBatches {
+			t.Fatalf("accepted job size %d nodes × %d batches outside the server limits", job.nodes, job.batches)
+		}
+		if job.timeout <= 0 || job.timeout > s.cfg.MaxTimeout {
+			t.Fatalf("timeout_ms %d resolved to %v, outside (0, %v]", req.TimeoutMS, job.timeout, s.cfg.MaxTimeout)
+		}
+	})
+}
+
+// FuzzExpRequest does the same for /v1/experiment: any body is either a
+// badRequestError or a job naming a registered experiment, with nodes
+// and batches in [0, limit] (0 takes the experiment's default) and a
+// timeout in (0, MaxTimeout]. The corpus is the committed bodies in
+// testdata/exprequest.
+func FuzzExpRequest(f *testing.F) {
+	addCorpus(f, "exprequest")
+	s := New(Config{Workers: 1})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ExpRequest
+		err := decodeJSON(bytes.NewReader(body), &req)
+		var job *expJob
+		if err == nil {
+			job, err = s.validateExp(&req)
+		}
+		if err != nil {
+			checkRejection(t, err)
+			return
+		}
+		if job.exp.ID != req.ID || job.exp.Run == nil {
+			t.Fatalf("id %q resolved to experiment %q", req.ID, job.exp.ID)
+		}
+		if job.nodes < 0 || job.nodes > s.cfg.MaxNodes || job.batches < 0 || job.batches > s.cfg.MaxBatches {
 			t.Fatalf("accepted job size %d nodes × %d batches outside the server limits", job.nodes, job.batches)
 		}
 		if job.timeout <= 0 || job.timeout > s.cfg.MaxTimeout {

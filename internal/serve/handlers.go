@@ -167,12 +167,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	untrack := s.inflight.track(cancel)
 	defer untrack()
 
-	inst, err := s.insts.get(ctx, instKey{
-		name:     job.desc.Name,
-		nodes:    job.nodes,
-		pageSize: job.cfg.Flash.PageSize,
-		seed:     job.cfg.Seed,
-	})
+	inst, err := s.eng.Instance(ctx, job.desc.Name, job.nodes, job.cfg.Flash.PageSize, job.cfg.Seed)
 	if err != nil {
 		bk.CancelProbe() // materialization says nothing about engine health
 		s.finishErr(w, r, err)
@@ -208,7 +203,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.finishErr(w, r, err)
 		return
 	}
-	s.stale.put(fam, res, job.nodes, job.batches)
+	s.stale.Put(fam, staleRecord{res: res, nodes: job.nodes, batches: job.batches})
 	cacheHeader := "miss"
 	if hit {
 		cacheHeader = "hit"
@@ -231,7 +226,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // only blind-retry into the same open circuit), or 503 + Retry-After
 // when no stale result exists yet.
 func (s *Server) serveDegraded(w http.ResponseWriter, job *simJob, fam family, start time.Time, reason string) {
-	rec, ok := s.stale.get(fam)
+	rec, ok := s.stale.Get(fam)
 	if !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		s.writeError(w, http.StatusServiceUnavailable,
@@ -261,20 +256,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, err := core.ByID(req.ID)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
-		s.writeError(w, http.StatusBadRequest, "nodes %d outside [0, %d]", req.Nodes, s.cfg.MaxNodes)
-		return
-	}
-	if req.Batches < 0 || req.Batches > s.cfg.MaxBatches {
-		s.writeError(w, http.StatusBadRequest, "batches %d outside [0, %d]", req.Batches, s.cfg.MaxBatches)
-		return
-	}
-	timeout, err := s.requestTimeout(req.TimeoutMS)
+	job, err := s.validateExp(&req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -288,23 +270,23 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.reg.Summary(`beaconserved_request_seconds{endpoint="experiment"}`).Observe(time.Since(start))
 	}()
 
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), job.timeout)
 	defer cancel()
 	opts := &core.Options{
-		ScaleNodes: req.Nodes,
-		Batches:    req.Batches,
-		Quick:      req.Quick,
+		ScaleNodes: job.nodes,
+		Batches:    job.batches,
+		Quick:      job.quick,
 		Ctx:        ctx,
-		Engine:     s.eng, // shared pool and result memo across requests
+		Engine:     s.eng, // shared pool, result memo and instances across requests
 	}
 	var buf bytes.Buffer
-	if err := e.Run(opts, &buf); err != nil {
+	if err := job.exp.Run(opts, &buf); err != nil {
 		s.finishErr(w, r, err)
 		return
 	}
 	s.writeOK(w, ExpResponse{
-		ID:     e.ID,
-		Title:  e.Title,
+		ID:     job.exp.ID,
+		Title:  job.exp.Title,
 		WallMS: float64(time.Since(start).Microseconds()) / 1e3,
 		Output: buf.String(),
 	})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"beacongnn/internal/config"
+	"beacongnn/internal/core"
 	"beacongnn/internal/dataset"
 	"beacongnn/internal/platform"
 	"beacongnn/internal/sim"
@@ -148,6 +149,34 @@ func (s *Server) validate(req *SimRequest) (*simJob, error) {
 		return nil, badf("%v", err)
 	}
 	job.cfg = cfg
+	if job.timeout, err = s.requestTimeout(req.TimeoutMS); err != nil {
+		return nil, err
+	}
+	return job, nil
+}
+
+// expJob is a validated ExpRequest, ready to run.
+type expJob struct {
+	exp     core.Experiment
+	nodes   int // 0: the experiment's default scale
+	batches int // 0: the experiment's default
+	quick   bool
+	timeout time.Duration
+}
+
+// validateExp resolves an ExpRequest against the server's limits.
+func (s *Server) validateExp(req *ExpRequest) (*expJob, error) {
+	e, err := core.ByID(req.ID)
+	if err != nil {
+		return nil, badf("%v", err)
+	}
+	if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
+		return nil, badf("nodes %d outside [0, %d]", req.Nodes, s.cfg.MaxNodes)
+	}
+	if req.Batches < 0 || req.Batches > s.cfg.MaxBatches {
+		return nil, badf("batches %d outside [0, %d]", req.Batches, s.cfg.MaxBatches)
+	}
+	job := &expJob{exp: e, nodes: req.Nodes, batches: req.Batches, quick: req.Quick}
 	if job.timeout, err = s.requestTimeout(req.TimeoutMS); err != nil {
 		return nil, err
 	}

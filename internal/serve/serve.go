@@ -164,7 +164,6 @@ type Server struct {
 	cfg     Config
 	eng     *exp.Engine
 	reg     *metrics.Registry
-	insts   *instCache
 	adm     *admission
 	mux     *http.ServeMux
 	handler http.Handler // mux, or chaos middleware around it
@@ -172,15 +171,15 @@ type Server struct {
 
 	budget   *chaos.RetryBudget
 	breakers *breakerSet
-	stale    *staleCache
+	stale    *exp.Cache[family, staleRecord] // degraded-mode answers
 	inflight *drainSet
 	injector *chaos.Injector // nil unless chaos is enabled
 
 	draining atomic.Bool
 }
 
-// New builds a server: one shared engine (pool + LRU result memo), one
-// instance cache, one metrics registry.
+// New builds a server: one shared engine (pool, LRU result memo and LRU
+// instance cache), one metrics registry.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	eng := exp.New(cfg.Workers)
@@ -188,16 +187,16 @@ func New(cfg Config) *Server {
 		eng.EnableChecks()
 	}
 	eng.SetMemoCap(cfg.CacheResults)
+	eng.SetInstanceCap(cfg.CacheInstances)
 	s := &Server{
 		cfg:      cfg,
 		eng:      eng,
 		reg:      metrics.NewRegistry(),
-		insts:    newInstCache(cfg.CacheInstances, eng),
 		adm:      newAdmission(cfg.QueueDepth, cfg.CapacityQPS),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		budget:   chaos.NewRetryBudget(cfg.RetryBudgetRatio, 0),
-		stale:    newStaleCache(cfg.StaleCap),
+		stale:    exp.NewCache[family, staleRecord](cfg.StaleCap),
 		inflight: newDrainSet(),
 	}
 	s.breakers = newBreakerSet(chaos.BreakerConfig{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -235,12 +236,43 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestExperimentInstancesBoundedByCap: /v1/experiment materializes
+// through the engine's instance cache, so distinct scales evict past
+// CacheInstances instead of growing the heap without bound, and a
+// repeat of a resident scale is served without re-materializing.
+func TestExperimentInstancesBoundedByCap(t *testing.T) {
+	const capInstances = 2
+	s := newTestServer(t, Config{Workers: 2, CacheInstances: capInstances})
+	nodes := []int{300, 310, 320, 330}
+	run := func(n int) {
+		t.Helper()
+		w := post(t, s, "/v1/experiment", fmt.Sprintf(`{"id":"fig16","nodes":%d,"batches":1}`, n))
+		if w.Code != http.StatusOK {
+			t.Fatalf("nodes %d: code %d body %.200s", n, w.Code, w.Body)
+		}
+		if resident, _ := s.Engine().Instances(); resident > capInstances {
+			t.Fatalf("after nodes %d: %d resident instances, cap %d", n, resident, capInstances)
+		}
+	}
+	for _, n := range nodes {
+		run(n)
+	}
+	_, materialized := s.Engine().Instances()
+	if materialized != uint64(len(nodes)) {
+		t.Fatalf("materialized %d instances for %d distinct scales", materialized, len(nodes))
+	}
+	run(nodes[len(nodes)-1])
+	if _, again := s.Engine().Instances(); again != materialized {
+		t.Fatalf("repeat of a resident scale re-materialized (%d -> %d)", materialized, again)
+	}
+}
+
 func TestSheddingReturns429WithRetryAfter(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Occupy the engine's only worker slot so the admitted request parks.
 	block := make(chan struct{})
 	holding := make(chan struct{})
-	go s.Engine().Throttle(func() { close(holding); <-block })
+	go s.Engine().ThrottleCtx(context.Background(), func() error { close(holding); <-block; return nil })
 	<-holding
 
 	admitted := make(chan *httptest.ResponseRecorder, 1)

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"beacongnn/internal/platform"
 )
 
@@ -19,58 +16,11 @@ type family struct {
 
 // staleRecord is the last-known-good result of one family, plus the
 // shape it was computed at (reported back so a degraded client knows
-// what it is actually looking at).
+// what it is actually looking at). The server keeps them in an
+// exp.Cache capped at StaleCap, through Put and Get only: a resident
+// family is updated in place on the hot path, without allocating.
 type staleRecord struct {
 	res     *platform.Result
 	nodes   int
 	batches int
-	elem    *list.Element
-}
-
-// staleCache is a small LRU of last-known-good results per family,
-// feeding degraded mode: while a family's breaker is open the daemon
-// answers from here — explicitly marked — instead of 500ing. Updates
-// happen in place on the hot path (no allocation once a family is
-// resident).
-type staleCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[family]*staleRecord
-	lru list.List
-}
-
-func newStaleCache(cap int) *staleCache {
-	return &staleCache{cap: cap, m: make(map[family]*staleRecord)}
-}
-
-// put records a fresh success for the family.
-func (c *staleCache) put(f family, res *platform.Result, nodes, batches int) {
-	c.mu.Lock()
-	if rec, ok := c.m[f]; ok {
-		rec.res, rec.nodes, rec.batches = res, nodes, batches
-		c.lru.MoveToFront(rec.elem)
-		c.mu.Unlock()
-		return
-	}
-	rec := &staleRecord{res: res, nodes: nodes, batches: batches}
-	rec.elem = c.lru.PushFront(f)
-	c.m[f] = rec
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		delete(c.m, back.Value.(family))
-		c.lru.Remove(back)
-	}
-	c.mu.Unlock()
-}
-
-// get returns the family's last-known-good record, if any.
-func (c *staleCache) get(f family) (staleRecord, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.m[f]
-	if !ok {
-		return staleRecord{}, false
-	}
-	c.lru.MoveToFront(rec.elem)
-	return *rec, true
 }
