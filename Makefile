@@ -29,8 +29,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Run every fuzz target briefly — a smoke net over the decoder, the wire
-# formats, the event kernel's dispatch order and the simulate and
-# experiment request validators (Go runs one fuzz target per invocation,
+# formats, the RNG's jump-ahead, the event kernel's dispatch order and
+# the simulate and experiment request validators (Go runs one fuzz target per invocation,
 # hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
@@ -41,6 +41,8 @@ fuzz-smoke:
 		echo "== $$t"; \
 		$(GO) test ./internal/sampler/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	@echo "== FuzzJump"
+	@$(GO) test ./internal/xrand/ -run=NONE -fuzz=FuzzJump -fuzztime=$(FUZZTIME)
 	@echo "== FuzzKernelOrder"
 	@$(GO) test ./internal/sim/ -run=NONE -fuzz=FuzzKernelOrder -fuzztime=$(FUZZTIME)
 	@for t in FuzzSimRequest FuzzExpRequest; do \

@@ -122,10 +122,11 @@ func parseCLI(args []string, stderr io.Writer) (*cliConfig, error) {
 			return fail("%s must be non-negative, got %d", f.name, f.v)
 		}
 	}
-	if *faultRBER < 0 {
+	// !(v >= 0) also rejects NaN, which every comparison would let through.
+	if !(*faultRBER >= 0) {
 		return fail("-fault-rber must be non-negative, got %g", *faultRBER)
 	}
-	if *stormRBER < 0 {
+	if !(*stormRBER >= 0) {
 		return fail("-fault-storm-rber must be non-negative, got %g", *stormRBER)
 	}
 	if *stormStart < 0 || *stormEnd < 0 {

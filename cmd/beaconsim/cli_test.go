@@ -109,6 +109,8 @@ func TestParseCLIErrors(t *testing.T) {
 		{"negative-channels", []string{"-channels", "-1"}, "-channels"},
 		{"negative-rber", []string{"-fault-rber", "-0.1"}, "-fault-rber"},
 		{"rber-out-of-range", []string{"-fault-rber", "0.7"}, "out of range"},
+		{"nan-rber", []string{"-faults", "-fault-rber", "NaN"}, "-fault-rber"},
+		{"nan-storm-rber", []string{"-fault-storm-rber", "NaN", "-fault-storm-end", "1ms"}, "-fault-storm-rber"},
 		{"bad-dead-dies", []string{"-fault-dead-dies", "3,x"}, "bad index"},
 		{"dead-die-out-of-geometry", []string{"-faults", "-fault-dead-dies", "4096"}, "dead die"},
 		{"negative-shards", []string{"-shards", "-1"}, "-shards"},

@@ -1,6 +1,10 @@
 package dataset
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"beacongnn/internal/graph"
@@ -152,5 +156,72 @@ func TestMaterializeAllocs(t *testing.T) {
 		if limit := 32 + len(inst.Build.Pages)/256; allocs > float64(limit) {
 			t.Errorf("%s: %v allocs per Materialize, want ≤ %d", d.Name, allocs, limit)
 		}
+	}
+}
+
+// TestMaterializeFanoutAllocs accounts for what TestMaterializeAllocs
+// cannot see: testing.AllocsPerRun pins GOMAXPROCS to 1, so every build
+// there is one chunk. With two or more cores the chunked generation and
+// serialization add a fixed count of allocations (each fan-out's shared
+// state), the same at 5k as at 20k nodes.
+func TestMaterializeFanoutAllocs(t *testing.T) {
+	d, err := ByName("amazon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The runtime recycles goroutines and their wait records through
+	// per-P and central free lists; a collection empties the central
+	// ones, and refilling an empty list counts as mallocs. So after each
+	// collection, refill them all: park a few hundred goroutines, then
+	// let them all exit.
+	refill := func() {
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 256 {
+			wg.Add(1)
+			go func() {
+				<-release
+				wg.Done()
+			}()
+		}
+		close(release)
+		wg.Wait()
+	}
+	// mallocs is the fewest heap allocations of three builds, each
+	// measured right after a collection so that none starts inside it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(nodes int) uint64 {
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.GC()
+			refill()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Materialize(d, nodes, 4096, 1); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	sizes := []int{5000, 20_000}
+	var many []uint64
+	for _, n := range sizes {
+		many = append(many, mallocs(n))
+	}
+	procs := runtime.GOMAXPROCS(1)
+	for i, n := range sizes {
+		one := mallocs(n)
+		t.Logf("%d nodes: %d mallocs at GOMAXPROCS 1, %d at %d", n, one, many[i], procs)
+		many[i] -= one
+	}
+	if many[0] != many[1] {
+		t.Fatalf("fan-out adds %d mallocs at 5k nodes but %d at 20k: it grows with the graph", many[0], many[1])
+	}
+	if many[0] == 0 || many[0] > 12 {
+		t.Fatalf("fan-out adds %d mallocs, want 1..12", many[0])
 	}
 }

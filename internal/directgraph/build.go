@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"beacongnn/internal/fanout"
 	"beacongnn/internal/graph"
 )
 
@@ -292,11 +293,7 @@ func (b *builder) assign(degrees []int) error {
 		if plan.SecCount > 0 {
 			start := len(secs)
 			for s := 0; s < plan.SecCount; s++ {
-				count := plan.FullSecCount
-				if s == plan.SecCount-1 {
-					count = plan.LastSecCount
-				}
-				size := secondaryHeaderLen + count*addrLen
+				size := plan.secSize(s)
 				var addr Addr
 				var off int
 				if s < plan.SecCount-1 || size == l.PageSize {
@@ -356,6 +353,12 @@ func BuildLayout(l Layout, degrees []int, alloc PageAllocator) (*Build, error) {
 // Section VI-B). The returned Build's Pages hold what the flushed flash
 // blocks would contain.
 func BuildGraph(l Layout, g *graph.Graph, alloc PageAllocator) (*Build, error) {
+	return buildGraph(l, g, alloc, 0)
+}
+
+// buildGraph is BuildGraph with serialize's chunk count forced; 0 picks
+// it from the work.
+func buildGraph(l Layout, g *graph.Graph, alloc PageAllocator, chunks int) (*Build, error) {
 	if l.FeatureDim != g.FeatureDim() {
 		return nil, fmt.Errorf("directgraph: layout dim %d != graph dim %d", l.FeatureDim, g.FeatureDim())
 	}
@@ -371,86 +374,132 @@ func BuildGraph(l Layout, g *graph.Graph, alloc PageAllocator) (*Build, error) {
 		return nil, err
 	}
 	build := &Build{Layout: l, Plans: b.plans, Stats: b.stats}
-	if err := serialize(build, g); err != nil {
+	if err := serialize(build, g, chunks); err != nil {
 		return nil, err
 	}
 	return build, nil
 }
 
-// serialize writes every node's sections straight into their pages.
-// The metadata pass has fixed the page count, so all page images are cut
-// from one zeroed slab, each page on its first use; every allocated page
-// holds at least one section, which is why the slab never runs short.
-func serialize(build *Build, g *graph.Graph) error {
+// minChunk is the fewest section bytes worth a chunk of their own:
+// about a quarter of a millisecond of writes, against the microseconds
+// it takes to start a helper.
+const minChunk = 1 << 18
+
+// serialize writes every node's sections straight into their pages, in
+// two passes. The metadata pass has fixed the page count, so all page
+// images are cut from one zeroed slab. The first pass, serial, walks
+// the sections in node order, cuts each page on its first use and
+// checks that every section fits its page, so the layout and any error
+// are those of a plain serial build. The second pass writes chunks of
+// nodes (splitNodes; 0 chunks = fanout.Count of the section bytes)
+// concurrently. Sections of different nodes never share a byte, so
+// chunks that meet inside a shared page write disjoint parts of it.
+func serialize(build *Build, g *graph.Graph, chunks int) error {
 	l := build.Layout
 	ps := l.PageSize
 	npages := build.Stats.PrimaryPages + build.Stats.SecondaryPages
 	slab := make([]byte, npages*ps)
 	build.Pages = make(map[uint32][]byte, npages)
-	section := func(a Addr, off, size int) ([]byte, error) {
+	cut := func(a Addr, off, size int) error {
 		pn := l.Page(a)
-		p, ok := build.Pages[pn]
-		if !ok {
-			p, slab = slab[:ps:ps], slab[ps:]
-			build.Pages[pn] = p
+		if _, ok := build.Pages[pn]; !ok {
+			build.Pages[pn], slab = slab[:ps:ps], slab[ps:]
 		}
 		if off+size > ps {
-			return nil, fmt.Errorf("directgraph: page %d overflow at offset %d", pn, off)
+			return fmt.Errorf("directgraph: page %d overflow at offset %d", pn, off)
 		}
-		return p[off : off+size], nil
+		return nil
 	}
+	for v := range build.Plans {
+		plan := &build.Plans[v]
+		if err := cut(plan.Primary, plan.PrimaryOffset, plan.PrimarySize); err != nil {
+			return err
+		}
+		for s, sa := range plan.Secondaries {
+			if err := cut(sa, plan.SecOffsets[s], plan.secSize(s)); err != nil {
+				return err
+			}
+		}
+	}
+
 	// Neighbor entries are primary-section addresses; one flat table
 	// keeps the per-edge lookups off the much larger plan records.
 	addrs := make([]uint32, len(build.Plans))
 	for v := range build.Plans {
 		addrs[v] = uint32(build.Plans[v].Primary)
 	}
-
-	for v := range build.Plans {
-		plan := &build.Plans[v]
-		nbrs := g.Neighbors(graph.NodeID(v))
-		buf, err := section(plan.Primary, plan.PrimaryOffset, plan.PrimarySize)
-		if err != nil {
-			return err
-		}
-		buf[0] = SectionTypePrimary
-		putU16(buf, 2, plan.PrimarySize)
-		putU32(buf, 4, uint32(v))
-		putU32(buf, 8, uint32(plan.Degree))
-		putU16(buf, 12, plan.InlineCount)
-		putU16(buf, 14, plan.SecCount)
-		off := primaryHeaderLen
-		for _, sa := range plan.Secondaries {
-			putU32(buf, off, uint32(sa))
-			off += addrLen
-		}
-		for _, fb := range g.FeatureBits(graph.NodeID(v)) {
-			putU16(buf, off, int(fb))
-			off += 2
-		}
-		putAddrs(buf[off:], addrs, nbrs[:plan.InlineCount])
-
-		base := plan.InlineCount
-		for s, sa := range plan.Secondaries {
-			count := plan.FullSecCount
-			if s == plan.SecCount-1 {
-				count = plan.LastSecCount
-			}
-			size := secondaryHeaderLen + count*addrLen
-			sec, err := section(sa, plan.SecOffsets[s], size)
-			if err != nil {
-				return err
-			}
-			sec[0] = SectionTypeSecondary
-			putU16(sec, 2, size)
-			putU32(sec, 4, uint32(v))
-			putU32(sec, 8, uint32(base))
-			putU16(sec, 12, count)
-			putAddrs(sec[secondaryHeaderLen:], addrs, nbrs[base:base+count])
-			base += count
-		}
+	if chunks == 0 {
+		chunks = fanout.Count(int(build.Stats.UsedBytes), minChunk)
 	}
+	bounds := splitNodes(build.Plans, chunks)
+	fanout.Run(chunks, func(c int) {
+		for v := bounds[c]; v < bounds[c+1]; v++ {
+			writeNode(build, g, addrs, v)
+		}
+	})
 	return nil
+}
+
+// splitNodes cuts the nodes into chunks ranges of about equal section
+// bytes: chunk c is nodes [bounds[c], bounds[c+1]).
+func splitNodes(plans []NodePlan, chunks int) []int {
+	var total int64
+	for v := range plans {
+		total += int64(plans[v].sectionBytes())
+	}
+	bounds := make([]int, chunks+1)
+	c := 1
+	var before int64 // section bytes of the nodes before v
+	for v := range plans {
+		for c < chunks && before >= total*int64(c)/int64(chunks) {
+			bounds[c] = v
+			c++
+		}
+		before += int64(plans[v].sectionBytes())
+	}
+	for ; c <= chunks; c++ {
+		bounds[c] = len(plans)
+	}
+	return bounds
+}
+
+// writeNode writes node v's primary and secondary sections into their
+// pages, which serialize's first pass has cut and bounds-checked.
+func writeNode(build *Build, g *graph.Graph, addrs []uint32, v int) {
+	l := build.Layout
+	plan := &build.Plans[v]
+	nbrs := g.Neighbors(graph.NodeID(v))
+	buf := build.Pages[l.Page(plan.Primary)][plan.PrimaryOffset:][:plan.PrimarySize]
+	buf[0] = SectionTypePrimary
+	putU16(buf, 2, plan.PrimarySize)
+	putU32(buf, 4, uint32(v))
+	putU32(buf, 8, uint32(plan.Degree))
+	putU16(buf, 12, plan.InlineCount)
+	putU16(buf, 14, plan.SecCount)
+	off := primaryHeaderLen
+	for _, sa := range plan.Secondaries {
+		putU32(buf, off, uint32(sa))
+		off += addrLen
+	}
+	for _, fb := range g.FeatureBits(graph.NodeID(v)) {
+		putU16(buf, off, int(fb))
+		off += 2
+	}
+	putAddrs(buf[off:], addrs, nbrs[:plan.InlineCount])
+
+	base := plan.InlineCount
+	for s, sa := range plan.Secondaries {
+		count := plan.secEntries(s)
+		size := plan.secSize(s)
+		sec := build.Pages[l.Page(sa)][plan.SecOffsets[s]:][:size]
+		sec[0] = SectionTypeSecondary
+		putU16(sec, 2, size)
+		putU32(sec, 4, uint32(v))
+		putU32(sec, 8, uint32(base))
+		putU16(sec, 12, count)
+		putAddrs(sec[secondaryHeaderLen:], addrs, nbrs[base:base+count])
+		base += count
+	}
 }
 
 // putAddrs writes the primary-section address of each neighbor into b.

@@ -140,6 +140,23 @@ func (p *NodePlan) SecondaryIndexFor(idx int) int {
 	return (idx - p.InlineCount) / p.FullSecCount
 }
 
+// secEntries returns how many neighbor entries secondary section s
+// holds: the full capacity, except in the last section.
+func (p *NodePlan) secEntries(s int) int {
+	if s == p.SecCount-1 {
+		return p.LastSecCount
+	}
+	return p.FullSecCount
+}
+
+// secSize returns the byte size of secondary section s.
+func (p *NodePlan) secSize(s int) int { return secondaryHeaderLen + p.secEntries(s)*addrLen }
+
+// sectionBytes returns the bytes of all of the node's sections.
+func (p *NodePlan) sectionBytes() int {
+	return p.PrimarySize + p.SecCount*secondaryHeaderLen + (p.Degree-p.InlineCount)*addrLen
+}
+
 func putU16(b []byte, off int, v int)    { binary.LittleEndian.PutUint16(b[off:], uint16(v)) }
 func putU32(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 func getU16(b []byte, off int) int       { return int(binary.LittleEndian.Uint16(b[off:])) }

@@ -169,6 +169,11 @@ func TestGenerateValidation(t *testing.T) {
 		{Nodes: 10, AvgDegree: -1},
 		{Nodes: 10, AvgDegree: 10},
 		{Nodes: 10, FeatureDim: -1},
+		{Nodes: 10, AvgDegree: math.NaN()},
+		{Nodes: 10, AvgDegree: 3, PowerLaw: math.NaN()},
+		{Nodes: 10, AvgDegree: 3, PowerLaw: math.Inf(1)},
+		{Nodes: 10, AvgDegree: 3, PowerLaw: math.Inf(-1)},
+		{Nodes: 10, AvgDegree: 3, Locality: math.NaN()},
 	}
 	for _, c := range cases {
 		if _, err := Generate(c); err == nil {

@@ -9,7 +9,10 @@
 // exactly the subgraphs the reference implementation expects.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256** PRNG. The zero value is invalid; use New.
 type Source struct {
@@ -57,6 +60,88 @@ func (r *Source) Uint64() uint64 {
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
 	return result
+}
+
+// charPoly holds the low 256 coefficients of the characteristic
+// polynomial p(x) of the xoshiro256** state transition, a linear map over
+// GF(2)^256; the x^256 term is implicit. Word i bit j is the coefficient
+// of x^(64i+j). TestCharPolyDerived re-derives it by Berlekamp–Massey.
+var charPoly = [4]uint64{0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19}
+
+// Jump advances the stream by n draws, leaving it exactly where n calls
+// of Uint64 would. Because p(T) = 0 for the transition T, T^n equals
+// q(T) with q(x) = x^n mod p(x); Jump computes q by square-and-multiply
+// and then applies it in 256 steps, so its cost grows with log n, not n.
+func (r *Source) Jump(n uint64) {
+	if n == 0 {
+		return
+	}
+	// q = x^n mod p, left to right over the bits of n.
+	q := [4]uint64{1}
+	for i := bits.Len64(n) - 1; i >= 0; i-- {
+		q = polySquareMod(q)
+		if n>>uint(i)&1 != 0 {
+			q = polyMulXMod(q)
+		}
+	}
+	var acc [4]uint64
+	for i := 0; i < 256; i++ {
+		if q[i/64]>>(uint(i)%64)&1 != 0 {
+			for k := range acc {
+				acc[k] ^= r.s[k]
+			}
+		}
+		r.Uint64()
+	}
+	r.s = acc
+}
+
+// polyMulXMod returns a·x mod p.
+func polyMulXMod(a [4]uint64) [4]uint64 {
+	top := a[3] >> 63
+	a = [4]uint64{a[0] << 1, a[1]<<1 | a[0]>>63, a[2]<<1 | a[1]>>63, a[3]<<1 | a[2]>>63}
+	if top != 0 {
+		for k := range a {
+			a[k] ^= charPoly[k]
+		}
+	}
+	return a
+}
+
+// polySquareMod returns a² mod p. Squaring over GF(2) spreads the bits
+// (a_i x^i becomes a_i x^2i); the high half is then folded back down
+// one set bit at a time, each fold XORing in p shifted to that bit.
+func polySquareMod(a [4]uint64) [4]uint64 {
+	var w [8]uint64
+	for k, v := range a {
+		w[2*k] = spread32(uint32(v))
+		w[2*k+1] = spread32(uint32(v >> 32))
+	}
+	for k := 7; k >= 4; k-- {
+		for w[k] != 0 {
+			b := 63 - bits.LeadingZeros64(w[k])
+			w[k] &^= 1 << uint(b)
+			// x^(64k+b) ≡ x^(64k+b-256)·(p − x^256).
+			sh := 64*k + b - 256
+			ws, bs := sh/64, uint(sh%64)
+			for j, c := range charPoly {
+				w[j+ws] ^= c << bs
+				w[j+ws+1] ^= c >> (64 - bs) // 0 when bs == 0
+			}
+		}
+	}
+	return [4]uint64{w[0], w[1], w[2], w[3]}
+}
+
+// spread32 interleaves zeros into x: bit i moves to bit 2i.
+func spread32(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -184,3 +184,115 @@ func TestZipfPanicsAndEdges(t *testing.T) {
 	}
 	r.Zipf(0, 2.0)
 }
+
+func TestJumpMatchesStepping(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0xdeadbeefcafe} {
+		for _, n := range []uint64{0, 1, 2, 63, 64, 255, 256, 257, 65535, 1_000_003} {
+			want := New(seed)
+			for i := uint64(0); i < n; i++ {
+				want.Uint64()
+			}
+			got := New(seed)
+			got.Jump(n)
+			if got.s != want.s {
+				t.Fatalf("seed %d: Jump(%d) state %x, stepping %x", seed, n, got.s, want.s)
+			}
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d: after Jump(%d) drew %x, stepping drew %x", seed, n, a, b)
+			}
+		}
+	}
+}
+
+// TestJumpComposes checks Jump(a) then Jump(b) against Jump(a+b) at
+// distances too long to step, including the top bit of n.
+func TestJumpComposes(t *testing.T) {
+	for _, c := range [][2]uint64{{1 << 40, 3}, {1<<63 + 5, 1<<62 - 7}, {12345678901, 98765432109}} {
+		a, b := New(9), New(9)
+		a.Jump(c[0])
+		a.Jump(c[1])
+		b.Jump(c[0] + c[1])
+		if a.s != b.s {
+			t.Fatalf("Jump(%d)+Jump(%d) != Jump(%d)", c[0], c[1], c[0]+c[1])
+		}
+	}
+}
+
+// TestCharPolyDerived re-derives charPoly from the generator itself:
+// Berlekamp–Massey over 512 bits of a state bit's sequence finds the
+// minimal recurrence of that sequence. It has degree 256 because the
+// transition's characteristic polynomial is primitive, so the two
+// polynomials coincide.
+func TestCharPolyDerived(t *testing.T) {
+	r := New(7)
+	seq := make([]byte, 512)
+	for i := range seq {
+		seq[i] = byte(r.s[0] & 1)
+		r.Uint64()
+	}
+	c, l := berlekampMassey(seq)
+	if l != 256 {
+		t.Fatalf("linear complexity %d, want 256", l)
+	}
+	// p(x) = x^L + Σ c_i x^(L−i): the coefficient of x^k is c[L−k].
+	var p [4]uint64
+	for k := 0; k < l; k++ {
+		p[k/64] |= uint64(c[l-k]) << (k % 64)
+	}
+	if p != charPoly {
+		t.Fatalf("derived polynomial %#x, hard-coded %#x", p, charPoly)
+	}
+}
+
+// berlekampMassey returns the connection polynomial c (c[0] = 1) of
+// the shortest LFSR over GF(2) that generates seq, and its length.
+func berlekampMassey(seq []byte) ([]byte, int) {
+	n := len(seq)
+	c, b := make([]byte, n+1), make([]byte, n+1)
+	c[0], b[0] = 1, 1
+	l, m := 0, 1
+	for i := range seq {
+		d := seq[i]
+		for j := 1; j <= l; j++ {
+			d ^= c[j] & seq[i-j]
+		}
+		if d == 0 {
+			m++
+			continue
+		}
+		prev := append([]byte(nil), c...)
+		for j := 0; j+m <= n; j++ {
+			c[j+m] ^= b[j]
+		}
+		if 2*l <= i {
+			l, b, m = i+1-l, prev, 1
+		} else {
+			m++
+		}
+	}
+	return c[:l+1], l
+}
+
+func FuzzJump(f *testing.F) {
+	f.Add(uint64(1), uint16(0))
+	f.Add(uint64(42), uint16(300))
+	f.Add(uint64(0), uint16(65535))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
+		want := New(seed)
+		for i := 0; i < int(n); i++ {
+			want.Uint64()
+		}
+		got := New(seed)
+		got.Jump(uint64(n))
+		if got.s != want.s {
+			t.Fatalf("seed %d: Jump(%d) diverged from stepping", seed, n)
+		}
+	})
+}
+
+func BenchmarkJump(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.Jump(1<<40 + uint64(i))
+	}
+}
