@@ -224,10 +224,18 @@ type SimKey struct {
 
 // ConfigDigest returns a stable digest of every field of the config.
 // Config is a tree of scalar value types, so its Go-syntax representation
-// is a canonical encoding; FNV-64a over it gives a cheap, deterministic
-// key component. Any config change — seed, ablations, timing, geometry —
-// changes the digest and therefore misses the cache.
+// is a canonical encoding once empty slices are made nil (%#v prints
+// []int(nil) and []int{} differently, yet both mean no dead units);
+// FNV-64a over it gives a cheap, deterministic key component. Any config
+// change — seed, ablations, timing, geometry — changes the digest and
+// therefore misses the cache.
 func ConfigDigest(cfg config.Config) uint64 {
+	if len(cfg.Fault.DeadDies) == 0 {
+		cfg.Fault.DeadDies = nil
+	}
+	if len(cfg.Fault.DeadChannels) == 0 {
+		cfg.Fault.DeadChannels = nil
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%#v", cfg)
 	return h.Sum64()

@@ -56,6 +56,17 @@ func TestConfigDigestDistinguishesFields(t *testing.T) {
 	}
 }
 
+// TestConfigDigestEmptyDeadListsAreNil checks that an empty dead-unit
+// list digests like an absent one: both mean no unit is dead.
+func TestConfigDigestEmptyDeadListsAreNil(t *testing.T) {
+	base := config.Default()
+	empty := base
+	empty.Fault.DeadDies, empty.Fault.DeadChannels = []int{}, []int{}
+	if ConfigDigest(empty) != ConfigDigest(base) {
+		t.Fatal("empty and nil dead-unit lists digest differently")
+	}
+}
+
 func TestSimulateMemoizes(t *testing.T) {
 	e := New(4)
 	inst := testInstance(t)

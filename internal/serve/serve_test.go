@@ -169,6 +169,25 @@ func TestSimulateMatchesDirectRunAndCaches(t *testing.T) {
 	}
 }
 
+// A fault block with empty dead-unit lists is the same simulation as
+// one that omits them, so it must be served from the same memo entry.
+func TestEmptyDeadListsShareMemoEntry(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	for i, fault := range []string{`{}`, `{"dead_dies":[]}`, `{"dead_dies":[],"dead_channels":[]}`} {
+		w := post(t, s, "/v1/simulate", simBody("BG-2", `"fault":`+fault))
+		if w.Code != http.StatusOK {
+			t.Fatalf("fault %s: code %d body %s", fault, w.Code, w.Body)
+		}
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if h := w.Header().Get("X-Cache"); h != want {
+			t.Fatalf("fault %s: X-Cache = %q, want %q", fault, h, want)
+		}
+	}
+}
+
 func TestSimulateDeadlineExceeded(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	// 1 ms cannot materialize + simulate 2000 nodes; the deadline fires

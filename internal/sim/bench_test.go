@@ -1,16 +1,17 @@
 package sim
 
 // Microbenchmarks for the event kernel and the FIFO service center.
-// Run with -benchmem: the delay-lane queue schedules events with zero
-// per-event allocations (lane events are recycled through one slab), and
-// the head-indexed Server ring pops without reslicing the backlog.
+// Run with -benchmem: the timing-wheel queue schedules events with zero
+// per-event allocations (every event is recycled through one slab, and
+// a warm kernel takes the whole queue off the shelf), and the
+// head-indexed Server ring pops without reslicing the backlog.
 
 import "testing"
 
 // BenchmarkEventKernel measures raw schedule+dispatch throughput: a
 // chain of self-rescheduling events interleaved with a fan-out burst of
-// 64 distinct delays, so most lanes hold a single event and the head
-// heap works at depth.
+// 64 distinct times, so most wheel slots hold a single event and the
+// bitmap scan steps over gaps.
 func BenchmarkEventKernel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -23,7 +24,7 @@ func BenchmarkEventKernel(b *testing.B) {
 				k.After(Time(7+n%13), spin)
 			}
 		}
-		// A standing burst so the heap works at depth, not as a queue.
+		// A standing burst so the queue holds many times, not one FIFO.
 		for j := 0; j < 64; j++ {
 			k.At(Time(j*3), func() {})
 		}
@@ -33,8 +34,8 @@ func BenchmarkEventKernel(b *testing.B) {
 }
 
 // BenchmarkKernelDeep measures scheduling against a deep standing queue
-// of mostly unique delays: the lanes fill and the rest overflows into
-// the 4-ary overflow heap.
+// of mostly unique times up to 100 µs out: those within the wheel's
+// horizon take slots, and the rest overflow into the 4-ary heap.
 func BenchmarkKernelDeep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

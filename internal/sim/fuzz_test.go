@@ -8,9 +8,11 @@ import (
 // FuzzKernelOrder drives the kernel with a byte-coded program of At,
 // After, Server and RunUntil calls and asserts that events dispatch in
 // exactly (time, scheduling-sequence) order. Delays mix a few repeated
-// values (the common case of fixed device timings) with a stream of
-// unique ones, more than the kernel keeps fast lanes for, so both the
-// lane path and the overflow path are exercised, alone and interleaved.
+// values (the common case of fixed device timings), a stream of unique
+// ones and the wheel's edges (one short of, at and one past its
+// horizon), so both the wheel and the overflow heap are exercised,
+// alone and interleaved; RunUntil windows up to many horizons long move
+// the clock across the wheel's wrap.
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0x0f, 5, 0x80, 0x81, 0x1f, 200, 0x2f, 3})
@@ -24,7 +26,7 @@ func FuzzKernelOrder(f *testing.F) {
 
 // fuzzRepeated is the small set of recurring delays the program draws
 // from, including zero (same-time events) and duplicates of each other's
-// sums so lanes collide in time.
+// sums so events collide in time.
 var fuzzRepeated = [...]Time{0, 1, 3, 7, 7000, 25_000, 50_000, 3}
 
 type fuzzEvent struct {
@@ -65,6 +67,9 @@ func checkKernelOrder(t *testing.T, prog []byte) {
 			d = unique
 		default:
 			d = Time(op & 63)
+			if d >= 61 {
+				d += wheelSize - 62 // wheelSize−1, wheelSize, wheelSize+1
+			}
 		}
 		respawn := op*31 + 17
 		switch op % 3 {
@@ -84,7 +89,7 @@ func checkKernelOrder(t *testing.T, prog []byte) {
 			// RunUntil window: nothing past the limit may run, and the
 			// clock lands exactly on the limit.
 			p++
-			limit := k.Now() + Time(prog[p])*Time(1+op>>4)
+			limit := k.Now() + Time(prog[p])<<(op>>4)
 			before := len(fired)
 			drained := k.RunUntil(limit)
 			for _, i := range fired[before:] {
@@ -130,8 +135,9 @@ func checkKernelOrder(t *testing.T, prog []byte) {
 }
 
 // TestKernelOrderLongProgram runs one long fixed program through the
-// fuzz oracle on every `go test`, enough unique delays to fill every
-// fast lane and spill into the overflow heap.
+// fuzz oracle on every `go test`, with enough unique and horizon-edge
+// delays to spill into the overflow heap and windows long enough to
+// wrap the wheel.
 func TestKernelOrderLongProgram(t *testing.T) {
 	prog := make([]byte, 4000)
 	for i := range prog {

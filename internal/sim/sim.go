@@ -14,7 +14,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
+
+	"beacongnn/internal/pool"
 )
 
 // Time is a point in simulated time, in nanoseconds.
@@ -61,9 +64,8 @@ func (t Time) String() string {
 // event is a scheduled callback. The common case carries a closure in
 // fn; Server completions instead carry the (srv, slot) pair of the
 // in-service request, so the hot request path schedules zero closures —
-// step dispatches srv.complete(slot) directly. next links a lane's
-// events through the kernel's slab (see laneQueue); it is unused in the
-// overflow heap.
+// step dispatches srv.complete(slot) directly. next links a wheel slot's
+// events, or the free list, through the queue's slab (see queue).
 type event struct {
 	at   Time
 	seq  uint64 // tiebreaker: FIFO among equal times
@@ -73,29 +75,35 @@ type event struct {
 	next int32
 }
 
-// before orders events by (time, insertion sequence).
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// ref is an overflow-heap entry: the (time, seq) key of an event and
+// its slab index. It holds no pointers, so heap moves need no GC write
+// barriers.
+type ref struct {
+	at  Time
+	seq uint64
+	i   int32
 }
 
-// eventQueue is a slice-backed 4-ary min-heap of events: the kernel's
-// overflow for delays that have no lane (see laneQueue). A concrete heap
-// avoids container/heap's per-operation interface boxing, and the 4-ary
-// shape halves the tree depth.
+// before orders refs by (time, insertion sequence).
+func (r *ref) before(o *ref) bool {
+	if r.at != o.at {
+		return r.at < o.at
+	}
+	return r.seq < o.seq
+}
+
+// eventQueue is a slice-backed 4-ary min-heap of refs: the kernel's
+// overflow for events due at or past the wheel's horizon (see queue).
+// A concrete heap avoids container/heap's per-operation interface
+// boxing, and the 4-ary shape halves the tree depth.
 type eventQueue struct {
-	ev []event
+	ev []ref
 }
 
 func (q *eventQueue) len() int { return len(q.ev) }
 
-func (q *eventQueue) push(e event) {
-	if q.ev == nil {
-		q.ev = make([]event, 0, overflowInitCap)
-	}
-	q.ev = append(q.ev, e)
+func (q *eventQueue) push(r ref) {
+	q.ev = append(q.ev, r)
 	i := len(q.ev) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -107,11 +115,10 @@ func (q *eventQueue) push(e event) {
 	}
 }
 
-func (q *eventQueue) pop() event {
+func (q *eventQueue) pop() ref {
 	top := q.ev[0]
 	n := len(q.ev) - 1
 	q.ev[0] = q.ev[n]
-	q.ev[n] = event{} // drop the fn reference so closures can be collected
 	q.ev = q.ev[:n]
 	if n > 1 {
 		q.siftDown(0)
@@ -141,194 +148,158 @@ func (q *eventQueue) siftDown(i int) {
 	}
 }
 
-// Delay lanes. Device timings are fixed per configuration, so a run
-// schedules almost every event with one of a few dozen distinct delays
-// (DESIGN §10 counts them). The clock never moves backwards and seq only
-// grows, so events scheduled with the same delay d = at − now arrive
-// already in (time, seq) order: each delay gets a FIFO lane, and only
-// the lane heads need sorting. The lane table is direct-mapped by a hash
-// of d — one probe — and an empty lane is re-keyed to whichever delay
-// next maps to it. A delay whose slot is held by a non-empty lane of
-// another delay goes to the overflow heap; dispatch takes the earlier of
-// the two tops, so the order is exactly (time, seq) either way.
+// The timing wheel. Simulated time is integer nanoseconds and nearly
+// every event is due a few µs past now, so the queue keeps one slot per
+// nanosecond of [now, now+wheelSize): an event due at t goes to slot
+// t & wheelMask. Every queued wheel event lies in that window (now only
+// advances to the earliest queued time), so one slot holds exactly one
+// timestamp, and seq only grows, so each slot's FIFO is already in
+// (time, seq) order. Events due at or past the horizon go to the
+// overflow heap; dispatch takes the earlier of the two tops on
+// (time, seq), so an overflow event that time has brought inside the
+// window still runs before later-scheduled wheel events at its time.
+// 2^15 ns is the smallest horizon that holds the traditional platform's
+// 20 µs flash reads (DESIGN §10 has the census).
 const (
-	laneBits = 6
-	laneCap  = 1 << laneBits
-
-	// Initial capacities of the event slab and the overflow heap: one
-	// allocation each covers a small run's whole queue.
-	slabInitCap     = 64
-	overflowInitCap = 32
+	wheelSize = 1 << 15
+	wheelMask = wheelSize - 1
 )
 
-// lane is one delay's FIFO, threaded through the slab by event.next.
-// head and tail are slab indexes; head 0 (the slab's sentinel) means the
-// lane is empty and may be re-keyed.
-type lane struct {
-	delay      Time
-	head, tail int32
-}
+// wheelSlot is one timestamp's FIFO, threaded through the slab by
+// event.next; head and tail are slab indexes, and head 0 (the slab's
+// sentinel) means the slot is empty.
+type wheelSlot struct{ head, tail int32 }
 
-// laneHead is a lane's first event in the head heap: its time and its
-// seq packed above the lane index, so (at, key) orders like (at, seq).
-// seq would need 2^58 events to overflow.
-type laneHead struct {
-	at  Time
-	key uint64 // seq<<laneBits | lane
-}
-
-func (h *laneHead) before(o *laneHead) bool {
-	if h.at != o.at {
-		return h.at < o.at
-	}
-	return h.key < o.key
-}
-
-// beforeEvent reports whether the lane head precedes overflow event e.
-func (h *laneHead) beforeEvent(e *event) bool {
-	if h.at != e.at {
-		return h.at < e.at
-	}
-	return h.key>>laneBits < e.seq
-}
-
-// laneQueue is the kernel's event queue: delay lanes under a 4-ary head
-// heap, plus the overflow heap. The lane table and head heap are fixed
-// arrays, so the queue's only allocations are slab and overflow growth.
-type laneQueue struct {
-	lanes  [laneCap]lane
-	heads  [laneCap]laneHead // 4-ary min-heap of non-empty lanes' heads
-	nheads int
-	// slab holds lane events; slab[0] is a sentinel so index 0 can mean
-	// "none". free heads a free list linked through event.next.
+// queue is the kernel's pending-event store: every queued event lives
+// in slab, ordered by the wheel or the overflow heap. A kernel takes a
+// queue off queueShelf at its first push and Run hands it back drained
+// (heads and bitmap zero, slab at its sentinel), so a warm run
+// allocates no queue storage. The slices come first so the garbage
+// collector's scan of a queue stops before the pointer-free arrays.
+type queue struct {
+	// slab[0] is a sentinel so index 0 can mean "none"; free heads a
+	// free list linked through event.next.
 	slab     []event
-	free     int32
-	inLanes  int
 	overflow eventQueue
+	free     int32
+	n        int                    // queued events, wheel and overflow
+	bits     [wheelSize / 64]uint64 // non-empty slots
+	slots    [wheelSize]wheelSlot
 }
 
-func (q *laneQueue) len() int { return q.inLanes + q.overflow.len() }
+var queueShelf = pool.NewShelf(func() *queue { return &queue{slab: make([]event, 1, 64)} })
 
-// push queues e, scheduled d after the current time.
-func (q *laneQueue) push(e event, d Time) {
-	l := int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneBits))
-	ln := &q.lanes[l]
-	if ln.head != 0 && ln.delay != d {
-		q.overflow.push(e)
-		return
+// push queues a callback due at time at (never before now), numbering
+// it in scheduling order. A kernel holding no queue takes one off the
+// shelf.
+func (k *Kernel) push(at Time, fn func(), srv *Server, slot int32) {
+	q := k.q
+	if q == nil {
+		k.qs = queueShelf.List()
+		q = k.qs.Get()
+		k.q = q
 	}
+	k.seq++
 	i := q.free
 	if i != 0 {
 		q.free = q.slab[i].next
-		q.slab[i] = e
 	} else {
-		if q.slab == nil {
-			q.slab = make([]event, 1, slabInitCap)
-		}
 		i = int32(len(q.slab))
-		q.slab = append(q.slab, e)
+		q.slab = append(q.slab, event{})
 	}
-	q.inLanes++
-	if ln.head != 0 {
-		q.slab[ln.tail].next = i
-		ln.tail = i
+	// Field by field: a whole-struct copy from the stack stalls on store
+	// forwarding.
+	e := &q.slab[i]
+	e.at, e.seq, e.fn, e.srv, e.slot, e.next = at, k.seq, fn, srv, slot, 0
+	q.n++
+	if at-k.now >= wheelSize {
+		q.overflow.push(ref{at: at, seq: k.seq, i: i})
 		return
 	}
-	ln.delay, ln.head, ln.tail = d, i, i
-	// Sift the new head up the head heap.
-	h := laneHead{at: e.at, key: e.seq<<laneBits | uint64(l)}
-	j := q.nheads
-	q.nheads++
-	for j > 0 {
-		p := (j - 1) / 4
-		if !h.before(&q.heads[p]) {
-			break
+	s := int(at) & wheelMask
+	sl := &q.slots[s]
+	if sl.head != 0 {
+		q.slab[sl.tail].next = i
+		sl.tail = i
+		return
+	}
+	sl.head, sl.tail = i, i
+	q.bits[s>>6] |= 1 << (s & 63)
+}
+
+// wheelFirst returns the slab index of the earliest wheel event, or 0:
+// the head of the first non-empty slot at or after now's, wrapping.
+func (q *queue) wheelFirst(now Time) int32 {
+	if q.n == q.overflow.len() {
+		return 0
+	}
+	s := int(now) & wheelMask
+	w := s >> 6
+	if b := q.bits[w] >> (s & 63); b != 0 {
+		return q.slots[s+bits.TrailingZeros64(b)].head
+	}
+	// Ending on word w again picks up the slots that wrapped below s.
+	for n := 1; n <= len(q.bits); n++ {
+		j := (w + n) & (len(q.bits) - 1)
+		if b := q.bits[j]; b != 0 {
+			return q.slots[j<<6+bits.TrailingZeros64(b)].head
 		}
-		q.heads[j] = q.heads[p]
-		j = p
 	}
-	q.heads[j] = h
+	panic("sim: wheel count and bitmap disagree")
 }
 
-// laneFirst reports whether the earliest queued event is a lane head
-// rather than the overflow heap's top.
-func (q *laneQueue) laneFirst() bool {
-	return q.nheads > 0 && (q.overflow.len() == 0 || q.heads[0].beforeEvent(&q.overflow.ev[0]))
+// first returns the slab index of the earliest queued event and whether
+// it is the overflow heap's top. The queue must be non-empty.
+func (q *queue) first(now Time) (int32, bool) {
+	i := q.wheelFirst(now)
+	if q.overflow.len() == 0 {
+		return i, false
+	}
+	top := &q.overflow.ev[0]
+	if i == 0 || top.before(&ref{at: q.slab[i].at, seq: q.slab[i].seq}) {
+		return top.i, true
+	}
+	return i, false
 }
 
-// peek returns the earliest queued event's time.
-func (q *laneQueue) peek() (Time, bool) {
-	switch {
-	case q.laneFirst():
-		return q.heads[0].at, true
-	case q.overflow.len() > 0:
-		return q.overflow.ev[0].at, true
-	}
-	return 0, false
+// peek returns the earliest queued event's time. The queue must be
+// non-empty.
+func (q *queue) peek(now Time) Time {
+	i, _ := q.first(now)
+	return q.slab[i].at
 }
 
 // pop removes the earliest queued event and returns its fields, field
 // by field so the hot path copies no event struct. The queue must be
 // non-empty.
-func (q *laneQueue) pop() (at Time, fn func(), srv *Server, slot int32) {
-	if !q.laneFirst() {
-		e := q.overflow.pop()
-		return e.at, e.fn, e.srv, e.slot
-	}
-	l := int(q.heads[0].key & (laneCap - 1))
-	ln := &q.lanes[l]
-	i := ln.head
+func (q *queue) pop(now Time) (at Time, fn func(), srv *Server, slot int32) {
+	i, overflow := q.first(now)
 	e := &q.slab[i]
-	at, fn, srv, slot, next := e.at, e.fn, e.srv, e.slot, e.next
-	// Drop the callback references and recycle the slot.
+	at, fn, srv, slot = e.at, e.fn, e.srv, e.slot
+	if overflow {
+		q.overflow.pop()
+	} else {
+		s := int(at) & wheelMask
+		if q.slots[s].head = e.next; e.next == 0 {
+			q.bits[s>>6] &^= 1 << (s & 63)
+		}
+	}
+	// Drop the callback references and recycle the slab entry; the last
+	// pop rewinds the slab to its sentinel.
 	e.fn, e.srv, e.next = nil, nil, q.free
 	q.free = i
-	q.inLanes--
-	if ln.head = next; next != 0 {
-		n := &q.slab[next]
-		q.siftHead(laneHead{at: n.at, key: n.seq<<laneBits | uint64(l)})
-	} else {
-		q.nheads--
-		if q.nheads > 0 {
-			q.siftHead(q.heads[q.nheads])
-		}
+	if q.n--; q.n == 0 {
+		q.slab, q.free = q.slab[:1], 0
 	}
 	return at, fn, srv, slot
-}
-
-// siftHead places h at the root of the head heap and sifts it down.
-func (q *laneQueue) siftHead(h laneHead) {
-	n := q.nheads
-	j := 0
-	for {
-		first := 4*j + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.heads[c].before(&q.heads[best]) {
-				best = c
-			}
-		}
-		if !q.heads[best].before(&h) {
-			break
-		}
-		q.heads[j] = q.heads[best]
-		j = best
-	}
-	q.heads[j] = h
 }
 
 // Kernel is the discrete-event engine. The zero value is ready to use.
 type Kernel struct {
 	now      Time
 	seq      uint64
-	events   laneQueue
+	q        *queue // nil until the first push and after a drained Run
+	qs       pool.List[queue]
 	steps    uint64
 	stopped  bool
 	canceled bool
@@ -358,7 +329,12 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Steps() uint64 { return k.steps }
 
 // Pending returns the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return k.events.len() }
+func (k *Kernel) Pending() int {
+	if k.q == nil {
+		return 0
+	}
+	return k.q.n
+}
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it would silently reorder causality.
@@ -366,8 +342,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
-	k.seq++
-	k.events.push(event{at: t, seq: k.seq, fn: fn}, t-k.now)
+	k.push(t, fn, nil, 0)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative delays panic.
@@ -382,8 +357,7 @@ func (k *Kernel) After(d Time, fn func()) {
 // closure: the event carries the (server, slot) pair and step dispatches
 // it directly. Service times are validated non-negative at Submit.
 func (k *Kernel) afterServer(d Time, s *Server, slot int32) {
-	k.seq++
-	k.events.push(event{at: k.now + d, seq: k.seq, srv: s, slot: slot}, d)
+	k.push(k.now+d, nil, s, slot)
 }
 
 // SetProbe installs a per-event observer: it runs before each event's
@@ -455,13 +429,19 @@ func (k *Kernel) pollCancel() bool {
 }
 
 // Run executes events until the queue is empty, Stop is called, or the
-// cancel poll fires.
+// cancel poll fires. Returning drained, it hands the queue's storage
+// back to the shelf for the next run.
 func (k *Kernel) Run() {
-	for k.events.len() > 0 && !k.stopped {
+	for k.Pending() > 0 && !k.stopped {
 		if k.pollCancel() {
 			return
 		}
 		k.step()
+	}
+	if k.q != nil && k.q.n == 0 {
+		k.qs.Put(k.q)
+		k.qs.Release()
+		k.q = nil
 	}
 }
 
@@ -471,11 +451,11 @@ func (k *Kernel) Run() {
 // reports whether the queue drained.
 func (k *Kernel) RunUntil(limit Time) bool {
 	for {
-		at, ok := k.events.peek()
+		ok := k.Pending() > 0
 		if k.stopped || k.pollCancel() {
 			return !ok
 		}
-		if !ok || at > limit {
+		if !ok || k.q.peek(k.now) > limit {
 			if limit > k.now {
 				k.now = limit
 			}
@@ -486,7 +466,7 @@ func (k *Kernel) RunUntil(limit Time) bool {
 }
 
 func (k *Kernel) step() {
-	at, fn, srv, slot := k.events.pop()
+	at, fn, srv, slot := k.q.pop(k.now)
 	k.now = at
 	k.steps++
 	if k.probe != nil {

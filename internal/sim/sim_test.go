@@ -395,12 +395,12 @@ func TestEventQueueHeapProperty(t *testing.T) {
 		var seq uint64
 		for i, d := range delays {
 			seq++
-			q.push(event{at: Time(d), seq: seq})
+			q.push(ref{at: Time(d), seq: seq})
 			if i%3 == 2 && q.len() > 0 {
 				q.pop() // exercise mid-stream pops too
 			}
 		}
-		var prev event
+		var prev ref
 		first := true
 		for q.len() > 0 {
 			e := q.pop()
