@@ -28,12 +28,12 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Run every fuzz target briefly — a smoke net over the decoder, the wire
-# formats, the RNG's jump-ahead, the event kernel's dispatch order and
-# the simulate and experiment request validators (Go runs one fuzz target per invocation,
-# hence the loops).
+# Run every fuzz target briefly — a smoke net over the decoder, the image
+# walker, the wire formats, the RNG's jump-ahead, the event kernel's
+# dispatch order and the simulate and experiment request validators (Go
+# runs one fuzz target per invocation, hence the loops).
 fuzz-smoke:
-	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage; do \
+	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage FuzzValidate; do \
 		echo "== $$t"; \
 		$(GO) test ./internal/directgraph/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
 	done

@@ -24,6 +24,7 @@ package beacongnn
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/core"
@@ -113,23 +114,37 @@ func Run(p Platform, cfg Config, inst *Dataset, numBatches int) (*Result, error)
 // subgraph is sampled with the same TRNG+modulo procedure the die-level
 // samplers implement, and the reference GraphSage-style forward pass
 // (vector_sum aggregation + perceptron updates, Section II-A) produces
-// the target's final embedding. Deterministic for a given seed.
+// the target's final embedding from the features in the DirectGraph
+// image. Deterministic for a given seed.
 func Embed(inst *Dataset, target int, cfg Config, seed uint64) ([]float32, error) {
-	if inst == nil || target < 0 || target >= inst.Graph.NumNodes() {
-		return nil, fmt.Errorf("beacongnn: target %d out of range", target)
+	model, err := modelOver(inst, cfg)
+	if err != nil {
+		return nil, err
 	}
-	model := gnn.Model{
-		Hops:      cfg.GNN.Hops,
-		Fanout:    cfg.GNN.Fanout,
-		InputDim:  inst.Desc.FeatureDim,
-		HiddenDim: cfg.GNN.HiddenDim,
+	if target < 0 || target >= inst.Graph.NumNodes() {
+		return nil, fmt.Errorf("beacongnn: target %d out of range", target)
 	}
 	sg, err := graph.SampleSubgraph(inst.Graph, graph.NodeID(target),
 		graph.SampleSpec{Hops: model.Hops, Fanout: model.Fanout}, xrand.New(seed))
 	if err != nil {
 		return nil, err
 	}
-	return gnn.Forward(inst.Graph, sg, gnn.NewWeights(model, seed))
+	return gnn.Forward(inst.Build, sg, gnn.NewWeights(model, seed))
+}
+
+// modelOver returns cfg's GNN model over inst's features. It rejects an
+// instance without its graph or its DirectGraph image, which holds the
+// features.
+func modelOver(inst *Dataset, cfg Config) (gnn.Model, error) {
+	if inst == nil || inst.Graph == nil || inst.Build == nil {
+		return gnn.Model{}, fmt.Errorf("beacongnn: need an instance with its graph and DirectGraph build")
+	}
+	return gnn.Model{
+		Hops:      cfg.GNN.Hops,
+		Fanout:    cfg.GNN.Fanout,
+		InputDim:  inst.Desc.FeatureDim,
+		HiddenDim: cfg.GNN.HiddenDim,
+	}, nil
 }
 
 // Train runs a teacher–student functional training loop: a frozen
@@ -138,16 +153,15 @@ func Embed(inst *Dataset, target int, cfg Config, seed uint64) ([]float32, error
 // per-step losses, which decrease as the student approximates the
 // teacher — an end-to-end correctness demonstration of the GNN compute
 // the simulated accelerator executes (gradients are finite-difference
-// verified in the test suite).
+// verified in the test suite). A step whose loss is not finite ends the
+// run with an error: the learning rate made the student diverge.
 func Train(inst *Dataset, steps int, lr float32, cfg Config, seed uint64) ([]float32, error) {
-	if inst == nil || steps <= 0 || lr <= 0 {
-		return nil, fmt.Errorf("beacongnn: Train needs an instance, positive steps and lr")
+	model, err := modelOver(inst, cfg)
+	if err != nil {
+		return nil, err
 	}
-	model := gnn.Model{
-		Hops:      cfg.GNN.Hops,
-		Fanout:    cfg.GNN.Fanout,
-		InputDim:  inst.Desc.FeatureDim,
-		HiddenDim: cfg.GNN.HiddenDim,
+	if steps <= 0 || !(lr > 0) || math.IsInf(float64(lr), 1) {
+		return nil, fmt.Errorf("beacongnn: Train needs positive steps and a positive finite lr, got %d and %v", steps, lr)
 	}
 	teacher := gnn.NewWeights(model, seed+1)
 	student := gnn.NewWeights(model, seed)
@@ -160,13 +174,16 @@ func Train(inst *Dataset, steps int, lr float32, cfg Config, seed uint64) ([]flo
 		if err != nil {
 			return nil, err
 		}
-		label, err := gnn.Forward(inst.Graph, sg, teacher)
+		label, err := gnn.Forward(inst.Build, sg, teacher)
 		if err != nil {
 			return nil, err
 		}
-		loss, grads, err := gnn.LossAndGradients(inst.Graph, sg, student, label)
+		loss, grads, err := gnn.LossAndGradients(inst.Build, sg, student, label)
 		if err != nil {
 			return nil, err
+		}
+		if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
+			return nil, fmt.Errorf("beacongnn: Train diverged at step %d (loss %v); lower lr %v", i, loss, lr)
 		}
 		if err := gnn.SGDStep(student, grads, lr); err != nil {
 			return nil, err

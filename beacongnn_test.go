@@ -1,6 +1,7 @@
 package beacongnn
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -107,7 +108,28 @@ func TestTrainLossDecreases(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, 10, 0.1, DefaultConfig(), 1); err == nil {
+	cfg := DefaultConfig()
+	if _, err := Train(nil, 10, 0.1, cfg, 1); err == nil {
 		t.Fatal("nil instance accepted")
+	}
+	if _, err := Train(&Dataset{}, 10, 0.1, cfg, 1); err == nil {
+		t.Fatal("Train accepted an instance without graph or build")
+	}
+	if _, err := Embed(&Dataset{}, 0, cfg, 1); err == nil {
+		t.Fatal("Embed accepted an instance without graph or build")
+	}
+	inst, err := BuildDataset("OGBN", 500, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lr := range []float32{float32(math.NaN()), float32(math.Inf(1)), 0, -0.1} {
+		if losses, err := Train(inst, 10, lr, cfg, 1); err == nil {
+			t.Errorf("lr %v accepted, losses %v", lr, losses)
+		}
+	}
+	// A finite lr this large diverges within a few steps: Train must
+	// stop with an error instead of reporting the losses.
+	if losses, err := Train(inst, 10, 1e6, cfg, 1); err == nil {
+		t.Errorf("lr 1e6 diverged silently, losses %v", losses)
 	}
 }

@@ -10,7 +10,7 @@
 //	dgtool -dataset amazon -node 42        # decode one node's sections
 //
 // The validate subcommand walks a materialized image, decodes every
-// section, and chases every embedded secondary address:
+// section, chases every embedded address and lists every issue:
 //
 //	dgtool validate -dataset amazon
 //	dgtool validate -nodes 5000 -corrupt 3 -drop 2   # exercise the error paths
@@ -86,8 +86,8 @@ func main() {
 	fmt.Printf("spilled nodes %d of %d use secondary sections\n", spilled, st.Nodes)
 
 	if *verify {
-		if err := directgraph.Verify(b); err != nil {
-			fatal(fmt.Errorf("security verification FAILED: %w", err))
+		if rep := directgraph.Validate(b); !rep.OK() {
+			fatal(fmt.Errorf("security verification FAILED: %d issues, first %s", len(rep.Issues), rep.Issues[0]))
 		}
 		fmt.Println("verify        all embedded addresses stay inside allocated blocks ✓")
 	}
@@ -159,7 +159,7 @@ func runValidate(args []string) {
 	rep := directgraph.Validate(b)
 	fmt.Printf("walked        %d pages, %d sections decoded\n", rep.Pages, rep.Sections)
 	fmt.Printf("corrupt       %d sections failed to decode\n", rep.CorruptSections)
-	fmt.Printf("dangling      %d secondary addresses point at missing or wrong-type sections\n", rep.DanglingAddrs)
+	fmt.Printf("dangling      %d addresses leave the allocated pages or miss their section\n", rep.DanglingAddrs)
 	for i, issue := range rep.Issues {
 		if i >= *maxIssues {
 			fmt.Printf("  ... and %d more issues\n", len(rep.Issues)-i)
@@ -171,7 +171,7 @@ func runValidate(args []string) {
 		fmt.Println("validate      FAILED")
 		os.Exit(1)
 	}
-	fmt.Println("validate      image decodes cleanly, every secondary address resolves ✓")
+	fmt.Println("validate      image decodes cleanly, every address resolves ✓")
 }
 
 func printNode(inst *dataset.Instance, v graph.NodeID) {

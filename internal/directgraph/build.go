@@ -394,6 +394,9 @@ const minChunk = 1 << 18
 // nodes (splitNodes; 0 chunks = fanout.Count of the section bytes)
 // concurrently. Sections of different nodes never share a byte, so
 // chunks that meet inside a shared page write disjoint parts of it.
+// The graph holds no features: each chunk opens one feature cursor at
+// its first node and draws every node's features straight into its
+// primary section, so the pages are the features' only copy.
 func serialize(build *Build, g *graph.Graph, chunks int) error {
 	l := build.Layout
 	ps := l.PageSize
@@ -433,8 +436,9 @@ func serialize(build *Build, g *graph.Graph, chunks int) error {
 	}
 	bounds := splitNodes(build.Plans, chunks)
 	fanout.Run(chunks, func(c int) {
+		feats := g.Features(graph.NodeID(bounds[c]))
 		for v := bounds[c]; v < bounds[c+1]; v++ {
-			writeNode(build, g, addrs, v)
+			writeNode(build, g, &feats, addrs, v)
 		}
 	})
 	return nil
@@ -464,8 +468,9 @@ func splitNodes(plans []NodePlan, chunks int) []int {
 }
 
 // writeNode writes node v's primary and secondary sections into their
-// pages, which serialize's first pass has cut and bounds-checked.
-func writeNode(build *Build, g *graph.Graph, addrs []uint32, v int) {
+// pages, which serialize's first pass has cut and bounds-checked. feats
+// must stand at node v's first feature.
+func writeNode(build *Build, g *graph.Graph, feats *graph.FeatureCursor, addrs []uint32, v int) {
 	l := build.Layout
 	plan := &build.Plans[v]
 	nbrs := g.Neighbors(graph.NodeID(v))
@@ -481,10 +486,8 @@ func writeNode(build *Build, g *graph.Graph, addrs []uint32, v int) {
 		putU32(buf, off, uint32(sa))
 		off += addrLen
 	}
-	for _, fb := range g.FeatureBits(graph.NodeID(v)) {
-		putU16(buf, off, int(fb))
-		off += 2
-	}
+	feats.Draw(buf[off : off+l.FeatureBytes()])
+	off += l.FeatureBytes()
 	putAddrs(buf[off:], addrs, nbrs[:plan.InlineCount])
 
 	base := plan.InlineCount

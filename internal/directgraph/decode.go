@@ -178,7 +178,7 @@ func viewSection(l Layout, page []byte, off int, typ byte, length int) (SectionV
 
 // FindSection is ViewSection with the section copied out of the page,
 // for callers that keep it past the page's next mutation (dgtool,
-// Verify, tests).
+// tests).
 func FindSection(l Layout, page []byte, idx int) (*Section, error) {
 	v, err := ViewSection(l, page, idx)
 	if err != nil {
@@ -234,73 +234,36 @@ func SectionsInPage(l Layout, page []byte) (int, error) {
 	return n, nil
 }
 
-// Verify performs the firmware's security validation of Section VI-E on
-// a materialized build: every embedded section address (inline neighbors,
-// secondary pointers) must land inside the set of pages allocated to this
-// DirectGraph, and every referenced section must decode as the expected
-// type. It returns the first violation found.
-func Verify(b *Build) error {
-	if b.Pages == nil {
-		return errors.New("directgraph: Verify requires a materialized build")
+// Primary returns node v's primary section, read in place from the
+// image — where the vector retriever finds the node's features. It
+// fails unless v is a node of the build and its plan's address decodes
+// as a primary section of v.
+func (b *Build) Primary(v int) (SectionView, error) {
+	if v < 0 || v >= len(b.Plans) {
+		return SectionView{}, fmt.Errorf("directgraph: node %d outside the build's %d nodes", v, len(b.Plans))
 	}
-	allowed := b.PageNumbers()
-	check := func(a Addr, wantType byte) error {
-		pn := b.Layout.Page(a)
-		if !allowed[pn] {
-			return fmt.Errorf("directgraph: address %#x escapes allocated blocks (page %d)", uint32(a), pn)
-		}
-		page, ok := b.Pages[pn]
-		if !ok {
-			return fmt.Errorf("directgraph: address %#x points to unwritten page %d", uint32(a), pn)
-		}
-		sec, err := FindSection(b.Layout, page, b.Layout.Section(a))
-		if err != nil {
-			return fmt.Errorf("directgraph: address %#x: %w", uint32(a), err)
-		}
-		if sec.Type != wantType {
-			return fmt.Errorf("directgraph: address %#x has type %d, want %d", uint32(a), sec.Type, wantType)
-		}
-		return nil
+	a := b.Plans[v].Primary
+	page, ok := b.Pages[b.Layout.Page(a)]
+	if !ok {
+		return SectionView{}, fmt.Errorf("directgraph: node %d primary %#x: page %d not materialized", v, uint32(a), b.Layout.Page(a))
 	}
-	for v := range b.Plans {
-		plan := &b.Plans[v]
-		sec, err := b.section(plan.Primary)
-		if err != nil {
-			return fmt.Errorf("node %d primary: %w", v, err)
-		}
-		for _, a := range sec.Inline {
-			if err := check(a, SectionTypePrimary); err != nil {
-				return fmt.Errorf("node %d inline: %w", v, err)
-			}
-		}
-		for _, sa := range sec.Secondaries {
-			if err := check(sa, SectionTypeSecondary); err != nil {
-				return fmt.Errorf("node %d secondary ptr: %w", v, err)
-			}
-			ss, err := b.section(sa)
-			if err != nil {
-				return err
-			}
-			for _, a := range ss.Entries {
-				if err := check(a, SectionTypePrimary); err != nil {
-					return fmt.Errorf("node %d secondary entry: %w", v, err)
-				}
-			}
-		}
+	s, err := ViewSection(b.Layout, page, b.Layout.Section(a))
+	switch {
+	case err != nil:
+		return SectionView{}, fmt.Errorf("directgraph: node %d primary %#x: %w", v, uint32(a), err)
+	case s.Type != SectionTypePrimary || s.NodeID != uint32(v):
+		return SectionView{}, fmt.Errorf("directgraph: node %d primary %#x holds a type %d section of node %d", v, uint32(a), s.Type, s.NodeID)
 	}
-	return nil
+	return s, nil
 }
 
-// section decodes the section at address a from the build's pages.
-func (b *Build) section(a Addr) (*Section, error) {
+// ReadSection returns a copy of the section at address a, for dgtool
+// and the tests; the simulated die samplers read sections in place
+// through ViewSection instead.
+func (b *Build) ReadSection(a Addr) (*Section, error) {
 	page, ok := b.Pages[b.Layout.Page(a)]
 	if !ok {
 		return nil, fmt.Errorf("directgraph: page %d not materialized", b.Layout.Page(a))
 	}
 	return FindSection(b.Layout, page, b.Layout.Section(a))
 }
-
-// ReadSection returns a copy of the section at address a, for dgtool
-// and the tests; the simulated die samplers read sections in place
-// through ViewSection instead.
-func (b *Build) ReadSection(a Addr) (*Section, error) { return b.section(a) }

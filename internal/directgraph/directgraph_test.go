@@ -2,6 +2,8 @@ package directgraph
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,9 +100,6 @@ func TestPageSizeLimit(t *testing.T) {
 	}
 	if full < 2 {
 		t.Fatalf("no section fills a %d B page; raise the hub degrees", MaxPageSize)
-	}
-	if err := Verify(build); err != nil {
-		t.Fatal(err)
 	}
 	if r := Validate(build); !r.OK() {
 		t.Fatalf("validation issues: %v", r.Issues)
@@ -236,6 +235,8 @@ func buildSmall(t *testing.T, nodes int, avgDeg float64, dim int, seed uint64) (
 
 func TestBuildGraphRoundTrip(t *testing.T) {
 	g, b := buildSmall(t, 500, 20, 16, 11)
+	feats := g.Features(0)
+	drawn := make([]byte, b.Layout.FeatureBytes())
 	for v := 0; v < g.NumNodes(); v++ {
 		sec, err := b.ReadSection(b.NodeAddr(graph.NodeID(v)))
 		if err != nil {
@@ -247,12 +248,10 @@ func TestBuildGraphRoundTrip(t *testing.T) {
 		if sec.NeighborCount != g.Degree(graph.NodeID(v)) {
 			t.Fatalf("node %d: count %d, want %d", v, sec.NeighborCount, g.Degree(graph.NodeID(v)))
 		}
-		// Features round-trip bit-exactly.
-		want := g.FeatureBits(graph.NodeID(v))
-		for i, fb := range sec.FeatureBits {
-			if fb != want[i] {
-				t.Fatalf("node %d: feature bit %d mismatch", v, i)
-			}
+		// Features are the graph's draws, bit-exactly.
+		feats.Draw(drawn)
+		if want := AppendFP16(nil, drawn); !slices.Equal(sec.FeatureBits, want) {
+			t.Fatalf("node %d: features %x, drawn %x", v, sec.FeatureBits, want)
 		}
 		// Every inline neighbor address resolves to the right node.
 		nbrs := g.Neighbors(graph.NodeID(v))
@@ -328,9 +327,18 @@ func TestBuildGraphSecondariesRoundTrip(t *testing.T) {
 	_ = g
 }
 
+// firstIssue returns the image walker's first issue, or nil when the
+// image is clean.
+func firstIssue(b *Build) error {
+	if r := Validate(b); !r.OK() {
+		return fmt.Errorf("%d issues, first %v", len(r.Issues), r.Issues[0])
+	}
+	return nil
+}
+
 func TestBuildVerifyCleanGraph(t *testing.T) {
 	_, b := buildSmall(t, 300, 15, 8, 5)
-	if err := Verify(b); err != nil {
+	if err := firstIssue(b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,8 +359,8 @@ func TestVerifyCatchesTampering(t *testing.T) {
 	// Inline addrs start after header + secondaries + feature.
 	off := sec.StartOffset + primaryHeaderLen + len(sec.Secondaries)*addrLen + b.Layout.FeatureBytes()
 	putU32(page, off, uint32(b.Layout.MakeAddr(0x0FFFFFF, 0)))
-	if err := Verify(b); err == nil {
-		t.Fatal("Verify accepted an escaped address")
+	if err := firstIssue(b); err == nil {
+		t.Fatal("Validate accepted an escaped address")
 	}
 }
 
@@ -362,8 +370,57 @@ func TestVerifyCatchesTypeConfusion(t *testing.T) {
 	page := b.Pages[b.Layout.Page(addr)]
 	sec, _ := FindSection(b.Layout, page, b.Layout.Section(addr))
 	page[sec.StartOffset] = SectionTypeSecondary // flip type byte
-	if err := Verify(b); err == nil {
-		t.Fatal("Verify accepted a type-confused section")
+	if err := firstIssue(b); err == nil {
+		t.Fatal("Validate accepted a type-confused section")
+	}
+}
+
+// TestValidateCatchesCorruption: every kind of damage the walker guards
+// against shows in its report, for the page walk and the plan walk.
+func TestValidateCatchesCorruption(t *testing.T) {
+	g, err := graph.Generate(graph.GenSpec{Nodes: 120, AvgDegree: 60, MaxDegree: 119, FeatureDim: 2, PowerLaw: 1.5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildGraph(Layout{PageSize: 512, FeatureDim: 2}, g, &SeqAllocator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := -1
+	for v := range base.Plans {
+		if base.Plans[v].SecCount > 0 {
+			hub = v
+			break
+		}
+	}
+	if hub < 0 {
+		t.Fatal("no node with secondary sections; raise the degree")
+	}
+	escaped := uint32(base.Layout.MakeAddr(0x0FFFFF, 0))
+	for _, tc := range []struct {
+		name   string
+		damage func(b *Build)
+	}{
+		{"dropped primary page", func(b *Build) { delete(b.Pages, b.Layout.Page(b.NodeAddr(5))) }},
+		{"smashed header", func(b *Build) { b.Pages[b.Layout.Page(b.NodeAddr(5))][0] = 0xFF }},
+		{"plan at another node's primary", func(b *Build) { b.Plans[5].Primary = b.Plans[6].Primary }},
+		{"secondary entry escapes", func(b *Build) {
+			p := &b.Plans[hub]
+			putU32(b.Pages[b.Layout.Page(p.Secondaries[0])], p.SecOffsets[0]+secondaryHeaderLen, escaped)
+		}},
+		{"secondary pointer at a primary", func(b *Build) {
+			p := &b.Plans[hub]
+			putU32(b.Pages[b.Layout.Page(p.Primary)], p.PrimaryOffset+primaryHeaderLen, uint32(b.NodeAddr(0)))
+		}},
+	} {
+		b := base.Clone()
+		tc.damage(b)
+		if r := Validate(b); r.OK() {
+			t.Errorf("%s: image validated clean", tc.name)
+		}
+	}
+	if r := Validate(base); !r.OK() {
+		t.Fatalf("undamaged image: %v", r.Issues)
 	}
 }
 
@@ -571,10 +628,10 @@ func TestSharedBackingArraysIsolated(t *testing.T) {
 	if err := Relocate(c, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(c); err != nil {
+	if err := firstIssue(c); err != nil {
 		t.Fatalf("relocated clone: %v", err)
 	}
-	if err := Verify(b); err != nil {
+	if err := firstIssue(b); err != nil {
 		t.Fatalf("original after relocating its clone: %v", err)
 	}
 	for pn, page := range b.Pages {

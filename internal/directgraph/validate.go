@@ -7,9 +7,10 @@ import (
 )
 
 // Image validation: walk a materialized DirectGraph page by page,
-// decode every section, and chase every secondary address. This is the
-// offline integrity check behind `dgtool validate`, exercising the same
-// ErrCorruptSection paths the on-die sampler hits at runtime.
+// decode every section, and chase every embedded address. This is the
+// firmware's security validation of Section VI-E and the offline
+// integrity check behind dgtool, exercising the same ErrCorruptSection
+// paths the on-die sampler hits at runtime.
 
 // ValidationIssue is one problem found in a DirectGraph image.
 type ValidationIssue struct {
@@ -27,7 +28,7 @@ type ValidationReport struct {
 	Pages           int // pages visited
 	Sections        int // sections decoded successfully
 	CorruptSections int // sections that failed to decode
-	DanglingAddrs   int // secondary addrs pointing at missing/non-secondary targets
+	DanglingAddrs   int // addresses that leave the allocated pages or miss their section
 	Issues          []ValidationIssue
 }
 
@@ -40,40 +41,50 @@ func (r *ValidationReport) add(page uint32, section int, err error) {
 	r.Issues = append(r.Issues, ValidationIssue{Page: page, Section: section, Err: err})
 }
 
-// Validate decodes every section of every page in the build and verifies
-// that each embedded secondary address lands on an existing page and
-// decodes as a secondary section. Unlike the sampler it does not stop at
-// the first error: all issues are collected, in deterministic (sorted
-// page) order. Layout-only builds (nil Pages) validate trivially.
+// Validate decodes every section of every page in the build and checks
+// every address the image and its plans hold: each must land on a page
+// the plans allocate (PageNumbers), on a section that decodes, of the
+// right type — a secondary for a primary's secondary pointers, a
+// primary for inline neighbors and secondary entries, and node v's
+// primary for plan v's address. Unlike the sampler it does not stop at
+// the first error: all issues are collected, pages in sorted order and
+// then plans in node order. Layout-only builds (nil Pages) validate
+// trivially.
 func Validate(b *Build) *ValidationReport {
 	r := &ValidationReport{}
 	if b.Pages == nil {
 		return r
 	}
 	l := b.Layout
+	allowed := b.PageNumbers()
 	pages := make([]uint32, 0, len(b.Pages))
 	for pn := range b.Pages {
 		pages = append(pages, pn)
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
-	// checkTarget verifies one embedded secondary address.
-	checkTarget := func(from uint32, fromSec int, a Addr) {
-		target, ok := b.Pages[l.Page(a)]
-		if !ok {
-			r.DanglingAddrs++
-			r.add(from, fromSec, fmt.Errorf("secondary addr %#x targets missing page %d", uint32(a), l.Page(a)))
-			return
+	// check verifies one embedded address, found in section fromSec of
+	// page from, that must point at a section of type want.
+	check := func(from uint32, fromSec int, a Addr, want byte) {
+		pn := l.Page(a)
+		target, ok := b.Pages[pn]
+		var err error
+		switch {
+		case !allowed[pn]:
+			err = fmt.Errorf("addr %#x escapes the allocated pages (page %d)", uint32(a), pn)
+		case !ok:
+			err = fmt.Errorf("addr %#x targets missing page %d", uint32(a), pn)
+		default:
+			var s SectionView
+			if s, err = ViewSection(l, target, l.Section(a)); err != nil {
+				err = fmt.Errorf("addr %#x: %w", uint32(a), err)
+			} else if s.Type != want {
+				err = fmt.Errorf("addr %#x targets type %d section, want %d", uint32(a), s.Type, want)
+			}
 		}
-		s, err := FindSection(l, target, l.Section(a))
 		if err != nil {
 			r.DanglingAddrs++
-			r.add(from, fromSec, fmt.Errorf("secondary addr %#x: %w", uint32(a), err))
-			return
-		}
-		if s.Type != SectionTypeSecondary {
-			r.DanglingAddrs++
-			r.add(from, fromSec, fmt.Errorf("secondary addr %#x targets type %d section", uint32(a), s.Type))
+			r.add(from, fromSec, err)
 		}
 	}
 
@@ -86,7 +97,7 @@ func Validate(b *Build) *ValidationReport {
 			continue
 		}
 		for idx := 0; ; idx++ {
-			s, err := FindSection(l, page, idx)
+			s, err := ViewSection(l, page, idx)
 			if errors.Is(err, ErrSectionNotFound) {
 				break
 			}
@@ -96,11 +107,22 @@ func Validate(b *Build) *ValidationReport {
 				break // the section chain is unwalkable past a bad header
 			}
 			r.Sections++
-			if s.Type == SectionTypePrimary {
-				for _, sa := range s.Secondaries {
-					checkTarget(pn, idx, sa)
-				}
+			for i := range s.SecondaryCount {
+				check(pn, idx, s.Secondary(i), SectionTypeSecondary)
 			}
+			for i := range s.InlineCount {
+				check(pn, idx, s.Inline(i), SectionTypePrimary)
+			}
+			for i := range s.Count {
+				check(pn, idx, s.Entry(i), SectionTypePrimary)
+			}
+		}
+	}
+	for v := range b.Plans {
+		if _, err := b.Primary(v); err != nil {
+			a := b.Plans[v].Primary
+			r.DanglingAddrs++
+			r.add(l.Page(a), l.Section(a), err)
 		}
 	}
 	return r

@@ -124,8 +124,8 @@ func TestRelocatePatchesEmbeddedAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All sections must decode at their new addresses with intact links.
-	if err := directgraph.Verify(b); err != nil {
-		t.Fatal(err)
+	if rep := directgraph.Validate(b); !rep.OK() {
+		t.Fatal(rep.Issues)
 	}
 	for v := 0; v < 50; v++ {
 		sec, err := b.ReadSection(b.NodeAddr(graph.NodeID(v)))

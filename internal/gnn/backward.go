@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"beacongnn/internal/accel"
+	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 )
 
@@ -54,82 +55,23 @@ func (g *Gradients) scale(f float32) {
 // loss ½‖h_target − y‖² against the target label vector y (length
 // HiddenDim), and back-propagates exact gradients through the ReLU
 // perceptron layers and the vector_sum aggregation tree.
-func LossAndGradients(g *graph.Graph, sg *graph.Subgraph, w *Weights, y []float32) (float32, *Gradients, error) {
+func LossAndGradients(b *directgraph.Build, sg *graph.Subgraph, w *Weights, y []float32) (float32, *Gradients, error) {
 	m := w.model
-	if err := m.Validate(); err != nil {
-		return 0, nil, err
-	}
 	if len(y) != m.HiddenDim {
 		return 0, nil, fmt.Errorf("gnn: label dim %d != hidden %d", len(y), m.HiddenDim)
 	}
-	if g.FeatureDim() != m.InputDim {
-		return 0, nil, fmt.Errorf("gnn: graph dim %d != model input dim %d", g.FeatureDim(), m.InputDim)
+	p, err := forward(b, sg, w, true)
+	if err != nil {
+		return 0, nil, err
 	}
 	n := sg.NumNodes()
-	children := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		children[sg.Parents[i]] = append(children[sg.Parents[i]], int32(i))
-	}
-
-	// Forward, storing per-layer activations for the backward pass.
-	type layerState struct {
-		agg map[int][]float32 // node → aggregated input
-		z   map[int][]float32 // node → pre-ReLU output
-	}
-	states := make([]layerState, m.Hops)
-	h := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		h[i] = g.Feature(sg.Nodes[i])
-	}
-	dimIn := m.InputDim
-	for k := 0; k < m.Hops; k++ {
-		st := layerState{agg: map[int][]float32{}, z: map[int][]float32{}}
-		next := make([][]float32, n)
-		for i := 0; i < n; i++ {
-			if int(sg.Hop[i]) > m.Hops-k-1 {
-				continue
-			}
-			agg := make([]float32, dimIn)
-			copy(agg, h[i])
-			for _, c := range children[i] {
-				hc := h[c]
-				for j := range agg {
-					agg[j] += hc[j]
-				}
-			}
-			z := make([]float32, m.HiddenDim)
-			wk := w.Layers[k]
-			for o := 0; o < m.HiddenDim; o++ {
-				var s float32
-				for j := 0; j < dimIn; j++ {
-					s += agg[j] * wk[j*m.HiddenDim+o]
-				}
-				z[o] = s
-			}
-			out := make([]float32, m.HiddenDim)
-			for o, v := range z {
-				if v > 0 {
-					out[o] = v
-				}
-			}
-			st.agg[i] = agg
-			st.z[i] = z
-			next[i] = out
-		}
-		states[k] = st
-		h = next
-		dimIn = m.HiddenDim
-	}
-	if h[0] == nil {
-		return 0, nil, fmt.Errorf("gnn: no target output")
-	}
 
 	// Loss and its gradient at the target.
 	var loss float32
 	dh := make([][]float32, n)
 	dh[0] = make([]float32, m.HiddenDim)
 	for o := range y {
-		d := h[0][o] - y[o]
+		d := p.out[o] - y[o]
 		loss += 0.5 * d * d
 		dh[0][o] = d
 	}
@@ -137,26 +79,26 @@ func LossAndGradients(g *graph.Graph, sg *graph.Subgraph, w *Weights, y []float3
 	// Backward through the layers.
 	grads := &Gradients{Layers: make([][]float32, m.Hops)}
 	for k := m.Hops - 1; k >= 0; k-- {
-		dimIn = m.HiddenDim
+		dimIn := m.HiddenDim
 		if k == 0 {
 			dimIn = m.InputDim
 		}
 		grads.Layers[k] = make([]float32, dimIn*m.HiddenDim)
-		st := states[k]
+		aggs, zs := p.agg[k], p.z[k]
 		wk := w.Layers[k]
 		prevDh := make([][]float32, n)
 		for i := 0; i < n; i++ {
-			if dh[i] == nil || st.z[i] == nil {
+			if dh[i] == nil || zs[i] == nil {
 				continue
 			}
 			// ReLU gate.
 			dz := make([]float32, m.HiddenDim)
 			for o := range dz {
-				if st.z[i][o] > 0 {
+				if zs[i][o] > 0 {
 					dz[o] = dh[i][o]
 				}
 			}
-			agg := st.agg[i]
+			agg := aggs[i]
 			// Weight gradient: dW[j,o] += agg[j]·dz[o].
 			for j := 0; j < dimIn; j++ {
 				base := j * m.HiddenDim
@@ -185,7 +127,7 @@ func LossAndGradients(g *graph.Graph, sg *graph.Subgraph, w *Weights, y []float3
 				}
 			}
 			addInto(int32(i))
-			for _, c := range children[i] {
+			for _, c := range p.children[i] {
 				addInto(c)
 			}
 		}

@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/xrand"
 )
 
-func trainFixture(t *testing.T) (*graph.Graph, *graph.Subgraph, *Weights, []float32, Model) {
+func trainFixture(t *testing.T) (*directgraph.Build, *graph.Subgraph, *Weights, []float32, Model) {
 	t.Helper()
 	g, err := graph.Generate(graph.GenSpec{Nodes: 120, AvgDegree: 6, FeatureDim: 5, PowerLaw: 2.0, Seed: 3})
 	if err != nil {
@@ -23,7 +24,8 @@ func trainFixture(t *testing.T) (*graph.Graph, *graph.Subgraph, *Weights, []floa
 	// Labels derived from the model's own initial output keep every
 	// output unit gradient-connected (a ReLU head cannot reach negative
 	// or far-off targets, which would freeze coordinates at ∂L=0).
-	out, err := Forward(g, sg, w)
+	img := image(t, g)
+	out, err := Forward(img, sg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +33,16 @@ func trainFixture(t *testing.T) (*graph.Graph, *graph.Subgraph, *Weights, []floa
 	for o := range y {
 		y[o] = 2*out[o] + 0.02
 	}
-	return g, sg, w, y, m
+	return img, sg, w, y, m
 }
 
 func TestLossMatchesForward(t *testing.T) {
-	g, sg, w, y, _ := trainFixture(t)
-	out, err := Forward(g, sg, w)
+	img, sg, w, y, _ := trainFixture(t)
+	out, err := Forward(img, sg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, _, err := LossAndGradients(g, sg, w, y)
+	loss, _, err := LossAndGradients(img, sg, w, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,8 @@ func TestLossMatchesForward(t *testing.T) {
 func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	// The decisive correctness test: analytic gradients must agree with
 	// central finite differences at sampled weight coordinates.
-	g, sg, w, y, m := trainFixture(t)
-	_, grads, err := LossAndGradients(g, sg, w, y)
+	img, sg, w, y, m := trainFixture(t)
+	_, grads, err := LossAndGradients(img, sg, w, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +72,12 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 			i := rng.Intn(len(w.Layers[k]))
 			orig := w.Layers[k][i]
 			w.Layers[k][i] = orig + eps
-			lp, _, err := LossAndGradients(g, sg, w, y)
+			lp, _, err := LossAndGradients(img, sg, w, y)
 			if err != nil {
 				t.Fatal(err)
 			}
 			w.Layers[k][i] = orig - eps
-			lm, _, err := LossAndGradients(g, sg, w, y)
+			lm, _, err := LossAndGradients(img, sg, w, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,15 +101,15 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 }
 
 func TestSGDStepReducesLoss(t *testing.T) {
-	g, sg, w, y, _ := trainFixture(t)
-	loss0, grads, err := LossAndGradients(g, sg, w, y)
+	img, sg, w, y, _ := trainFixture(t)
+	loss0, grads, err := LossAndGradients(img, sg, w, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := SGDStep(w, grads, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	loss1, _, err := LossAndGradients(g, sg, w, y)
+	loss1, _, err := LossAndGradients(img, sg, w, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +119,10 @@ func TestSGDStepReducesLoss(t *testing.T) {
 }
 
 func TestTrainingConvergesOnFixedSubgraph(t *testing.T) {
-	g, sg, w, y, _ := trainFixture(t)
+	img, sg, w, y, _ := trainFixture(t)
 	var first, last float32
 	for step := 0; step < 600; step++ {
-		loss, grads, err := LossAndGradients(g, sg, w, y)
+		loss, grads, err := LossAndGradients(img, sg, w, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +156,8 @@ func TestTrainingWorkloadShape(t *testing.T) {
 }
 
 func TestLossValidation(t *testing.T) {
-	g, sg, w, _, _ := trainFixture(t)
-	if _, _, err := LossAndGradients(g, sg, w, []float32{1}); err == nil {
+	img, sg, w, _, _ := trainFixture(t)
+	if _, _, err := LossAndGradients(img, sg, w, []float32{1}); err == nil {
 		t.Fatal("bad label dim accepted")
 	}
 }

@@ -6,9 +6,12 @@
 package gnn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"beacongnn/internal/accel"
+	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/xrand"
 )
@@ -107,34 +110,79 @@ func NewWeights(m Model, seed uint64) *Weights {
 	return w
 }
 
+// Feature reads node v's h⁰ from its primary section in the DirectGraph
+// image, as the in-storage vector retriever does: the image is the only
+// copy of the features.
+func Feature(b *directgraph.Build, v graph.NodeID) ([]float32, error) {
+	sec, err := b.Primary(int(v))
+	if err != nil {
+		return nil, err
+	}
+	fb := sec.FeatureBytes()
+	out := make([]float32, len(fb)/2)
+	for i := range out {
+		out[i] = graph.Fp16ToFloat32(binary.LittleEndian.Uint16(fb[2*i:]))
+	}
+	return out, nil
+}
+
 // Forward runs the reference message passing over a sampled subgraph:
-// h⁰ = features; hᵏ⁺¹(u) = ReLU(Wᵏ · Σ_{v∈children(u)∪{u}} hᵏ(v)).
+// h⁰ = features read from the image; hᵏ⁺¹(u) = ReLU(Wᵏ · Σ_{v∈children(u)∪{u}} hᵏ(v)).
 // It returns the target's final embedding. The subgraph must have been
 // sampled with the model's hops/fanout (ragged trees from zero-degree
 // nodes are fine).
-func Forward(g *graph.Graph, sg *graph.Subgraph, w *Weights) ([]float32, error) {
+func Forward(b *directgraph.Build, sg *graph.Subgraph, w *Weights) ([]float32, error) {
+	p, err := forward(b, sg, w, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.out, nil
+}
+
+// pass is one forward pass: the target's output and, when recorded
+// for the backward pass, each layer's aggregated inputs and
+// pre-activations, indexed [layer][subgraph node] (nil where the layer
+// skips the node).
+type pass struct {
+	out      []float32
+	children [][]int32 // children[i] lists subgraph indices whose parent is i
+	agg, z   [][][]float32
+}
+
+// forward runs the message passing shared by Forward and
+// LossAndGradients; record keeps the activations the backward pass
+// needs. The one ReLU keeps NaN, so a diverged model shows in its
+// output.
+func forward(b *directgraph.Build, sg *graph.Subgraph, w *Weights, record bool) (*pass, error) {
 	m := w.model
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if g.FeatureDim() != m.InputDim {
-		return nil, fmt.Errorf("gnn: graph dim %d != model input dim %d", g.FeatureDim(), m.InputDim)
+	if b.Layout.FeatureDim != m.InputDim {
+		return nil, fmt.Errorf("gnn: image dim %d != model input dim %d", b.Layout.FeatureDim, m.InputDim)
 	}
 	n := sg.NumNodes()
-	// children[i] lists subgraph indices whose parent is i.
-	children := make([][]int32, n)
+	p := &pass{children: make([][]int32, n)}
 	for i := 1; i < n; i++ {
-		p := sg.Parents[i]
-		children[p] = append(children[p], int32(i))
+		p.children[sg.Parents[i]] = append(p.children[sg.Parents[i]], int32(i))
+	}
+	if record {
+		p.agg, p.z = make([][][]float32, m.Hops), make([][][]float32, m.Hops)
 	}
 	// h holds the current embedding of every subgraph node.
 	h := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		h[i] = g.Feature(sg.Nodes[i])
+	for i := range h {
+		var err error
+		if h[i], err = Feature(b, sg.Nodes[i]); err != nil {
+			return nil, err
+		}
 	}
 	dimIn := m.InputDim
 	for k := 0; k < m.Hops; k++ {
 		next := make([][]float32, n)
+		if record {
+			p.agg[k], p.z[k] = make([][]float32, n), make([][]float32, n)
+		}
 		for i := 0; i < n; i++ {
 			if int(sg.Hop[i]) > m.Hops-k-1 {
 				continue // this node is no longer needed at deeper layers
@@ -142,7 +190,7 @@ func Forward(g *graph.Graph, sg *graph.Subgraph, w *Weights) ([]float32, error) 
 			// vector_sum aggregation over self + children.
 			agg := make([]float32, dimIn)
 			copy(agg, h[i])
-			for _, c := range children[i] {
+			for _, c := range p.children[i] {
 				hc := h[c]
 				for j := range agg {
 					agg[j] += hc[j]
@@ -151,15 +199,21 @@ func Forward(g *graph.Graph, sg *graph.Subgraph, w *Weights) ([]float32, error) 
 			// Perceptron update with ReLU.
 			out := make([]float32, m.HiddenDim)
 			wk := w.Layers[k]
-			for o := 0; o < m.HiddenDim; o++ {
+			for o := range out {
 				var s float32
 				for j := 0; j < dimIn; j++ {
 					s += agg[j] * wk[j*m.HiddenDim+o]
 				}
-				if s < 0 {
-					s = 0
-				}
 				out[o] = s
+			}
+			if record {
+				p.agg[k][i], p.z[k][i] = agg, out
+				out = slices.Clone(out)
+			}
+			for o, s := range out {
+				if s < 0 {
+					out[o] = 0
+				}
 			}
 			next[i] = out
 		}
@@ -169,5 +223,6 @@ func Forward(g *graph.Graph, sg *graph.Subgraph, w *Weights) ([]float32, error) 
 	if h[0] == nil {
 		return nil, fmt.Errorf("gnn: forward produced no target embedding")
 	}
-	return h[0], nil
+	p.out = h[0]
+	return p, nil
 }

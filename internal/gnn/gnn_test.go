@@ -1,12 +1,24 @@
 package gnn
 
 import (
-	"math"
+	"encoding/binary"
 	"testing"
 
+	"beacongnn/internal/directgraph"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/xrand"
 )
+
+// image builds g's DirectGraph image, the copy Forward reads features
+// from.
+func image(t *testing.T, g *graph.Graph) *directgraph.Build {
+	t.Helper()
+	b, err := directgraph.BuildGraph(directgraph.Layout{PageSize: 4096, FeatureDim: g.FeatureDim()}, g, &directgraph.SeqAllocator{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func paperModel(inputDim int) Model {
 	return Model{Hops: 3, Fanout: 3, InputDim: inputDim, HiddenDim: 128}
@@ -69,11 +81,12 @@ func TestForwardDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Forward(g, sg, w)
+	img := image(t, g)
+	a, err := Forward(img, sg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Forward(g, sg, w)
+	b, err := Forward(img, sg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,27 +114,69 @@ func TestForwardDeterministic(t *testing.T) {
 }
 
 func TestForwardAggregatesNeighbors(t *testing.T) {
-	// A 2-node path: target 0 with neighbor 1. One layer, identity-ish
-	// check: output depends on both features.
-	b := graph.NewBuilder(2, 2)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0)
-	b.SetFeature(0, []float32{1, 0})
-	b.SetFeature(1, []float32{0, 1})
-	g := b.Build()
+	// A 2-node path: target 0 with neighbor 1. One layer with identity
+	// weights: the output is the ReLU of both features' sum.
+	gb := graph.NewBuilder(2, 2)
+	gb.AddEdge(0, 1)
+	gb.AddEdge(1, 0)
+	g := gb.Build()
+	img := image(t, g)
 	m := Model{Hops: 1, Fanout: 1, InputDim: 2, HiddenDim: 2}
 	w := &Weights{model: m, Layers: [][]float32{{1, 0, 0, 1}}} // identity
 	sg, err := graph.SampleSubgraph(g, 0, graph.SampleSpec{Hops: 1, Fanout: 1}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Forward(g, sg, w)
+	out, err := Forward(img, sg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// agg = feat(0) + feat(1) = (1,1); identity weights + ReLU → (1,1).
-	if math.Abs(float64(out[0]-1)) > 1e-6 || math.Abs(float64(out[1]-1)) > 1e-6 {
-		t.Fatalf("out = %v, want [1 1]", out)
+	f0, err := Feature(img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := Feature(img, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		want := max(f0[i]+f1[i], 0)
+		if out[i] != want {
+			t.Fatalf("out = %v, want ReLU(%v + %v)", out, f0, f1)
+		}
+	}
+}
+
+// TestFeatureReadsImage: Feature decodes node v's FP16 draws from its
+// primary section, and fails on a node outside the image or a primary
+// section that no longer decodes.
+func TestFeatureReadsImage(t *testing.T) {
+	g, err := graph.Generate(graph.GenSpec{Nodes: 50, AvgDegree: 4, FeatureDim: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := image(t, g)
+	for v := 0; v < g.NumNodes(); v++ {
+		f, err := Feature(img, graph.NodeID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn := make([]byte, 2*g.FeatureDim())
+		c := g.Features(graph.NodeID(v))
+		c.Draw(drawn)
+		for i, x := range f {
+			if want := graph.Fp16ToFloat32(binary.LittleEndian.Uint16(drawn[2*i:])); x != want {
+				t.Fatalf("node %d feature %d = %v, drawn %v", v, i, x, want)
+			}
+		}
+	}
+	if _, err := Feature(img, 50); err == nil {
+		t.Fatal("node outside the image read")
+	}
+	a := img.NodeAddr(3)
+	img.Pages[img.Layout.Page(a)][0] = 0x7F // smash the page's first section header
+	if _, err := Feature(img, 3); err == nil {
+		t.Fatal("feature read through a smashed section header")
 	}
 }
 
@@ -129,22 +184,20 @@ func TestForwardDimMismatch(t *testing.T) {
 	g, _ := graph.Generate(graph.GenSpec{Nodes: 10, AvgDegree: 2, FeatureDim: 4, Seed: 1})
 	m := Model{Hops: 1, Fanout: 1, InputDim: 8, HiddenDim: 4}
 	sg, _ := graph.SampleSubgraph(g, 0, graph.SampleSpec{Hops: 1, Fanout: 1}, xrand.New(1))
-	if _, err := Forward(g, sg, NewWeights(m, 1)); err == nil {
+	if _, err := Forward(image(t, g), sg, NewWeights(m, 1)); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
 
 func TestForwardZeroDegreeTarget(t *testing.T) {
 	// Target with no neighbors: forward should still produce h(target).
-	b := graph.NewBuilder(1, 3)
-	b.SetFeature(0, []float32{1, 2, 3})
-	g := b.Build()
+	g := graph.NewBuilder(1, 3).Build()
 	m := Model{Hops: 2, Fanout: 2, InputDim: 3, HiddenDim: 4}
 	sg, err := graph.SampleSubgraph(g, 0, graph.SampleSpec{Hops: 2, Fanout: 2}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Forward(g, sg, NewWeights(m, 2))
+	out, err := Forward(image(t, g), sg, NewWeights(m, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,8 @@ import (
 )
 
 // TestGenerateChunkInvariance: however the draws are split into
-// chunks, the generated arrays equal the one-chunk (serial) result.
+// chunks, the generated arrays and feature offsets equal the one-chunk
+// (serial) result.
 func TestGenerateChunkInvariance(t *testing.T) {
 	specs := []GenSpec{
 		{Nodes: 3000, AvgDegree: 20, MaxDegree: 2000, FeatureDim: 16, PowerLaw: 2, Seed: 1},
@@ -31,8 +32,34 @@ func TestGenerateChunkInvariance(t *testing.T) {
 				t.Errorf("%+v, %d chunks: offsets differ from one chunk", spec, chunks)
 			case !slices.Equal(got.adj, ref.adj):
 				t.Errorf("%+v, %d chunks: adjacency differs from one chunk", spec, chunks)
-			case !slices.Equal(got.features, ref.features):
-				t.Errorf("%+v, %d chunks: features differ from one chunk", spec, chunks)
+			case got.stream != ref.stream || got.featStart != ref.featStart:
+				t.Errorf("%+v, %d chunks: feature stream differs from one chunk", spec, chunks)
+			}
+		}
+	}
+}
+
+// TestFeatureCursorJumps: a cursor opened at any node draws what one
+// cursor opened at node 0 draws when it reaches that node, so chunked
+// readers see the features of a single serial pass.
+func TestFeatureCursorJumps(t *testing.T) {
+	for _, spec := range []GenSpec{
+		{Nodes: 300, AvgDegree: 6, FeatureDim: 5, PowerLaw: 2, Seed: 1},
+		{Nodes: 300, AvgDegree: 6, FeatureDim: 3, Locality: 0.5, Seed: 2},
+	} {
+		g, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, 2*g.NumNodes()*g.FeatureDim())
+		serial := g.Features(0)
+		serial.Draw(want)
+		got := make([]byte, 2*g.FeatureDim())
+		for v := 0; v < g.NumNodes(); v++ {
+			at := g.Features(NodeID(v))
+			at.Draw(got)
+			if !slices.Equal(got, want[v*len(got):][:len(got)]) {
+				t.Fatalf("%+v: node %d: cursor at node draws %x, serial cursor %x", spec, v, got, want[v*len(got):][:len(got)])
 			}
 		}
 	}

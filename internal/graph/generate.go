@@ -127,10 +127,10 @@ func DegreeSequence(spec GenSpec) ([]int, error) {
 	return degs, nil
 }
 
-// minChunk is the fewest RNG draws worth a chunk of their own: a few
-// milliseconds of generation, against the ~0.2 ms of the two jumps that
-// position a chunk's stream.
-const minChunk = 1 << 18
+// minChunk is the fewest RNG draws worth a chunk of their own: about a
+// millisecond of wiring at ~6 ns per edge draw, against the ~30 µs of
+// the jump that positions a chunk's stream.
+const minChunk = 1 << 17
 
 // Generate materializes a synthetic graph from the spec: a degree
 // sequence is drawn, then each node's neighbors are chosen uniformly at
@@ -138,19 +138,19 @@ const minChunk = 1 << 18
 // simulator cares about address distribution, not community structure).
 // A non-zero Locality mixes in community structure — that fraction of
 // edges stays inside the node's LocalityBlock-sized id block — which is
-// what topology-aware placement policies exist to exploit. Features are
-// filled with small deterministic pseudo-random values.
+// what topology-aware placement policies exist to exploit.
 //
 // The CSR arrays are written directly: offsets are the prefix sum of the
-// degree sequence, so adjacency and features each take one exact-size
-// allocation however many nodes the graph has.
+// degree sequence, so adjacency takes one exact-size allocation however
+// many nodes the graph has.
 //
 // Edges and features are drawn from one Seed+1 stream, edges in node
-// order and then features in index order. Every edge costs exactly one
+// order and then features in node order. Every edge costs exactly one
 // draw when Locality is 0 and exactly two otherwise, so the draw offset
-// of any edge or feature is closed-form. Generate therefore splits the
-// work into chunks (fanout.Count of the draws), each a node range of
-// about equal edge count plus an index range of the features, and runs
+// of any edge or feature is closed-form. Generate draws only the edges:
+// features are small deterministic pseudo-random values that Features
+// draws on demand from their offset. Generate splits the edges into
+// chunks (fanout.Count of the draws) of about equal edge count and runs
 // them concurrently, each on the stream jumped to its own offset. The
 // result is byte-identical to drawing everything in one pass, which is
 // what one chunk does.
@@ -163,11 +163,7 @@ func generate(spec GenSpec, chunks int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		offsets:  make([]int64, spec.Nodes+1),
-		features: make([]uint16, spec.Nodes*spec.FeatureDim),
-		dim:      spec.FeatureDim,
-	}
+	g := &Graph{offsets: make([]int64, spec.Nodes+1), dim: spec.FeatureDim, stream: spec.Seed + 1}
 	for v, d := range degs {
 		g.offsets[v+1] = g.offsets[v] + int64(d)
 	}
@@ -177,22 +173,16 @@ func generate(spec GenSpec, chunks int) (*Graph, error) {
 	if spec.Locality > 0 {
 		perEdge = 2
 	}
-	featStart := edges * perEdge // draw offset of the first feature
-	nf := int64(len(g.features))
+	g.featStart = uint64(edges * perEdge)
 	if chunks == 0 {
-		chunks = fanout.Count(int(featStart+nf), minChunk)
+		chunks = fanout.Count(int(g.featStart), minChunk)
 	}
 	fanout.Run(chunks, func(c int) {
 		n := int64(chunks)
 		lo, hi := g.nodeAtEdge(edges*int64(c)/n), g.nodeAtEdge(edges*int64(c+1)/n)
-		rng := xrand.New(spec.Seed + 1)
+		rng := xrand.New(g.stream)
 		rng.Jump(uint64(g.offsets[lo] * perEdge))
 		g.wire(spec, lo, hi, rng)
-		f0, f1 := nf*int64(c)/n, nf*int64(c+1)/n
-		rng.Jump(uint64(featStart + f0 - g.offsets[hi]*perEdge))
-		for i := f0; i < f1; i++ {
-			g.features[i] = Float32ToFp16(float32(rng.Float64()*2 - 1))
-		}
 	})
 	return g, nil
 }

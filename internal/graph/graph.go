@@ -4,26 +4,33 @@
 // Graphs are stored in compressed sparse row (CSR) form: one offsets
 // array and one flat adjacency array, matching the neighbor-list layout
 // that DirectGraph serializes into flash pages. Node features are FP16
-// vectors as in the paper; this package stores them as raw 2-byte values
-// with float32 conversion helpers.
+// vectors as in the paper; this package stores none of them, only the
+// rule that draws them (Features), so the DirectGraph image is their
+// one copy.
 package graph
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
+
+	"beacongnn/internal/xrand"
 )
 
 // NodeID identifies a graph node. The paper represents nodes as INT-32
 // scalars; we use int32 for the stored form and int for API convenience.
 type NodeID = int32
 
-// Graph is an immutable directed graph in CSR form with per-node FP16
-// feature vectors. Undirected graphs are stored with both arc directions.
+// Graph is an immutable directed graph in CSR form whose per-node FP16
+// feature vectors are drawn on demand (Features), not stored.
+// Undirected graphs are stored with both arc directions.
 type Graph struct {
-	offsets  []int64  // len = NumNodes()+1
-	adj      []NodeID // flat neighbor lists
-	features []uint16 // len = NumNodes() * FeatureDim, FP16 bits
-	dim      int
+	offsets []int64  // len = NumNodes()+1
+	adj     []NodeID // flat neighbor lists
+	dim     int
+	// Node v's features are draws featStart + v×dim onward of the
+	// xrand stream seeded with stream.
+	stream    uint64
+	featStart uint64
 }
 
 // NumNodes returns the node count.
@@ -51,20 +58,24 @@ func (g *Graph) Neighbor(v NodeID, i int) NodeID {
 	return g.adj[g.offsets[v]+int64(i)]
 }
 
-// FeatureBits returns node v's feature vector as raw FP16 bit patterns.
-// The returned slice aliases the graph's storage.
-func (g *Graph) FeatureBits(v NodeID) []uint16 {
-	return g.features[int(v)*g.dim : (int(v)+1)*g.dim]
+// FeatureCursor draws node features in node order: opened at node v,
+// it yields v's FeatureDim values, then v+1's, and so on.
+type FeatureCursor struct{ rng xrand.Source }
+
+// Features returns a cursor standing at node v's first feature. It
+// costs one stream jump, so callers drawing a run of nodes open one.
+func (g *Graph) Features(v NodeID) FeatureCursor {
+	c := FeatureCursor{rng: *xrand.New(g.stream)}
+	c.rng.Jump(g.featStart + uint64(v)*uint64(g.dim))
+	return c
 }
 
-// Feature returns node v's feature vector converted to float32.
-func (g *Graph) Feature(v NodeID) []float32 {
-	bits := g.FeatureBits(v)
-	out := make([]float32, len(bits))
-	for i, b := range bits {
-		out[i] = Fp16ToFloat32(b)
+// Draw fills dst with the next len(dst)/2 features, each an FP16 bit
+// pattern stored little-endian as in a DirectGraph primary section.
+func (c *FeatureCursor) Draw(dst []byte) {
+	for i := 0; i+1 < len(dst); i += 2 {
+		binary.LittleEndian.PutUint16(dst[i:], Float32ToFp16(float32(c.rng.Float64()*2-1)))
 	}
-	return out
 }
 
 // AvgDegree returns the mean out-degree.
@@ -86,20 +97,16 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Builder incrementally assembles a Graph.
+// Builder incrementally assembles a Graph. The built graph's features
+// follow Generate's rule for Seed 0 and Locality 0.
 type Builder struct {
 	adjLists [][]NodeID
 	dim      int
-	features []uint16
 }
 
 // NewBuilder returns a builder for n nodes with the given feature dim.
 func NewBuilder(n, dim int) *Builder {
-	return &Builder{
-		adjLists: make([][]NodeID, n),
-		dim:      dim,
-		features: make([]uint16, n*dim),
-	}
+	return &Builder{adjLists: make([][]NodeID, n), dim: dim}
 }
 
 // AddEdge appends dst to src's neighbor list.
@@ -107,31 +114,17 @@ func (b *Builder) AddEdge(src, dst NodeID) {
 	b.adjLists[src] = append(b.adjLists[src], dst)
 }
 
-// SetFeature stores node v's feature vector (length must equal dim).
-func (b *Builder) SetFeature(v NodeID, feat []float32) {
-	if len(feat) != b.dim {
-		panic(fmt.Sprintf("graph: feature length %d != dim %d", len(feat), b.dim))
-	}
-	base := int(v) * b.dim
-	for i, f := range feat {
-		b.features[base+i] = Float32ToFp16(f)
-	}
-}
-
 // Build finalizes the CSR arrays. The builder must not be reused.
 func (b *Builder) Build() *Graph {
 	n := len(b.adjLists)
-	g := &Graph{
-		offsets:  make([]int64, n+1),
-		dim:      b.dim,
-		features: b.features,
-	}
+	g := &Graph{offsets: make([]int64, n+1), dim: b.dim, stream: 1}
 	var total int64
 	for i, l := range b.adjLists {
 		g.offsets[i] = total
 		total += int64(len(l))
 	}
 	g.offsets[n] = total
+	g.featStart = uint64(total)
 	g.adj = make([]NodeID, 0, total)
 	for _, l := range b.adjLists {
 		g.adj = append(g.adj, l...)

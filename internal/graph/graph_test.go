@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,9 +14,6 @@ func TestBuilderRoundTrip(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
 	b.AddEdge(1, 0)
-	b.SetFeature(0, []float32{1, 2})
-	b.SetFeature(1, []float32{-1, 0.5})
-	b.SetFeature(2, []float32{0, 0})
 	g := b.Build()
 
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
@@ -27,9 +25,15 @@ func TestBuilderRoundTrip(t *testing.T) {
 	if nb := g.Neighbors(0); nb[0] != 1 || nb[1] != 2 {
 		t.Fatalf("neighbors(0) = %v", nb)
 	}
-	f := g.Feature(1)
-	if f[0] != -1 || f[1] != 0.5 {
-		t.Fatalf("feature(1) = %v", f)
+	// Features follow Generate's rule for Seed 0: the draws after the
+	// edges' in the Seed+1 stream, scaled to [-1, 1).
+	rng := xrand.New(1)
+	rng.Jump(uint64(g.NumEdges()) + 2)
+	c := g.Features(1)
+	f := make([]byte, 2)
+	c.Draw(f)
+	if got, want := binary.LittleEndian.Uint16(f), Float32ToFp16(float32(rng.Float64()*2-1)); got != want {
+		t.Fatalf("node 1 feature 0 = %#04x, want %#04x", got, want)
 	}
 	if g.AvgDegree() != 1 {
 		t.Fatalf("avg degree = %v", g.AvgDegree())
@@ -37,15 +41,6 @@ func TestBuilderRoundTrip(t *testing.T) {
 	if g.MaxDegree() != 2 {
 		t.Fatalf("max degree = %v", g.MaxDegree())
 	}
-}
-
-func TestFeaturePanicsOnWrongDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SetFeature with wrong dim did not panic")
-		}
-	}()
-	NewBuilder(1, 3).SetFeature(0, []float32{1})
 }
 
 func TestFp16RoundTripExact(t *testing.T) {
@@ -213,10 +208,7 @@ func TestSampleSubgraphShape(t *testing.T) {
 }
 
 func TestSampleSubgraphZeroDegreeTarget(t *testing.T) {
-	b := NewBuilder(2, 1)
-	b.SetFeature(0, []float32{0})
-	b.SetFeature(1, []float32{0})
-	g := b.Build() // no edges at all
+	g := NewBuilder(2, 1).Build() // no edges at all
 	sg, err := SampleSubgraph(g, 0, SampleSpec{Hops: 2, Fanout: 3}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)

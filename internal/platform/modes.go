@@ -64,7 +64,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	// Per-page firmware verification: destination must lie in reserved
 	// blocks and embedded section addresses must stay inside them; we
 	// charge a fixed check cost per page (the checks themselves are
-	// exercised functionally by directgraph.Verify in tests).
+	// exercised functionally by directgraph.Validate in tests).
 	const verifyCost = 1 * sim.Microsecond
 	res := &ConstructionResult{Pages: len(pages), Bytes: int64(len(pages)) * int64(cfg.Flash.PageSize)}
 

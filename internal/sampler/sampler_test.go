@@ -24,6 +24,14 @@ func buildFixture(t *testing.T, nodes int, avgDeg float64, dim, pageSize int, se
 	return g, b
 }
 
+// drawFeatures returns node v's feature vector as the graph draws it.
+func drawFeatures(g *graph.Graph, v graph.NodeID) []uint16 {
+	c := g.Features(v)
+	b := make([]byte, 2*g.FeatureDim())
+	c.Draw(b)
+	return directgraph.AppendFP16(nil, b)
+}
+
 func pageOf(b *directgraph.Build, a directgraph.Addr) []byte {
 	return b.Pages[b.Layout.Page(a)]
 }
@@ -43,8 +51,8 @@ func TestExecutePrimarySamples(t *testing.T) {
 	if len(res.Features) != 2*8 {
 		t.Fatalf("feature len = %d bytes", len(res.Features))
 	}
-	// Feature must match the graph bit-exactly.
-	want := g.FeatureBits(5)
+	// Feature must match the graph's draws bit-exactly.
+	want := drawFeatures(g, 5)
 	got := res.FeatureBits()
 	for i := range want {
 		if got[i] != want[i] {
@@ -211,10 +219,7 @@ func TestExecuteMissingSectionErrors(t *testing.T) {
 }
 
 func TestExecuteZeroDegreeNode(t *testing.T) {
-	gb := graph.NewBuilder(2, 2)
-	gb.SetFeature(0, []float32{1, 2})
-	gb.SetFeature(1, []float32{3, 4})
-	g := gb.Build()
+	g := graph.NewBuilder(2, 2).Build()
 	b, err := directgraph.BuildGraph(directgraph.Layout{PageSize: 4096, FeatureDim: 2}, g, &directgraph.SeqAllocator{})
 	if err != nil {
 		t.Fatal(err)
