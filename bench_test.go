@@ -301,7 +301,8 @@ func BenchmarkTableIVInflation(b *testing.B) {
 
 // --- micro-benchmarks of the core data structures ---
 
-// BenchmarkDirectGraphBuild measures Algorithm-1 construction speed.
+// BenchmarkDirectGraphBuild measures Algorithm-1 construction speed,
+// including drawing every node's features into its primary section.
 func BenchmarkDirectGraphBuild(b *testing.B) {
 	g, err := graph.Generate(graph.GenSpec{Nodes: 5000, AvgDegree: 50, FeatureDim: 64, PowerLaw: 2.0, Seed: 1})
 	if err != nil {
