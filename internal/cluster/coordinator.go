@@ -31,7 +31,6 @@ const (
 type run struct {
 	cfg  Config
 	inst *dataset.Instance
-	pt   Partitioner
 	part *directgraph.Partitioned
 
 	k       *sim.Kernel
@@ -70,7 +69,6 @@ func newRun(c Config, inst *dataset.Instance, pt Partitioner) (*run, error) {
 	r := &run{
 		cfg:          c,
 		inst:         inst,
-		pt:           pt,
 		part:         part,
 		k:            k,
 		fab:          sim.NewFabric(k, c.Shards+1, c.FabricBandwidth, c.FabricLatency),
@@ -375,7 +373,9 @@ func (r *run) finalize() (*Result, error) {
 	if served > 0 {
 		res.ReadImbalance = float64(max) / (float64(sum) / float64(served))
 	}
-	res.IntraEdgeFrac = IntraEdgeFraction(r.inst.Graph, r.pt)
+	// part.Owner is the partitioner's assignment, untouched by a
+	// failure handover (which rewrites r.owners).
+	res.IntraEdgeFrac = intraEdgeFraction(r.inst.Graph, r.part.Owner)
 	if res.Fetches > 0 {
 		res.Availability = 1 - float64(res.DegradedFetches)/float64(res.Fetches)
 	} else {

@@ -168,12 +168,22 @@ func NewPartitioner(name string, n int, g *graph.Graph) (Partitioner, error) {
 // share a shard under p — the partition-quality metric the locality
 // policy optimizes and the hash policy pins near 1/N.
 func IntraEdgeFraction(g *graph.Graph, p Partitioner) float64 {
+	owner := make([]int32, g.NumNodes())
+	for v := range owner {
+		owner[v] = int32(p.Owner(graph.NodeID(v)))
+	}
+	return intraEdgeFraction(g, owner)
+}
+
+// intraEdgeFraction is IntraEdgeFraction over a per-node owner table,
+// which asks the partitioner once per node instead of twice per edge.
+func intraEdgeFraction(g *graph.Graph, owner []int32) float64 {
 	var intra, total int64
-	for v := 0; v < g.NumNodes(); v++ {
-		o := p.Owner(graph.NodeID(v))
+	for v := range owner {
+		o := owner[v]
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
 			total++
-			if p.Owner(u) == o {
+			if owner[u] == o {
 				intra++
 			}
 		}

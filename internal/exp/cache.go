@@ -156,8 +156,9 @@ func (c *Cache[K, V]) Put(key K, v V) {
 	c.trim()
 }
 
-// Get returns key's resident value and marks it most recently used.
-// In-flight entries and cached errors report ok = false.
+// Get returns key's resident value, marks it most recently used and
+// counts a hit. In-flight entries and cached errors report ok = false
+// and count nothing.
 func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -165,6 +166,7 @@ func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
 	if !ok || ent.prev == nil || ent.err != nil {
 		return v, false
 	}
+	c.hits++
 	c.moveToFront(ent)
 	return ent.val, true
 }
@@ -201,8 +203,9 @@ func (c *Cache[K, V]) Len() int {
 	return c.n
 }
 
-// Stats returns how many Do calls ran their computation and how many
-// found the key already cached or in flight.
+// Stats returns how many Do calls ran their computation, and how many
+// Do calls found the key already cached or in flight plus how many Get
+// calls found it resident.
 func (c *Cache[K, V]) Stats() (runs, hits uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

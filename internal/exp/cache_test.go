@@ -291,6 +291,10 @@ func TestCachePutGet(t *testing.T) {
 	if v, _ := c.Get("a"); v != 10 {
 		t.Fatalf("Put did not replace: a = %d", v)
 	}
+	// Two Gets found their key; the miss on b counts nothing.
+	if runs, hits := c.Stats(); runs != 0 || hits != 2 {
+		t.Fatalf("Stats after Gets = %d runs, %d hits; want 0, 2", runs, hits)
+	}
 	// Do answers a Put value without running.
 	if v, err := c.Do(context.Background(), "c", nil); err != nil || v != 3 {
 		t.Fatalf("Do on a Put entry: %d, %v", v, err)

@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -162,9 +161,22 @@ func (e *Engine) Stats() (runs, hits uint64) {
 func (e *Engine) Evictions() uint64 { return e.memo.Evictions() }
 
 // Cached reports whether key's result is already completed in the memo,
-// i.e. a Simulate for it would return without running or waiting. A
-// serving layer uses it to label responses as cache hits.
+// i.e. a Simulate for it would return without running or waiting. It
+// counts nothing; a caller that serves the result uses Lookup instead.
 func (e *Engine) Cached(key SimKey) bool { return e.memo.Cached(key) }
+
+// Lookup returns key's completed result if it is resident in the memo,
+// counting a memo hit in Stats. It never runs or waits: a miss (absent,
+// in flight, or a cached error) reports ok = false, and the caller
+// decides how to compute it — a serving layer labels the response from
+// this one lookup, so the label says what actually happened. With the
+// memo disabled every lookup misses.
+func (e *Engine) Lookup(key SimKey) (res *platform.Result, ok bool) {
+	if e.noMemo {
+		return nil, false
+	}
+	return e.memo.Get(key)
+}
 
 // Instances reports how many materialized instances are resident and
 // how many cache misses started a materialization.
@@ -222,25 +234,6 @@ type SimKey struct {
 	Timeline int
 }
 
-// ConfigDigest returns a stable digest of every field of the config.
-// Config is a tree of scalar value types, so its Go-syntax representation
-// is a canonical encoding once empty slices are made nil (%#v prints
-// []int(nil) and []int{} differently, yet both mean no dead units);
-// FNV-64a over it gives a cheap, deterministic key component. Any config
-// change — seed, ablations, timing, geometry — changes the digest and
-// therefore misses the cache.
-func ConfigDigest(cfg config.Config) uint64 {
-	if len(cfg.Fault.DeadDies) == 0 {
-		cfg.Fault.DeadDies = nil
-	}
-	if len(cfg.Fault.DeadChannels) == 0 {
-		cfg.Fault.DeadChannels = nil
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v", cfg)
-	return h.Sum64()
-}
-
 // Key builds the cache key for a simulation request.
 func Key(kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) SimKey {
 	return SimKey{
@@ -273,11 +266,21 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	if e.noMemo {
-		return e.leaf(ctx, 0, kind, cfg, inst, batches, timeline)
+	return e.SimulateKeyCtx(ctx, Key(kind, cfg, inst, batches, timeline), kind, cfg, inst, batches, timeline)
+}
+
+// SimulateKeyCtx is SimulateCtx for a caller that already holds the
+// request's key, which must be Key(kind, cfg, inst, batches, timeline):
+// a serving layer computes it once for its lookup and reuses it here.
+func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*platform.Result, error) {
+	if inst == nil {
+		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	return e.memo.Do(ctx, Key(kind, cfg, inst, batches, timeline), func() (*platform.Result, error) {
-		return e.leaf(ctx, 0, kind, cfg, inst, batches, timeline)
+	if e.noMemo {
+		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
+	}
+	return e.memo.Do(ctx, key, func() (*platform.Result, error) {
+		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
 	})
 }
 
@@ -291,15 +294,15 @@ func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg c
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	return e.leaf(ctx, attempt, kind, cfg, inst, batches, timeline)
+	return e.leaf(ctx, Key(kind, cfg, inst, batches, timeline), attempt, kind, cfg, inst, batches, timeline)
 }
 
 // leaf runs one simulation under a worker slot, after consulting the
-// fault hook.
-func (e *Engine) leaf(ctx context.Context, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (res *platform.Result, err error) {
+// fault hook with the simulation's key.
+func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (res *platform.Result, err error) {
 	err = e.ThrottleCtx(ctx, func() (err error) {
 		if e.hook != nil {
-			if err = e.hook(Key(kind, cfg, inst, batches, timeline), attempt); err != nil {
+			if err = e.hook(key, attempt); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,31 +29,86 @@ func testInstance(t testing.TB) *dataset.Instance {
 	return inst
 }
 
+// TestConfigDigestDistinguishesFields visits every leaf field of
+// config.Config by reflection, changes it, and requires the digest to
+// change: a field the digest missed would let two configs share a memo
+// entry.
 func TestConfigDigestDistinguishesFields(t *testing.T) {
 	base := config.Default()
-	mutants := []func(*config.Config){
-		func(c *config.Config) { c.Seed++ },
-		func(c *config.Config) { c.Flash.PageSize *= 2 },
-		func(c *config.Config) { c.Flash.ReadLatency *= 2 },
-		func(c *config.Config) { c.GNN.BatchSize++ },
-		func(c *config.Config) { c.Ablation.NoPipeline = true },
-		func(c *config.Config) { c.Firmware.Cores++ },
-		func(c *config.Config) { c.Fault.Enabled = true },
-		func(c *config.Config) { c.Fault.BaseRBER *= 10 },
-		func(c *config.Config) { c.Fault.InitialPECycles += 1000 },
-		func(c *config.Config) { c.Fault.DeadDies = []int{0} },
-		func(c *config.Config) { c.Fault.DeadChannels = []int{1} },
-	}
 	d0 := ConfigDigest(base)
 	if d0 != ConfigDigest(base) {
 		t.Fatal("digest not stable")
 	}
-	for i, m := range mutants {
-		c := base
-		m(&c)
-		if ConfigDigest(c) == d0 {
-			t.Errorf("mutant %d did not change the digest", i)
+	leaves := 0
+	var visit func(path string, v reflect.Value)
+	visit = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				visit(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
 		}
+		leaves++
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float()*2 + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("%s: test cannot mutate kind %v", path, v.Kind())
+		}
+		if ConfigDigest(base) == d0 {
+			t.Errorf("changing %s did not change the digest", path)
+		}
+		v.Set(old)
+	}
+	visit("Config", reflect.ValueOf(&base).Elem())
+	if ConfigDigest(base) != d0 {
+		t.Fatal("restoring every field did not restore the digest")
+	}
+	if leaves != len(digestPlan) {
+		t.Fatalf("config has %d leaves, the digest plan %d", leaves, len(digestPlan))
+	}
+
+	// Length prefixes keep the boundary between the two dead-unit lists:
+	// the same numbers split differently are different configs.
+	a, b := base, base
+	a.Fault.DeadDies, a.Fault.DeadChannels = []int{1, 2}, []int{3}
+	b.Fault.DeadDies, b.Fault.DeadChannels = []int{1}, []int{2, 3}
+	if ConfigDigest(a) == ConfigDigest(b) {
+		t.Error("moving a dead unit between the lists did not change the digest")
+	}
+}
+
+// TestCompileDigestRejectsUnhashableKinds checks that a field kind the
+// digest cannot hash — a map, pointer, interface or slice of structs —
+// panics when the plan is compiled instead of being skipped.
+func TestCompileDigestRejectsUnhashableKinds(t *testing.T) {
+	for _, v := range []any{
+		struct{ M map[string]int }{},
+		struct{ P *int }{},
+		struct{ I any }{},
+		struct{ S []struct{ X int } }{},
+		struct{ F float32 }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: compiling the digest plan did not panic", v)
+				}
+			}()
+			compileDigest(reflect.TypeOf(v), 0, nil)
+		}()
 	}
 }
 
@@ -334,6 +390,39 @@ func TestSimulateCtxCancelWhileWaitingForSlot(t *testing.T) {
 	// The abandoned key must be claimable again.
 	if _, err := e.Simulate(platform.BG1, cfg, inst, 2, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLookupCountsOneHit checks that Lookup answers a resident key with
+// the memoized result and one counted hit, and a missing key with
+// neither a hit nor a run; with the memo disabled every lookup misses.
+func TestLookupCountsOneHit(t *testing.T) {
+	e := New(1)
+	inst := testInstance(t)
+	cfg := config.Default()
+	key := Key(platform.BG2, cfg, inst, 2, 0)
+	if _, ok := e.Lookup(key); ok {
+		t.Fatal("Lookup hit before any simulation")
+	}
+	r1, err := e.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, ok := e.Lookup(key)
+	if !ok || r2 != r1 {
+		t.Fatalf("Lookup = %p, %v; want the memoized %p", r2, ok, r1)
+	}
+	if runs, hits := e.Stats(); runs != 1 || hits != 1 {
+		t.Fatalf("Stats = %d runs, %d hits; want 1, 1", runs, hits)
+	}
+
+	off := New(1)
+	off.DisableMemo()
+	if _, err := off.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := off.Lookup(key); ok {
+		t.Fatal("Lookup hit with the memo disabled")
 	}
 }
 

@@ -72,13 +72,22 @@ func (k Kind) String() string {
 // so "BG-2", "bg2", and "bg_2" all resolve to BG2.
 func ByName(name string) (Kind, error) {
 	want := normalizeName(name)
-	for k := Kind(0); k < numKinds; k++ {
-		if normalizeName(k.String()) == want {
-			return k, nil
+	for k, n := range normalizedNames {
+		if n == want {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("platform: unknown platform %q", name)
 }
+
+// normalizedNames holds each kind's normalized name, computed once:
+// ByName sits on every simulate request's path.
+var normalizedNames = func() (out [numKinds]string) {
+	for k := range out {
+		out[k] = normalizeName(Kind(k).String())
+	}
+	return out
+}()
 
 func normalizeName(s string) string {
 	s = strings.ToLower(s)

@@ -173,51 +173,65 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.finishErr(w, r, err)
 		return
 	}
+	// One memo lookup decides hit or miss, so the label says what
+	// happened: a key evicted after the lookup is a miss that runs
+	// through the retry and hedge machinery, never a "hit" that
+	// quietly re-simulates.
 	key := exp.Key(job.kind, job.cfg, inst, job.batches, simTimelinePoints)
-	hit := s.eng.Cached(key)
-	var res *platform.Result
+	res, hit := s.eng.Lookup(key)
 	if hit {
 		latency = simulateHitSummary
 		s.reg.Counter("beaconserved_cache_hits_total").Inc()
-		// Memo hits bypass the retry/hedge machinery entirely: the hot
-		// path stays at its uninstrumented allocation budget.
-		res, err = s.eng.SimulateCtx(ctx, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
-		if err == nil {
-			bk.Record(time.Now().UnixNano(), true)
-		} else if ctx.Err() != nil {
-			bk.CancelProbe()
-		} else {
-			bk.Record(time.Now().UnixNano(), false)
-		}
+		bk.Record(time.Now().UnixNano(), true)
 	} else {
 		s.reg.Counter("beaconserved_cache_misses_total").Inc()
-		res, err = s.runResilient(ctx, bk, job, inst, key)
-	}
-	if err != nil {
-		// Transient exhaustion with the breaker now open degrades
-		// instead of surfacing a 5xx the client can do nothing about.
-		if ctx.Err() == nil && exp.IsTransient(err) && bk.State() == chaos.Open {
-			s.serveDegraded(w, job, fam, start, "retries exhausted; circuit open")
+		if res, err = s.runResilient(ctx, bk, job, inst, key); err != nil {
+			// Transient exhaustion with the breaker now open degrades
+			// instead of surfacing a 5xx the client can do nothing about.
+			if ctx.Err() == nil && exp.IsTransient(err) && bk.State() == chaos.Open {
+				s.serveDegraded(w, job, fam, start, "retries exhausted; circuit open")
+				return
+			}
+			s.finishErr(w, r, err)
 			return
 		}
-		s.finishErr(w, r, err)
+	}
+	enc, err := s.encoded(key, res, hit)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
 		return
 	}
-	s.stale.Put(fam, staleRecord{res: res, nodes: job.nodes, batches: job.batches})
+	s.stale.Put(fam, staleRecord{platform: res.Platform, dataset: res.Dataset, result: enc, nodes: job.nodes, batches: job.batches})
 	cacheHeader := "miss"
 	if hit {
 		cacheHeader = "hit"
 	}
 	w.Header().Set("X-Cache", cacheHeader)
-	s.writeOK(w, SimResponse{
-		Platform: res.Platform,
-		Dataset:  res.Dataset,
-		Nodes:    job.nodes,
-		Batches:  job.batches,
-		Cached:   hit,
-		WallMS:   float64(time.Since(start).Microseconds()) / 1e3,
-		Result:   res,
-	})
+	s.writeSim(w, simEnvelope{
+		platform: res.Platform,
+		dataset:  res.Dataset,
+		nodes:    job.nodes,
+		batches:  job.batches,
+		cached:   hit,
+		wallMS:   float64(time.Since(start).Microseconds()) / 1e3,
+	}, enc)
+}
+
+// encoded returns key's result bytes: the stored encoding on a hit whose
+// bytes are still resident, else a fresh encoding of res, stored for
+// the hits after it. A miss always encodes afresh.
+func (s *Server) encoded(key exp.SimKey, res *platform.Result, hit bool) ([]byte, error) {
+	if hit {
+		if enc, ok := s.results.Get(key); ok {
+			return enc, nil
+		}
+	}
+	enc, err := encodeResult(res)
+	if err != nil {
+		return nil, err
+	}
+	s.results.Put(key, enc)
+	return enc, nil
 }
 
 // serveDegraded answers under an open breaker: the family's
@@ -237,16 +251,15 @@ func (s *Server) serveDegraded(w http.ResponseWriter, job *simJob, fam family, s
 	w.Header().Set("X-Degraded", "true")
 	w.Header().Set("X-Cache", "stale")
 	w.Header().Set("Warning", `110 beaconserved "stale result: `+reason+`"`)
-	s.writeOK(w, SimResponse{
-		Platform: rec.res.Platform,
-		Dataset:  rec.res.Dataset,
-		Nodes:    rec.nodes,
-		Batches:  rec.batches,
-		Cached:   true,
-		Degraded: true,
-		WallMS:   float64(time.Since(start).Microseconds()) / 1e3,
-		Result:   rec.res,
-	})
+	s.writeSim(w, simEnvelope{
+		platform: rec.platform,
+		dataset:  rec.dataset,
+		nodes:    rec.nodes,
+		batches:  rec.batches,
+		cached:   true,
+		degraded: true,
+		wallMS:   float64(time.Since(start).Microseconds()) / 1e3,
+	}, rec.result)
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {

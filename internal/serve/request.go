@@ -199,7 +199,10 @@ func (s *Server) requestTimeout(ms int64) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// SimResponse is the JSON reply of POST /v1/simulate.
+// SimResponse is the JSON reply of POST /v1/simulate. The handler writes
+// it by hand, splicing the result's stored encoding after the other
+// members (envelope.go); the bytes are exactly what json.Encoder, with
+// HTML escaping off, writes for this type.
 type SimResponse struct {
 	Platform string `json:"platform"`
 	Dataset  string `json:"dataset"`

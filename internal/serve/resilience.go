@@ -54,15 +54,15 @@ func (bs *breakerSet) get(f family) *chaos.Breaker {
 // stack: per-attempt breaker accounting, bounded retries against
 // transient faults under the retry budget, exponential backoff with
 // deterministic per-key jitter, and hedged duplicates for stragglers.
-// The memo-hit path never comes here — the caller dispatches hits
-// straight to SimulateCtx so the hot path cost is unchanged.
+// The memo-hit path never comes here — the caller answers hits from
+// its one memo lookup, so the hot path pays none of this.
 func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJob, inst *dataset.Instance, key exp.SimKey) (*platform.Result, error) {
 	backoff := chaos.Backoff{
 		Base: s.cfg.RetryBackoffBase.Nanoseconds(),
 		Max:  s.cfg.RetryBackoffMax.Nanoseconds(),
 	}
 	for attempt := 0; ; attempt++ {
-		res, err := s.simulateHedged(ctx, job, inst, attempt)
+		res, err := s.simulateHedged(ctx, job, inst, key, attempt)
 		if err == nil {
 			bk.Record(time.Now().UnixNano(), true)
 			return res, nil
@@ -99,9 +99,9 @@ func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJo
 // bypasses the memo (SimulateFreshCtx) so it cannot dedupe into the
 // very in-flight entry it is racing; the loser's context is cancelled
 // and the abandonment is observed mid-kernel.
-func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, attempt int) (*platform.Result, error) {
+func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, key exp.SimKey, attempt int) (*platform.Result, error) {
 	if s.cfg.HedgeAfter <= 0 {
-		return s.eng.SimulateCtx(ctx, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
+		return s.eng.SimulateKeyCtx(ctx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
 	}
 	type outcome struct {
 		res   *platform.Result
@@ -112,7 +112,7 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 	defer cancelRace()
 	ch := make(chan outcome, 2)
 	go func() {
-		res, err := s.eng.SimulateCtx(raceCtx, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
+		res, err := s.eng.SimulateKeyCtx(raceCtx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
 		ch <- outcome{res, err, false}
 	}()
 	timer := time.NewTimer(s.cfg.HedgeAfter)

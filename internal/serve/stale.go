@@ -14,13 +14,16 @@ type family struct {
 	dataset string
 }
 
-// staleRecord is the last-known-good result of one family, plus the
-// shape it was computed at (reported back so a degraded client knows
-// what it is actually looking at). The server keeps them in an
-// exp.Cache capped at StaleCap, through Put and Get only: a resident
-// family is updated in place on the hot path, without allocating.
+// staleRecord is the last-known-good result of one family — its
+// platform and dataset names and its encoded bytes, spliced into a
+// degraded reply as they are — plus the shape it was computed at
+// (reported back so a degraded client knows what it is actually
+// looking at). The server keeps them in an exp.Cache capped at
+// StaleCap, through Put and Get only: a resident family is updated in
+// place on the hot path, without allocating.
 type staleRecord struct {
-	res     *platform.Result
-	nodes   int
-	batches int
+	platform, dataset string
+	result            []byte
+	nodes             int
+	batches           int
 }
