@@ -17,13 +17,13 @@
 //     NOT hold a slot, so nested fan-outs — RunAll over experiments, an
 //     experiment over its simulations — never deadlock and only leaves
 //     compete for cores;
-//   - two Caches: simulation results keyed by (platform kind, dataset
-//     name, materialized node count, config digest, batches, timeline
-//     points), and dataset instances keyed by (name, nodes, page size,
-//     seed), so each distinct simulation and instance is computed at
-//     most once per resident entry, no matter how many figures ask for
-//     it. Determinism makes a cached result indistinguishable from a
-//     re-run.
+//   - two Caches: simulation results (Memos) keyed by (platform kind,
+//     dataset name, materialized node count, config digest, batches,
+//     timeline points), and dataset instances keyed by (name, nodes,
+//     page size, seed), so each distinct simulation and instance is
+//     computed at most once per resident entry, no matter how many
+//     figures ask for it. Determinism makes a cached result
+//     indistinguishable from a re-run.
 //
 // Determinism contract: callers collect results first (Map preserves
 // input order) and format afterwards; with that discipline, output is
@@ -31,7 +31,9 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -76,7 +78,7 @@ type Engine struct {
 	// recovery).
 	simFn func(context.Context, platform.Kind, config.Config, *dataset.Instance, int, int) (*platform.Result, error)
 
-	memo   *Cache[SimKey, *platform.Result]
+	memo   *Cache[SimKey, *Memo]
 	insts  *Cache[instKey, *dataset.Instance]
 	noMemo bool          // bypass the result memo (forced full resimulation)
 	runs   atomic.Uint64 // simulation leaves executed
@@ -101,7 +103,7 @@ func New(workers int) *Engine {
 	return &Engine{
 		sem:   make(chan struct{}, workers),
 		simFn: platform.SimulateCtx,
-		memo:  NewCache[SimKey, *platform.Result](0),
+		memo:  NewCache[SimKey, *Memo](0),
 		insts: NewCache[instKey, *dataset.Instance](0),
 	}
 }
@@ -165,13 +167,13 @@ func (e *Engine) Evictions() uint64 { return e.memo.Evictions() }
 // counts nothing; a caller that serves the result uses Lookup instead.
 func (e *Engine) Cached(key SimKey) bool { return e.memo.Cached(key) }
 
-// Lookup returns key's completed result if it is resident in the memo,
+// Lookup returns key's memo entry if it is resident and completed,
 // counting a memo hit in Stats. It never runs or waits: a miss (absent,
 // in flight, or a cached error) reports ok = false, and the caller
 // decides how to compute it — a serving layer labels the response from
 // this one lookup, so the label says what actually happened. With the
 // memo disabled every lookup misses.
-func (e *Engine) Lookup(key SimKey) (res *platform.Result, ok bool) {
+func (e *Engine) Lookup(key SimKey) (m *Memo, ok bool) {
 	if e.noMemo {
 		return nil, false
 	}
@@ -246,6 +248,39 @@ func Key(kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches,
 	}
 }
 
+// Memo is one simulation's memo entry: its result and, made on first
+// use, the result's JSON encoding. Both stay resident together and are
+// evicted together, so a key has one entry and one cap. A Memo is
+// shared between all callers and must be treated as read-only.
+type Memo struct {
+	Result *platform.Result
+
+	once sync.Once
+	enc  []byte
+	err  error
+}
+
+// JSON returns the result as json.Encoder with HTML escaping off writes
+// it, without the trailing newline. The first call encodes; every later
+// call returns the same bytes, which the caller must not modify.
+func (m *Memo) JSON() ([]byte, error) {
+	m.once.Do(func() { m.enc, m.err = encodeResult(m.Result) })
+	return m.enc, m.err
+}
+
+// encodeResult is Memo.JSON's encoder, trimming the bytes to their
+// exact length for a long stay in the memo. It is a variable so a test
+// can count encodings.
+var encodeResult = func(res *platform.Result) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(res); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(bytes.TrimSuffix(b.Bytes(), []byte("\n"))), nil
+}
+
 // Simulate runs (or returns the memoized result of) one platform
 // simulation, holding a worker slot only while actually simulating.
 // Concurrent requests for the same key deduplicate: one caller runs, the
@@ -266,20 +301,24 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	return e.SimulateKeyCtx(ctx, Key(kind, cfg, inst, batches, timeline), kind, cfg, inst, batches, timeline)
+	m, err := e.SimulateKeyCtx(ctx, Key(kind, cfg, inst, batches, timeline), kind, cfg, inst, batches, timeline)
+	if err != nil {
+		return nil, err
+	}
+	return m.Result, nil
 }
 
-// SimulateKeyCtx is SimulateCtx for a caller that already holds the
-// request's key, which must be Key(kind, cfg, inst, batches, timeline):
-// a serving layer computes it once for its lookup and reuses it here.
-func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*platform.Result, error) {
+// SimulateKeyCtx is SimulateCtx returning the memo entry, for a caller
+// that already holds key, which must be Key(kind, cfg, inst, batches,
+// timeline): a serving layer computes it once for its lookup.
+func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*Memo, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
 	if e.noMemo {
 		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
 	}
-	return e.memo.Do(ctx, key, func() (*platform.Result, error) {
+	return e.memo.Do(ctx, key, func() (*Memo, error) {
 		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
 	})
 }
@@ -287,10 +326,11 @@ func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.K
 // SimulateFreshCtx runs one simulation without consulting or updating
 // the result memo, while still holding a worker slot. It exists for
 // hedged duplicates: a hedge of an in-flight key must not dedupe into
-// the very attempt it is racing, and its result must not fight the
-// primary's over the memo slot. attempt is forwarded to the fault hook
-// so injection schedules can tell primaries from hedges.
-func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline, attempt int) (*platform.Result, error) {
+// the very attempt it is racing, and its result, in a Memo that is
+// never stored, must not fight the primary's over the memo slot.
+// attempt is forwarded to the fault hook so injection schedules can
+// tell primaries from hedges.
+func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline, attempt int) (*Memo, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
@@ -298,9 +338,10 @@ func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg c
 }
 
 // leaf runs one simulation under a worker slot, after consulting the
-// fault hook with the simulation's key.
-func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (res *platform.Result, err error) {
-	err = e.ThrottleCtx(ctx, func() (err error) {
+// fault hook with the simulation's key, and wraps its result in a Memo.
+func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*Memo, error) {
+	var res *platform.Result
+	err := e.ThrottleCtx(ctx, func() (err error) {
 		if e.hook != nil {
 			if err = e.hook(key, attempt); err != nil {
 				return err
@@ -310,7 +351,10 @@ func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platfor
 		res, err = e.simFn(ctx, kind, cfg, inst, batches, timeline)
 		return err
 	})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return &Memo{Result: res}, nil
 }
 
 // Map applies f to every item concurrently and returns the results in

@@ -96,12 +96,12 @@ func TestSimulateFreshCtxBypassesMemo(t *testing.T) {
 	if runsAfter != runsBefore+1 {
 		t.Fatalf("fresh run deduped into the memo (runs %d -> %d)", runsBefore, runsAfter)
 	}
-	if r1 == r2 {
+	if r1 == r2.Result {
 		t.Fatal("fresh run returned the cached pointer")
 	}
-	if r1.Elapsed != r2.Elapsed || r1.FlashReads != r2.FlashReads {
+	if r1.Elapsed != r2.Result.Elapsed || r1.FlashReads != r2.Result.FlashReads {
 		t.Fatalf("fresh rerun diverged from the memoized run: %v/%v vs %v/%v",
-			r1.Elapsed, r1.FlashReads, r2.Elapsed, r2.FlashReads)
+			r1.Elapsed, r1.FlashReads, r2.Result.Elapsed, r2.Result.FlashReads)
 	}
 	// The hook sees the hedge's attempt number, letting injectors key
 	// decisions off it.

@@ -1,24 +1,72 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// benchPost drives one request through the full handler stack —
-// decode, validation, admission, engine, JSON encode — exactly as an
-// HTTP client would, minus the network.
-func benchPost(b *testing.B, s http.Handler, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		b.Fatalf("status %d: %s", w.Code, w.Body.String())
+// benchClient sends simulate requests through one handler, reusing a
+// parsed request and one ResponseWriter across ops, so an op times the
+// server rather than request parsing and the growth of a fresh
+// recorder's buffer to the ~35 KB reply.
+type benchClient struct {
+	s    http.Handler
+	tmpl *http.Request
+	body strings.Reader
+	w    benchWriter
+}
+
+type benchWriter struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (w *benchWriter) Header() http.Header { return w.h }
+
+func (w *benchWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
 	}
-	return w
+}
+
+func (w *benchWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.body.Write(p)
+}
+
+func newBenchClient(s http.Handler) *benchClient {
+	return &benchClient{
+		s:    s,
+		tmpl: httptest.NewRequest(http.MethodPost, "/v1/simulate", nil),
+		w:    benchWriter{h: make(http.Header)},
+	}
+}
+
+// post drives one request through the full handler stack — decode,
+// validation, admission, engine, reply — exactly as an HTTP client
+// would, minus the network, and fails b unless the reply is a 200 with
+// the given X-Cache outcome.
+func (c *benchClient) post(b *testing.B, body, cache string) {
+	clear(c.w.h)
+	c.w.code = 0
+	c.w.body.Reset()
+	c.body.Reset(body)
+	r := *c.tmpl
+	r.Body = io.NopCloser(&c.body)
+	r.ContentLength = int64(len(body))
+	c.s.ServeHTTP(&c.w, &r)
+	if c.w.code != http.StatusOK {
+		b.Fatalf("status %d: %s", c.w.code, c.w.body.Bytes())
+	}
+	if got := c.w.h.Get("X-Cache"); cache != "" && got != cache {
+		b.Fatalf("X-Cache %q, want %q", got, cache)
+	}
 }
 
 // BenchmarkRequestPath measures one simulate request end to end through
@@ -29,15 +77,16 @@ func benchPost(b *testing.B, s http.Handler, body string) *httptest.ResponseReco
 //     warm dataset instance — the request path's allocation budget is
 //     on top of the simulation itself;
 //   - memo-hit: the same request repeatedly, so each op is decode +
-//     validation + memo lookup + JSON encode. This is the latency a
-//     client sees for a repeated query and must stay microseconds.
+//     validation + memo lookup + envelope write around the entry's
+//     stored encoding. This is the latency a client sees for a repeated
+//     query and must stay microseconds.
 func BenchmarkRequestPath(b *testing.B) {
-	s := New(Config{Workers: 1, MaxNodes: 50_000})
+	c := newBenchClient(New(Config{Workers: 1, MaxNodes: 50_000}))
 	base := `{"platform":"BG-2","dataset":"amazon","nodes":2000,"batches":2`
 
 	// Warm the instance cache so cold ops measure simulation + request
 	// path, not dataset materialization.
-	benchPost(b, s, base+`}`)
+	c.post(b, base+`}`, "")
 
 	// Monotonic across the benchmark's b.N calibration rounds — the same
 	// i must never produce the same config digest twice.
@@ -49,23 +98,17 @@ func BenchmarkRequestPath(b *testing.B) {
 			// miss while reusing the materialized instance.
 			latency++
 			body := fmt.Sprintf(`%s,"read_latency_ns":%d}`, base, latency)
-			w := benchPost(b, s, body)
-			if w.Header().Get("X-Cache") != "miss" {
-				b.Fatal("cold op unexpectedly hit the memo")
-			}
+			c.post(b, body, "miss")
 		}
 	})
 
 	b.Run("memo-hit", func(b *testing.B) {
 		body := base + `}`
-		benchPost(b, s, body) // ensure the key is resident
+		c.post(b, body, "") // ensure the key is resident
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w := benchPost(b, s, body)
-			if w.Header().Get("X-Cache") != "hit" {
-				b.Fatal("memo-hit op missed the cache")
-			}
+			c.post(b, body, "hit")
 		}
 	})
 }

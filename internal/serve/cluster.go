@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"beacongnn/internal/chaos"
+	"beacongnn/internal/exp"
 	"beacongnn/internal/metrics"
 )
 
@@ -112,9 +113,6 @@ func NewCluster(n int, cfg Config) *Cluster {
 	return c
 }
 
-// Replica returns replica i's Server (tests and stats).
-func (c *Cluster) Replica(i int) *Server { return c.replicas[i].srv }
-
 // BeginDrain flips every replica (and the router's /healthz) into
 // lame-duck mode.
 func (c *Cluster) BeginDrain() {
@@ -123,9 +121,6 @@ func (c *Cluster) BeginDrain() {
 		r.srv.BeginDrain()
 	}
 }
-
-// Draining reports lame-duck state.
-func (c *Cluster) Draining() bool { return c.draining.Load() }
 
 // CancelInflight cancels stragglers on every replica and returns the
 // total cancelled.
@@ -147,14 +142,6 @@ func (c *Cluster) Stats() (runs, hits uint64) {
 	return runs, hits
 }
 
-// DeadProbes returns how many times routing contacted replica i while
-// it was dead — the quantity the breaker clamps to at most one per
-// half-open interval.
-func (c *Cluster) DeadProbes(i int) uint64 { return c.deadProbes[i].Value() }
-
-// RoutedRequests returns how many requests replica i has served.
-func (c *Cluster) RoutedRequests(i int) uint64 { return c.requests[i].Value() }
-
 // Kill marks replica i dead (admin drill; no process actually exits —
 // the replica simply refuses to serve, like a crashed backend behind a
 // proxy).
@@ -175,10 +162,14 @@ func (c *Cluster) Recover(i int) {
 	r.mu.Unlock()
 }
 
-// routeKey derives the placement key for a request. Simulation and
-// experiment bodies hash their decoded (lenient) request structs, so
-// formatting differences in the JSON never split a SimKey across
-// replicas; the body is restored for the replica's own strict decoder.
+// routeKey derives the placement key for a request. A simulation routes
+// on its validated job — kind, dataset, nodes, batches and config
+// digest — so every spelling of one simulation (defaults written out,
+// platform names in any case) lands on the replica that memoizes it,
+// and the deadline never moves a request off that replica. An
+// experiment routes on its decoded request. A body that fails
+// validation gets no key. The body is restored for the replica's own
+// decoder.
 func (c *Cluster) routeKey(r *http.Request) (uint64, bool) {
 	if r.Method != http.MethodPost {
 		return 0, false
@@ -196,20 +187,15 @@ func (c *Cluster) routeKey(r *http.Request) (uint64, bool) {
 	h := fnv.New64a()
 	if r.URL.Path == "/v1/simulate" {
 		var req SimRequest
-		if json.Unmarshal(body, &req) != nil {
+		if decodeJSON(bytes.NewReader(body), &req) != nil {
 			return 0, false
 		}
-		// SimKey-determining fields only: the deadline never moves a
-		// request off its cache-warm replica, and the Fault block is
-		// hashed by value, not by pointer.
-		fmt.Fprintf(h, "sim|%s|%s|%d|%d|%d|%d|%d|%d|%d|%d",
-			req.Platform, req.Dataset, req.Nodes, req.Batches, req.BatchSize,
-			req.Seed, req.ReadLatencyNS, req.Channels, req.Dies, req.Cores)
-		if req.Fault != nil {
-			fmt.Fprintf(h, "|fault|%g|%d|%v|%v",
-				req.Fault.BaseRBER, req.Fault.InitialPECycles,
-				req.Fault.DeadDies, req.Fault.DeadChannels)
+		// Every replica validates against the same Config.
+		job, err := c.replicas[0].srv.validate(&req)
+		if err != nil {
+			return 0, false
 		}
+		fmt.Fprintf(h, "sim|%d|%s|%d|%d|%d", job.kind, job.desc.Name, job.nodes, job.batches, exp.ConfigDigest(job.cfg))
 	} else {
 		var req ExpRequest
 		if json.Unmarshal(body, &req) != nil {
@@ -375,7 +361,7 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := http.StatusOK
 	state := "ok"
 	switch {
-	case c.Draining():
+	case c.draining.Load():
 		status, state = http.StatusServiceUnavailable, "draining"
 	case live == 0:
 		status, state = http.StatusServiceUnavailable, "no live replicas"

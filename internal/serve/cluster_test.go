@@ -17,12 +17,12 @@ func testCluster(t *testing.T, n int, cfg Config) *Cluster {
 	return c
 }
 
-// routeBody returns a quick-failing /v1/simulate body (unknown dataset →
-// 400 at the replica) whose routing key still varies with seed — routing
-// happens before replica-side validation, so these exercise the ring
-// without running simulations.
+// routeBody returns a small /v1/simulate body whose routing key varies
+// with seed. Only the flash read latency changes with it, so a replica
+// materializes its instance once and each new seed costs one
+// single-batch simulation of a 256-node graph.
 func routeBody(seed int) string {
-	return fmt.Sprintf(`{"platform":"BG-2","dataset":"no-such-dataset","seed":%d}`, seed)
+	return fmt.Sprintf(`{"platform":"BG-2","dataset":"amazon","nodes":256,"batches":1,"read_latency_ns":%d}`, 1000+seed)
 }
 
 func postSim(c *Cluster, body string) *httptest.ResponseRecorder {
@@ -55,12 +55,33 @@ func TestClusterPlacementIsStableAndSpreads(t *testing.T) {
 	}
 }
 
-func TestClusterTimeoutDoesNotMovePlacement(t *testing.T) {
-	c := testCluster(t, 3, Config{})
-	a := postSim(c, `{"platform":"BG-2","dataset":"x","seed":9}`).Header().Get("X-Replica")
-	b := postSim(c, `{"platform":"BG-2","dataset":"x","seed":9,"timeout_ms":5000}`).Header().Get("X-Replica")
-	if a != b {
-		t.Fatalf("timeout_ms moved placement: %s vs %s", a, b)
+// TestClusterEquivalentRequestsShareReplica routes spellings of one
+// simulation — defaults written out, the platform name in another case,
+// a deadline — and requires one placement key for all of them, so one
+// replica simulates and memoizes the key. A body that fails validation
+// routes with no key.
+func TestClusterEquivalentRequestsShareReplica(t *testing.T) {
+	c := testCluster(t, 4, Config{})
+	route := func(body string) (uint64, bool) {
+		return c.routeKey(httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+	}
+	want, ok := route(`{"platform":"BG-2","dataset":"amazon"}`)
+	if !ok {
+		t.Fatal("valid body routed with no key")
+	}
+	for _, body := range []string{
+		`{"platform":"BG-2","dataset":"amazon","nodes":10000}`,
+		`{"platform":"BG-2","dataset":"amazon","batches":6}`,
+		`{"platform":"bg-2","dataset":"amazon"}`,
+		`{"platform":"BG-2","dataset":"amazon","timeout_ms":5000}`,
+	} {
+		if got, ok := route(body); !ok || got != want {
+			t.Errorf("%s: key %x (ok %v) on replica %d, want %x on replica %d",
+				body, got, ok, c.candidates(got)[0], want, c.candidates(want)[0])
+		}
+	}
+	if _, ok := route(`{"platform":"BG-2","dataset":"no-such-dataset"}`); ok {
+		t.Error("a body that fails validation got a placement key")
 	}
 }
 
@@ -111,10 +132,10 @@ func TestClusterDeadReplicaProbeClamped(t *testing.T) {
 	// Threshold 1 → exactly one contact trips the breaker Open; with an
 	// hour's cooldown the hammer must never touch the dead replica
 	// again.
-	if probes := c.DeadProbes(pid); probes > 1 {
+	if probes := c.deadProbes[pid].Value(); probes > 1 {
 		t.Fatalf("dead replica probed %d times during hammer; breaker should clamp to 1", probes)
 	}
-	if got := c.RoutedRequests(survivor); got < hammer {
+	if got := c.requests[survivor].Value(); got < hammer {
 		t.Fatalf("survivor served %d of %d hammer requests", got, hammer)
 	}
 }

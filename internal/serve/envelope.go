@@ -1,25 +1,22 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"net/http"
 	"strconv"
 	"unicode/utf8"
-
-	"beacongnn/internal/platform"
 )
 
 // A simulate reply is a short envelope around the encoded result. The
-// result's encoding depends only on its SimKey, so the server encodes it
-// once, when a miss first serves it, and keeps the bytes in an
-// exp.Cache capped at CacheResults; every later answer for the key — a
-// memo hit or a degraded stale answer — writes the envelope by hand and
-// splices the stored bytes in. The body is byte-identical to what
-// json.Encoder (SetEscapeHTML(false)) writes for the equivalent
-// SimResponse; TestSplicedBodyMatchesEncoder and FuzzSimEnvelope hold
-// the two together.
+// result's encoding depends only on its SimKey, so it lives in the
+// key's one memo entry (exp.Memo.JSON): made on the entry's first
+// serve, kept while the entry is resident, dropped with it. Every
+// answer — a miss, a memo hit, or a degraded stale answer carrying
+// bytes a staleRecord kept — writes the envelope by hand and splices
+// the encoding in. The body is byte-identical to what json.Encoder
+// (SetEscapeHTML(false)) writes for the equivalent SimResponse;
+// TestSplicedBodyMatchesEncoder and FuzzSimEnvelope hold the two
+// together.
 
 // simEnvelope is a SimResponse without its result.
 type simEnvelope struct {
@@ -27,18 +24,6 @@ type simEnvelope struct {
 	nodes, batches    int
 	cached, degraded  bool
 	wallMS            float64
-}
-
-// encodeResult returns res as json.Encoder writes it inside a
-// SimResponse, trimmed to its exact length for a long stay in the cache.
-func encodeResult(res *platform.Result) ([]byte, error) {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(res); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(bytes.TrimSuffix(b.Bytes(), []byte("\n"))), nil
 }
 
 // appendSimHead appends e's members and the "result" member name, in
@@ -66,8 +51,8 @@ func appendSimHead(b []byte, e simEnvelope) []byte {
 // with a newline.
 var simTail = []byte("}\n")
 
-// writeSim writes a 200 simulate reply: the envelope, then the stored
-// result bytes, then the tail. Write errors after the header are
+// writeSim writes a 200 simulate reply: the envelope, then the encoded
+// result, then the tail. Write errors after the header are
 // connection problems, not server state, so they are dropped.
 func (s *Server) writeSim(w http.ResponseWriter, e simEnvelope, result []byte) {
 	s.reg.Counter(`beaconserved_responses_total{code="200"}`).Inc()

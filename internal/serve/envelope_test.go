@@ -174,8 +174,10 @@ func resultField(body []byte) []byte {
 	return r.Result
 }
 
-// TestStoredResultsCapped checks that the encoded-result store keeps at
-// most CacheResults entries, like the memo it mirrors.
+// TestStoredResultsCapped checks that CacheResults caps the one store of
+// simulation results: the engine memo keeps the newest CacheResults
+// entries. EvictOldest reports how many it dropped, which, asked for
+// more than the cap, is the resident count.
 func TestStoredResultsCapped(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, CacheResults: 2})
 	for i := 1; i <= 4; i++ {
@@ -183,8 +185,8 @@ func TestStoredResultsCapped(t *testing.T) {
 			t.Fatalf("seed %d: code %d %.200s", i, w.Code, w.Body)
 		}
 	}
-	if n := s.results.Len(); n != 2 {
-		t.Fatalf("%d encoded results resident, want the cap of 2", n)
+	if n := s.Engine().EvictOldest(100); n != 2 {
+		t.Fatalf("%d memo entries resident, want the cap of 2", n)
 	}
 }
 
@@ -197,7 +199,7 @@ func TestStoredResultsCapped(t *testing.T) {
 // testdata/fuzz/FuzzSimEnvelope, which go test runs in file-name order.
 func FuzzSimEnvelope(f *testing.F) {
 	res := &platform.Result{Platform: "BG-2", Dataset: "amazon", Elapsed: 1}
-	result, err := encodeResult(res)
+	result, err := (&exp.Memo{Result: res}).JSON()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"beacongnn/internal/chaos"
 	"beacongnn/internal/core"
 	"beacongnn/internal/exp"
-	"beacongnn/internal/platform"
 )
 
 // writeJSON writes v with status code; encode failures after the header
@@ -178,14 +177,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// through the retry and hedge machinery, never a "hit" that
 	// quietly re-simulates.
 	key := exp.Key(job.kind, job.cfg, inst, job.batches, simTimelinePoints)
-	res, hit := s.eng.Lookup(key)
+	m, hit := s.eng.Lookup(key)
 	if hit {
 		latency = simulateHitSummary
 		s.reg.Counter("beaconserved_cache_hits_total").Inc()
 		bk.Record(time.Now().UnixNano(), true)
 	} else {
 		s.reg.Counter("beaconserved_cache_misses_total").Inc()
-		if res, err = s.runResilient(ctx, bk, job, inst, key); err != nil {
+		if m, err = s.runResilient(ctx, bk, job, inst, key); err != nil {
 			// Transient exhaustion with the breaker now open degrades
 			// instead of surfacing a 5xx the client can do nothing about.
 			if ctx.Err() == nil && exp.IsTransient(err) && bk.State() == chaos.Open {
@@ -196,11 +195,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	enc, err := s.encoded(key, res, hit)
+	enc, err := m.JSON()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
 		return
 	}
+	res := m.Result
 	s.stale.Put(fam, staleRecord{platform: res.Platform, dataset: res.Dataset, result: enc, nodes: job.nodes, batches: job.batches})
 	cacheHeader := "miss"
 	if hit {
@@ -215,23 +215,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		cached:   hit,
 		wallMS:   float64(time.Since(start).Microseconds()) / 1e3,
 	}, enc)
-}
-
-// encoded returns key's result bytes: the stored encoding on a hit whose
-// bytes are still resident, else a fresh encoding of res, stored for
-// the hits after it. A miss always encodes afresh.
-func (s *Server) encoded(key exp.SimKey, res *platform.Result, hit bool) ([]byte, error) {
-	if hit {
-		if enc, ok := s.results.Get(key); ok {
-			return enc, nil
-		}
-	}
-	enc, err := encodeResult(res)
-	if err != nil {
-		return nil, err
-	}
-	s.results.Put(key, enc)
-	return enc, nil
 }
 
 // serveDegraded answers under an open breaker: the family's

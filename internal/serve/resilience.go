@@ -10,7 +10,6 @@ import (
 	"beacongnn/internal/dataset"
 	"beacongnn/internal/exp"
 	"beacongnn/internal/metrics"
-	"beacongnn/internal/platform"
 )
 
 // breakerSet owns one circuit breaker per (platform, dataset) family.
@@ -56,16 +55,16 @@ func (bs *breakerSet) get(f family) *chaos.Breaker {
 // deterministic per-key jitter, and hedged duplicates for stragglers.
 // The memo-hit path never comes here — the caller answers hits from
 // its one memo lookup, so the hot path pays none of this.
-func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJob, inst *dataset.Instance, key exp.SimKey) (*platform.Result, error) {
+func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJob, inst *dataset.Instance, key exp.SimKey) (*exp.Memo, error) {
 	backoff := chaos.Backoff{
 		Base: s.cfg.RetryBackoffBase.Nanoseconds(),
 		Max:  s.cfg.RetryBackoffMax.Nanoseconds(),
 	}
 	for attempt := 0; ; attempt++ {
-		res, err := s.simulateHedged(ctx, job, inst, key, attempt)
+		m, err := s.simulateHedged(ctx, job, inst, key, attempt)
 		if err == nil {
 			bk.Record(time.Now().UnixNano(), true)
-			return res, nil
+			return m, nil
 		}
 		if ctx.Err() != nil {
 			// Our own cancellation (client gone, deadline, drain) says
@@ -99,12 +98,12 @@ func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJo
 // bypasses the memo (SimulateFreshCtx) so it cannot dedupe into the
 // very in-flight entry it is racing; the loser's context is cancelled
 // and the abandonment is observed mid-kernel.
-func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, key exp.SimKey, attempt int) (*platform.Result, error) {
+func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, key exp.SimKey, attempt int) (*exp.Memo, error) {
 	if s.cfg.HedgeAfter <= 0 {
 		return s.eng.SimulateKeyCtx(ctx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
 	}
 	type outcome struct {
-		res   *platform.Result
+		m     *exp.Memo
 		err   error
 		hedge bool
 	}
@@ -112,8 +111,8 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 	defer cancelRace()
 	ch := make(chan outcome, 2)
 	go func() {
-		res, err := s.eng.SimulateKeyCtx(raceCtx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
-		ch <- outcome{res, err, false}
+		m, err := s.eng.SimulateKeyCtx(raceCtx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
+		ch <- outcome{m, err, false}
 	}()
 	timer := time.NewTimer(s.cfg.HedgeAfter)
 	defer timer.Stop()
@@ -128,8 +127,8 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 				pending++
 				s.reg.Counter("beaconserved_hedges_total").Inc()
 				go func() {
-					res, err := s.eng.SimulateFreshCtx(raceCtx, job.kind, job.cfg, inst, job.batches, simTimelinePoints, attempt+1)
-					ch <- outcome{res, err, true}
+					m, err := s.eng.SimulateFreshCtx(raceCtx, job.kind, job.cfg, inst, job.batches, simTimelinePoints, attempt+1)
+					ch <- outcome{m, err, true}
 				}()
 			}
 		case out := <-ch:
@@ -139,7 +138,7 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 					s.reg.Counter("beaconserved_hedge_wins_total").Inc()
 				}
 				cancelRace() // the loser abandons mid-kernel; its memo entry is released, not poisoned
-				return out.res, nil
+				return out.m, nil
 			}
 			if firstErr == nil {
 				firstErr = out.err

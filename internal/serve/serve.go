@@ -5,10 +5,10 @@
 //
 //   - requests run on the bounded worker pool of one shared exp.Engine,
 //     so N clients never oversubscribe the machine;
-//   - results are memoized in an LRU keyed by the engine's SimKey (the
-//     config digest plus platform/dataset/scale), so repeated requests
-//     are served without re-simulating, and their JSON encodings are
-//     kept too, so a repeat is not re-encoded either;
+//   - results are memoized in the engine's LRU, one entry per SimKey
+//     (the config digest plus platform/dataset/scale) under one cap;
+//     an entry keeps the result and, from its first serve, the result's
+//     JSON encoding, so a repeat is neither re-simulated nor re-encoded;
 //   - admission control sheds load past a queue-depth cap with 429 and
 //     a Retry-After estimate instead of queueing unboundedly;
 //   - every request carries a deadline, threaded as a context through
@@ -38,10 +38,9 @@ type Config struct {
 	// QueueDepth caps admitted (queued + running) heavy requests; past
 	// it the server sheds with 429. 0 = 4× workers.
 	QueueDepth int
-	// CacheResults is the LRU cap on memoized simulation results and,
-	// separately, on their stored JSON encodings (0 = 512). Each entry
-	// is one platform.Result plus its encoding, ~41 KB at 10 000 nodes
-	// and 4 batches.
+	// CacheResults is the LRU cap on memo entries (0 = 512): one per
+	// SimKey, holding the platform.Result and, once served, its JSON
+	// encoding, ~41 KB together at 10 000 nodes and 4 batches.
 	CacheResults int
 	// CacheInstances is the LRU cap on materialized dataset instances
 	// (0 = 8). Instances are the big allocation: cap × MaxNodes bounds
@@ -174,7 +173,6 @@ type Server struct {
 
 	budget   *chaos.RetryBudget
 	breakers *breakerSet
-	results  *exp.Cache[exp.SimKey, []byte]  // encoded results, spliced into replies
 	stale    *exp.Cache[family, staleRecord] // degraded-mode answers
 	inflight *drainSet
 	injector *chaos.Injector // nil unless chaos is enabled
@@ -200,7 +198,6 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		budget:   chaos.NewRetryBudget(cfg.RetryBudgetRatio, 0),
-		results:  exp.NewCache[exp.SimKey, []byte](cfg.CacheResults),
 		stale:    exp.NewCache[family, staleRecord](cfg.StaleCap),
 		inflight: newDrainSet(),
 	}
