@@ -124,7 +124,9 @@ func (r *run) run() (*Result, error) {
 	r.k.At(0, func() { r.startBatch(0) })
 	r.k.Run()
 	r.devices[0].Release() // the shards share one free list
-	return r.finalize()
+	res, err := r.finalize()
+	r.k.ReleaseServers()
+	return res, err
 }
 
 func (r *run) startBatch(b int) {

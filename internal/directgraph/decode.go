@@ -127,25 +127,36 @@ func ViewSection(l Layout, page []byte, idx int) (SectionView, error) {
 	}
 	off := 0
 	for i := 0; ; i++ {
-		if off+commonHeaderLen > l.PageSize {
-			return SectionView{}, ErrSectionNotFound
-		}
-		typ := page[off]
-		if typ == SectionTypeEnd {
-			return SectionView{}, ErrSectionNotFound
-		}
-		if typ != SectionTypePrimary && typ != SectionTypeSecondary {
-			return SectionView{}, fmt.Errorf("%w: type byte %#x at offset %d", ErrBadSectionType, typ, off)
-		}
-		length := getU16(page, off+2)
-		if length < commonHeaderLen || off+length > l.PageSize {
-			return SectionView{}, fmt.Errorf("%w: length %d at offset %d", ErrCorruptSection, length, off)
+		typ, length, err := sectionHeader(l, page, off)
+		if err != nil {
+			return SectionView{}, err
 		}
 		if i == idx {
 			return viewSection(l, page, off, typ, length)
 		}
 		off += length
 	}
+}
+
+// sectionHeader reads and checks the header of the chain's section at
+// off. It returns ErrSectionNotFound where the chain ends, and an error
+// for a header the chain cannot be walked past.
+func sectionHeader(l Layout, page []byte, off int) (typ byte, length int, err error) {
+	if off+commonHeaderLen > l.PageSize {
+		return 0, 0, ErrSectionNotFound
+	}
+	typ = page[off]
+	if typ == SectionTypeEnd {
+		return 0, 0, ErrSectionNotFound
+	}
+	if typ != SectionTypePrimary && typ != SectionTypeSecondary {
+		return 0, 0, fmt.Errorf("%w: type byte %#x at offset %d", ErrBadSectionType, typ, off)
+	}
+	length = getU16(page, off+2)
+	if length < commonHeaderLen || off+length > l.PageSize {
+		return 0, 0, fmt.Errorf("%w: length %d at offset %d", ErrCorruptSection, length, off)
+	}
+	return typ, length, nil
 }
 
 func viewSection(l Layout, page []byte, off int, typ byte, length int) (SectionView, error) {

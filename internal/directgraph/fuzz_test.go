@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"beacongnn/internal/graph"
+	"beacongnn/internal/xrand"
 )
 
 // FuzzFindSection hardens the page decoder — the exact code path the
@@ -209,4 +210,25 @@ func viewMatchesFind(l Layout, page []byte, idx int) error {
 		return fmt.Errorf("section %d: features differ: view %v, find %v", idx, fb, s.FeatureBits)
 	}
 	return nil
+}
+
+// TestRelocateShiftIsOneAdd pins the identity Relocate's address patch
+// rests on: moving an address's page by delta is adding
+// delta<<SectionBits to the address, including where the page number
+// wraps.
+func TestRelocateShiftIsOneAdd(t *testing.T) {
+	for _, ps := range []int{512, 4096, 16384} {
+		l := Layout{PageSize: ps, FeatureDim: 4}
+		rng := xrand.New(uint64(ps))
+		for i := 0; i < 10000; i++ {
+			a, delta := Addr(rng.Uint64()), uint32(rng.Uint64())
+			if i%3 == 0 {
+				delta >>= 20 // small moves, as wear levelling makes
+			}
+			want := l.MakeAddr(l.Page(a)+delta, l.Section(a))
+			if got := a + Addr(delta<<l.SectionBits()); got != want {
+				t.Fatalf("page size %d: %#x moved by %d is %#x, want %#x", ps, uint32(a), delta, uint32(got), uint32(want))
+			}
+		}
+	}
 }

@@ -10,9 +10,10 @@ import "fmt"
 // rewritten in place.
 func Relocate(b *Build, delta uint32) error {
 	l := b.Layout
-	shift := func(a Addr) Addr {
-		return l.MakeAddr(l.Page(a)+delta, l.Section(a))
-	}
+	// An address is page<<SectionBits | section, so moving its page by
+	// delta is one add, mod 2^32 like the page arithmetic it replaces.
+	d := Addr(delta << l.SectionBits())
+	shift := func(a Addr) Addr { return a + d }
 	for i := range b.Plans {
 		p := &b.Plans[i]
 		p.Primary = shift(p.Primary)

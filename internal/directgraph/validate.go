@@ -50,36 +50,49 @@ func (r *ValidationReport) add(page uint32, section int, err error) {
 // the first error: all issues are collected, pages in sorted order and
 // then plans in node order. Layout-only builds (nil Pages) validate
 // trivially.
+//
+// Every page's section chain is walked once, with ViewSection's checks,
+// into a table of what ViewSection returns for each section index, and
+// every address is checked against its target page's entry there: a
+// check costs a map lookup and an array read, not a walk of the target
+// page.
 func Validate(b *Build) *ValidationReport {
 	r := &ValidationReport{}
 	if b.Pages == nil {
 		return r
 	}
 	l := b.Layout
-	allowed := b.PageNumbers()
 	pages := make([]uint32, 0, len(b.Pages))
 	for pn := range b.Pages {
 		pages = append(pages, pn)
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	st := &sectionTable{targets: make(map[uint32]target, len(pages))}
+	for _, pn := range pages {
+		st.addPage(l, pn, b.Pages[pn])
+	}
+	for pn := range b.PageNumbers() {
+		t := st.targets[pn]
+		t.allowed = true
+		st.targets[pn] = t
+	}
 
 	// check verifies one embedded address, found in section fromSec of
 	// page from, that must point at a section of type want.
 	check := func(from uint32, fromSec int, a Addr, want byte) {
 		pn := l.Page(a)
-		target, ok := b.Pages[pn]
+		t := st.targets[pn]
 		var err error
 		switch {
-		case !allowed[pn]:
+		case !t.allowed:
 			err = fmt.Errorf("addr %#x escapes the allocated pages (page %d)", uint32(a), pn)
-		case !ok:
+		case !t.present:
 			err = fmt.Errorf("addr %#x targets missing page %d", uint32(a), pn)
 		default:
-			var s SectionView
-			if s, err = ViewSection(l, target, l.Section(a)); err != nil {
-				err = fmt.Errorf("addr %#x: %w", uint32(a), err)
-			} else if s.Type != want {
-				err = fmt.Errorf("addr %#x targets type %d section, want %d", uint32(a), s.Type, want)
+			if typ, serr := st.kind(t, l.Section(a)); serr != nil {
+				err = fmt.Errorf("addr %#x: %w", uint32(a), serr)
+			} else if typ != want {
+				err = fmt.Errorf("addr %#x targets type %d section, want %d", uint32(a), typ, want)
 			}
 		}
 		if err != nil {
@@ -93,11 +106,16 @@ func Validate(b *Build) *ValidationReport {
 		r.Pages++
 		if len(page) != l.PageSize {
 			r.CorruptSections++
-			r.add(pn, -1, fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize))
+			r.add(pn, -1, st.targets[pn].end)
 			continue
 		}
+		off := 0
 		for idx := 0; ; idx++ {
-			s, err := ViewSection(l, page, idx)
+			var s SectionView
+			typ, length, err := sectionHeader(l, page, off)
+			if err == nil {
+				s, err = viewSection(l, page, off, typ, length)
+			}
 			if errors.Is(err, ErrSectionNotFound) {
 				break
 			}
@@ -116,6 +134,7 @@ func Validate(b *Build) *ValidationReport {
 			for i := range s.Count {
 				check(pn, idx, s.Entry(i), SectionTypePrimary)
 			}
+			off += length
 		}
 	}
 	for v := range b.Plans {
@@ -126,4 +145,65 @@ func Validate(b *Build) *ValidationReport {
 		}
 	}
 	return r
+}
+
+// sectionTable records, for every section of every page of an image,
+// what ViewSection returns for it: the section's type, or the error.
+// The types of all pages share one array, so an address check reads
+// one byte.
+type sectionTable struct {
+	targets map[uint32]target
+	types   []byte        // by first+index; 0 where the section does not decode
+	errs    map[int]error // the decode errors, by first+index
+}
+
+// target is a page as an address check sees it: whether the plans
+// allocate it and the image holds it, where its sections start in the
+// table and how many the chain reaches, and the error ViewSection
+// returns for every index past them.
+type target struct {
+	allowed, present bool
+	first, n         int
+	end              error
+}
+
+// addPage walks the page's section chain once, making ViewSection's
+// checks at every step, and records each section it reaches.
+func (st *sectionTable) addPage(l Layout, pn uint32, page []byte) {
+	t := target{present: true, first: len(st.types)}
+	if len(page) != l.PageSize {
+		t.end = fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize)
+		st.targets[pn] = t
+		return
+	}
+	for off := 0; ; {
+		typ, length, err := sectionHeader(l, page, off)
+		if err != nil {
+			t.end = err
+			break
+		}
+		if _, err := viewSection(l, page, off, typ, length); err != nil {
+			if st.errs == nil {
+				st.errs = make(map[int]error)
+			}
+			st.errs[len(st.types)] = err
+			typ = 0
+		}
+		st.types = append(st.types, typ)
+		t.n++
+		off += length
+	}
+	st.targets[pn] = t
+}
+
+// kind returns the type of section idx of the target page, or the
+// error ViewSection returns for it.
+func (st *sectionTable) kind(t target, idx int) (byte, error) {
+	if idx >= t.n {
+		return 0, t.end
+	}
+	if typ := st.types[t.first+idx]; typ != 0 {
+		return typ, nil
+	}
+	return 0, st.errs[t.first+idx]
 }

@@ -434,5 +434,7 @@ func RunChannelContention(cfg config.Flash, activeDies int, duration sim.Time) (
 		res.AvgLatency = totalLat / sim.Time(completed)
 	}
 	res.ChannelBusFrac = b.ChanUtil.Mean(end)
+	b.Release()
+	k.ReleaseServers()
 	return res, nil
 }

@@ -143,6 +143,7 @@ func RunVirtual(sched []Request, b VirtualBackend) (StepResult, error) {
 	if rs != nil {
 		rs.finish()
 	}
+	k.ReleaseServers()
 
 	res := v.res
 	if n := res.OK + res.Shed + res.Failed + res.Degraded + res.Dropped; n != res.Requests {

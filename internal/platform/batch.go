@@ -28,6 +28,11 @@ type batchState struct {
 	done        func()
 	finished    bool
 
+	// The host round in flight (see hostRound): its step, its node
+	// count, the translations still running, and the batch's targets.
+	roundStep, roundN, roundLeft int
+	targets                      []graph.NodeID
+
 	// Scratch buffers reused across the batch's reads. They are only
 	// ever consumed synchronously by their producer's caller, so one of
 	// each per batch suffices (the kernel is single-threaded).
@@ -35,6 +40,9 @@ type batchState struct {
 	childScratch []nodeRead        // drawChildren output
 	coalesce     [][]graph.NodeID  // BG-DG secondary coalescing, by index
 	dieScratch   []sampler.Command // accountDie output
+	targetBuf    []graph.NodeID    // drawTargets output
+
+	fnTranslated, fnRoundTrip, fnAddrsIn, fnPolled func()
 }
 
 func (s *System) newBatch(id int, done func()) *batchState {
@@ -43,23 +51,25 @@ func (s *System) newBatch(id int, done func()) *batchState {
 	b.sys, b.id, b.done = s, int32(id), done
 	b.outstanding, b.featBytes, b.finished = 0, 0, false
 	b.hopOut = resizeZero(b.hopOut, hops+1)
-	b.pendDie = resizeZero(b.pendDie, hops+2)
-	b.pendPage = resizeZero(b.pendPage, hops+2)
+	b.pendDie = resizeEmpty(b.pendDie, hops+2)
+	b.pendPage = resizeEmpty(b.pendPage, hops+2)
 	b.fired = resizeZero(b.fired, hops+2)
 	return b
 }
 
 // release returns the batch to the System's list once finish has run
 // its completion callback; nothing references the batch past that point
-// (outstanding hit zero, so no command in flight can name it).
+// (outstanding hit zero, so no command in flight can name it). The
+// buffers keep their arrays for the next batch.
 func (b *batchState) release() {
 	s := b.sys
-	b.sys, b.done = nil, nil
+	b.sys, b.done, b.targets = nil, nil, nil
 	for i := range b.pendDie {
-		b.pendDie[i] = nil
+		b.pendDie[i] = b.pendDie[i][:0]
 	}
 	for i := range b.pendPage {
-		b.pendPage[i] = nil
+		clear(b.pendPage[i]) // drop secChildren references
+		b.pendPage[i] = b.pendPage[i][:0]
 	}
 	b.pageScratch = b.pageScratch[:0]
 	b.dieScratch = b.dieScratch[:0]
@@ -74,17 +84,17 @@ func (b *batchState) release() {
 	s.lists.batch.Put(b)
 }
 
-// drawTargets draws one mini-batch's target nodes from the system RNG.
-func drawTargets(rng *xrand.Source, numNodes int, gnn config.GNN) []graph.NodeID {
-	targets := make([]graph.NodeID, gnn.BatchSize)
-	for t := range targets {
+// drawTargets appends one mini-batch's target nodes, drawn from the
+// system RNG, to dst.
+func drawTargets(dst []graph.NodeID, rng *xrand.Source, numNodes int, gnn config.GNN) []graph.NodeID {
+	for t := 0; t < gnn.BatchSize; t++ {
 		if skew := gnn.TargetSkew; skew > 0 {
-			targets[t] = graph.NodeID(rng.Zipf(numNodes, skew))
+			dst = append(dst, graph.NodeID(rng.Zipf(numNodes, skew)))
 		} else {
-			targets[t] = graph.NodeID(rng.Intn(numNodes))
+			dst = append(dst, graph.NodeID(rng.Intn(numNodes)))
 		}
 	}
-	return targets
+	return dst
 }
 
 // prepBatch starts batch i's data preparation and calls done when every
@@ -95,31 +105,79 @@ func (s *System) prepBatch(i int, done func()) {
 		s.batches = append(s.batches, nil)
 	}
 	s.batches[i] = b
-	var targets []graph.NodeID
 	if s.targetSource != nil {
-		targets = s.targetSource(i)
-		if len(targets) != s.cfg.GNN.BatchSize {
-			panic(fmt.Sprintf("platform: target source returned %d targets, want %d", len(targets), s.cfg.GNN.BatchSize))
+		b.targets = s.targetSource(i)
+		if len(b.targets) != s.cfg.GNN.BatchSize {
+			panic(fmt.Sprintf("platform: target source returned %d targets, want %d", len(b.targets), s.cfg.GNN.BatchSize))
 		}
 	} else {
-		targets = drawTargets(s.rng, s.inst.Graph.NumNodes(), s.cfg.GNN)
+		b.targetBuf = drawTargets(b.targetBuf[:0], &s.rng, s.inst.Graph.NumNodes(), s.cfg.GNN)
+		b.targets = b.targetBuf
 	}
 	// Mini-batch start (Section VI-D): the host looks up each target's
 	// primary-section address (or LPA), sends one customized NVMe
 	// command, and the firmware polls it.
-	remaining := len(targets)
-	translated := func() {
-		remaining--
-		if remaining == 0 {
-			s.pcieData(8*len(targets), func() {
-				s.fwPhase(s.cfg.Firmware.PollCost)
-				s.fw.Poll(func() { s.launchTargets(b, targets) })
-			})
-		}
+	b.hostRound(0, len(b.targets))
+}
+
+// hostRound runs one host round of the batch over n nodes: the host
+// translates each node (node index → LPA / section address), the
+// addresses cross PCIe in one customized NVMe command, and the firmware
+// polls it. Round 0 starts the batch and launches its targets. Each
+// later round is the inter-hop barrier of its step (Challenge 1,
+// Fig. 5): the sampled results first return to the host, and the
+// step's buffered children dispatch once the firmware has polled. A
+// batch has at most one round in flight, since a barrier fires only
+// after every read of the step before it has finished.
+func (b *batchState) hostRound(step, n int) {
+	s := b.sys
+	b.roundStep, b.roundN, b.roundLeft = step, n, n
+	for i := 0; i < n; i++ {
+		s.hostDo(s.cfg.Host.TranslateCost, b.fnTranslated)
 	}
-	for range targets {
-		s.hostDo(s.cfg.Host.TranslateCost, translated)
+}
+
+func (b *batchState) onTranslated() {
+	if b.roundLeft--; b.roundLeft > 0 {
+		return
 	}
+	if b.roundStep == 0 {
+		b.onRoundTrip()
+		return
+	}
+	s := b.sys
+	s.coll.AddPhase(metrics.PhaseHost, s.cfg.Host.HopRoundTrip)
+	s.k.After(s.cfg.Host.HopRoundTrip, b.fnRoundTrip)
+}
+
+func (b *batchState) onRoundTrip() { b.sys.pcieData(8*b.roundN, b.fnAddrsIn) }
+
+func (b *batchState) onAddrsIn() {
+	s := b.sys
+	s.fwPhase(s.cfg.Firmware.PollCost)
+	s.fw.Poll(b.fnPolled)
+}
+
+func (b *batchState) onPolled() {
+	if b.roundStep == 0 {
+		b.sys.launchTargets(b, b.targets)
+		return
+	}
+	now := b.sys.k.Now()
+	step := b.roundStep
+	die, page := b.pendDie[step], b.pendPage[step]
+	for _, c := range die {
+		c.Created = now
+		b.dispatchDie(c)
+	}
+	for _, r := range page {
+		r.created = now
+		b.dispatchPage(r)
+	}
+	// Every read of the step before has finished, so no child joins
+	// this step's buffers again: empty them, keeping their arrays.
+	clear(page)
+	b.pendDie[step], b.pendPage[step] = die[:0], page[:0]
 }
 
 // launchTargets injects the per-target root work.
@@ -167,7 +225,7 @@ func (b *batchState) stepDone(step int) {
 		if next < len(b.fired) && !b.fired[next] &&
 			(len(b.pendDie[next]) > 0 || len(b.pendPage[next]) > 0) {
 			b.fired[next] = true
-			b.barrier(next)
+			b.hostRound(next, len(b.pendDie[next])+len(b.pendPage[next]))
 		}
 	}
 }
@@ -185,51 +243,6 @@ func (b *batchState) finish() {
 	s.batches[b.id] = nil
 	b.done()
 	b.release()
-}
-
-// barrier runs the inter-hop host round trip (Challenge 1, Fig. 5):
-// sampled results return to the host, which translates every next-hop
-// node and commands the SSD to continue.
-func (b *batchState) barrier(step int) {
-	s := b.sys
-	die := b.pendDie[step]
-	page := b.pendPage[step]
-	b.pendDie[step] = nil
-	b.pendPage[step] = nil
-	n := len(die) + len(page)
-	if n == 0 {
-		return
-	}
-	release := func() {
-		s.coll.AddPhase(metrics.PhaseHost, s.cfg.Host.HopRoundTrip)
-		s.k.After(s.cfg.Host.HopRoundTrip, func() {
-			s.pcieData(8*n, func() {
-				s.fwPhase(s.cfg.Firmware.PollCost)
-				s.fw.Poll(func() {
-					now := s.k.Now()
-					for _, c := range die {
-						c.Created = now
-						b.dispatchDie(c)
-					}
-					for _, r := range page {
-						r.created = now
-						b.dispatchPage(r)
-					}
-				})
-			})
-		})
-	}
-	// Host-side per-node translation (node index → LPA / section addr).
-	remaining := n
-	translated := func() {
-		remaining--
-		if remaining == 0 {
-			release()
-		}
-	}
-	for i := 0; i < n; i++ {
-		s.hostDo(s.cfg.Host.TranslateCost, translated)
-	}
 }
 
 // registerChildDie queues or dispatches a die-sampler child command.
@@ -346,7 +359,7 @@ func (op *execOp) onSenseDone(final uint32) {
 	// The die's section iterator reads the page bytes in place, so a
 	// remapped or relocated page is always seen as it is now.
 	res := s.lists.result.Get()
-	if err := sampler.ExecuteInto(res, s.layout, pageBytes, op.cmd, s.samplerCfg, s.dieTRNG[die]); err != nil {
+	if err := sampler.ExecuteInto(res, s.layout, pageBytes, op.cmd, s.samplerCfg, &s.trng.die[die]); err != nil {
 		// Section VI-E: the sampler aborts and control returns to
 		// firmware. The run fails with context instead of crashing.
 		s.putResult(res)

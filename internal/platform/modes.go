@@ -84,6 +84,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	}
 	k.Run()
 	backend.Release()
+	k.ReleaseServers()
 	if remaining != 0 {
 		return nil, fmt.Errorf("platform: construction stalled with %d pages pending", remaining)
 	}
@@ -157,7 +158,7 @@ func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, err
 		func() { finished = true },
 	)
 	s.k.Run()
-	s.releaseLists()
+	defer s.releaseLists()
 	if !finished {
 		return nil, nil, fmt.Errorf("platform: simulation deadlocked")
 	}
@@ -218,5 +219,6 @@ func RegularIOBaseline(cfg config.Config) (sim.Time, error) {
 	})
 	k.Run()
 	backend.Release()
+	k.ReleaseServers()
 	return latency, nil
 }

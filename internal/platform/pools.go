@@ -5,6 +5,7 @@ import (
 	"beacongnn/internal/pool"
 	"beacongnn/internal/sampler"
 	"beacongnn/internal/sim"
+	"beacongnn/internal/xrand"
 )
 
 // Pooled request-path state machines. Each hot closure chain in the data
@@ -33,6 +34,7 @@ type lists struct {
 	hostOp    pool.List[hostOp]
 	batch     pool.List[batchState]
 	result    pool.List[sampler.Result]
+	trng      pool.List[trngSlab]
 }
 
 func newLists() lists {
@@ -43,6 +45,7 @@ func newLists() lists {
 		fwReadOp: fwReadOpShelf.List(), fwSecOp: fwSecOpShelf.List(),
 		hostGroup: hostGroupShelf.List(), hostOp: hostOpShelf.List(),
 		batch: batchShelf.List(), result: resultShelf.List(),
+		trng: trngShelf.List(),
 	}
 }
 
@@ -61,6 +64,7 @@ func (l *lists) release() {
 	l.hostOp.Release()
 	l.batch.Release()
 	l.result.Release()
+	l.trng.Release()
 }
 
 // senseCtx carries one senseManaged request through the fault-recovery
@@ -382,7 +386,21 @@ func (op *hostOp) release() {
 
 // batchShelf recycles batchState across batches and runs; newBatch
 // resizes the per-hop slices and release clears every reference.
-var batchShelf = pool.NewShelf(func() *batchState { return &batchState{} })
+var batchShelf = pool.NewShelf(func() *batchState {
+	b := &batchState{}
+	b.fnTranslated = b.onTranslated
+	b.fnRoundTrip = b.onRoundTrip
+	b.fnAddrsIn = b.onAddrsIn
+	b.fnPolled = b.onPolled
+	return b
+})
+
+// trngSlab holds a System's per-die TRNGs in one array. The sources
+// hold no references, so a slab needs no reset: NewSystem reseeds every
+// die it uses.
+type trngSlab struct{ die []xrand.Source }
+
+var trngShelf = pool.NewShelf(func() *trngSlab { return &trngSlab{} })
 
 // resizeZero returns s with length n and every element zeroed, reusing
 // the backing array when it is large enough.
@@ -394,6 +412,19 @@ func resizeZero[T any](s []T, n int) []T {
 	var zero T
 	for i := range s {
 		s[i] = zero
+	}
+	return s
+}
+
+// resizeEmpty returns s with length n and every element emptied,
+// keeping the elements' arrays, including those past n.
+func resizeEmpty[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
 	}
 	return s
 }

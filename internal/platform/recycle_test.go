@@ -10,11 +10,12 @@ import (
 )
 
 // TestWarmRunConstructsNoPooledObjects checks that every run hands its
-// free lists back: on a warm process, a second run of the same kind
-// draws every pooled object (System state, flash senses, router
-// commands) from the lists the first one returned and constructs none.
-// The same holds for the device-mode entry points that own a flash
-// backend directly.
+// storage back: on a warm process, a second run of the same kind draws
+// every pooled object (System state, flash senses, router commands) from
+// the lists the first one returned, and takes its kernel's server set,
+// its TRNG slab and its router's FIFOs off their shelves, constructing
+// none. The same holds for the device-mode entry points that own a
+// flash backend directly.
 func TestWarmRunConstructsNoPooledObjects(t *testing.T) {
 	if pool.Disabled() {
 		t.Skip("pooling disabled")
@@ -60,6 +61,37 @@ func TestWarmRunConstructsNoPooledObjects(t *testing.T) {
 		}
 		if n := pool.Constructed() - before; n != 0 {
 			t.Errorf("%s: warm run constructed %d pooled objects, want 0", e.name, n)
+		}
+	}
+}
+
+// TestWarmSimulateAllocs pins what a warm simulation allocates, from
+// NewSystem through the built Result: with servers, TRNGs, FIFOs and
+// batch buffers recycled, what is left is the System's own objects and
+// the Result's (timelines, breakdowns, histograms), ~100 allocations.
+// BG-DG also hands each coalesced bucket of secondary children to its
+// read, ~200.
+func TestWarmSimulateAllocs(t *testing.T) {
+	if pool.Disabled() {
+		t.Skip("pooling disabled")
+	}
+	inst := testInstance(t)
+	cfg := config.Default()
+	cfg.GNN.BatchSize = 32
+	for _, k := range All() {
+		simulate := func() {
+			if _, err := Simulate(k, cfg, inst, 2, 64); err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+		}
+		simulate() // the process's first run of the kind builds the objects
+		simulate() // and the arrays grow to this workload's peaks
+		ceiling := 125.0
+		if k == BGDG {
+			ceiling = 240
+		}
+		if n := testing.AllocsPerRun(5, simulate); n > ceiling {
+			t.Errorf("%v: warm Simulate allocated %.0f times, want at most %.0f", k, n, ceiling)
 		}
 	}
 }

@@ -45,8 +45,8 @@ type System struct {
 	coll    *metrics.Collector
 
 	layout     directgraph.Layout
-	dieTRNG    []*xrand.Source
-	rng        *xrand.Source
+	trng       *trngSlab // the per-die TRNGs, one slab recycled across runs
+	rng        xrand.Source
 	samplerCfg sampler.Config
 	// batches[id] is the batch in preparation with that id, nil once it
 	// has finished.
@@ -188,7 +188,6 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 		coll:   metrics.NewCollector(),
 		lists:  newLists(),
 		layout: inst.Build.Layout,
-		rng:    xrand.New(cfg.Seed ^ uint64(kind)<<32),
 		samplerCfg: sampler.Config{
 			Hops: cfg.GNN.Hops, Fanout: cfg.GNN.Fanout,
 			FeatureDim: inst.Desc.FeatureDim,
@@ -217,11 +216,15 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 		backend.FaultInjector = s.inj
 		backend.OnRetrySense = s.meter.FlashRetrySenses
 	}
-	// Per-die TRNGs, forked deterministically from the experiment seed.
-	master := xrand.New(cfg.Seed)
-	s.dieTRNG = make([]*xrand.Source, cfg.Flash.TotalDies())
-	for i := range s.dieTRNG {
-		s.dieTRNG[i] = master.Fork()
+	s.rng.Seed(cfg.Seed ^ uint64(kind)<<32)
+	// Per-die TRNGs, forked deterministically from the experiment seed:
+	// seeding die i from the master's next draw is what Fork does.
+	var master xrand.Source
+	master.Seed(cfg.Seed)
+	s.trng = s.lists.trng.Get()
+	s.trng.die = resizeZero(s.trng.die, cfg.Flash.TotalDies())
+	for i := range s.trng.die {
+		s.trng.die[i].Seed(master.Uint64())
 	}
 	// Energy hooks.
 	s.backend.OnRead = s.meter.FlashReadPage
@@ -250,15 +253,22 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	return s, nil
 }
 
-// releaseLists hands the free lists of the system, its flash backend
-// and its router back for the next run, once the event loop has
-// returned.
+// releaseLists hands the system's storage back for the next run once
+// the run's result is built: the free lists of the system, its flash
+// backend and its router, the TRNG slab, the router's queues and the
+// kernel's servers. A run stopped with events pending keeps the slab,
+// the queues and the servers, because those events still name them.
 func (s *System) releaseLists() {
+	if s.k.Pending() == 0 {
+		s.lists.trng.Put(s.trng)
+		s.trng = nil
+	}
 	s.lists.release()
 	s.backend.Release()
 	if s.rtr != nil {
 		s.rtr.Release()
 	}
+	s.k.ReleaseServers()
 }
 
 // Kind returns the platform kind.
@@ -347,7 +357,7 @@ func (s *System) Run(numBatches int) (*Result, error) {
 		func() { finished = true },
 	)
 	s.k.Run()
-	s.releaseLists()
+	defer s.releaseLists()
 	if s.failErr != nil {
 		return nil, s.failErr
 	}

@@ -38,17 +38,11 @@ type Router struct {
 	parseLat    sim.Time
 	sectionBits uint
 
-	// transit holds commands crossing the crossbar. Every crossing takes
-	// crossbarLat and the kernel breaks time ties in scheduling order,
-	// so commands leave in the order they entered: one FIFO and one
-	// bound callback (fnArrive) carry them all.
-	transit  fifo
-	fnArrive func()
+	// q holds the router's queues (see fifos), recycled across runs.
+	q        *fifos
+	qs       pool.List[fifos]
+	fnArrive func() // lands the oldest crossbar command
 
-	// dispatch[die] queues commands waiting for that die; the per-die
-	// queue + flash.Backend's die server model the paper's per-die
-	// dispatch queues polled round-robin by the channel's issuer.
-	dispatch []fifo
 	inFlight []int // routed commands currently executing on the die
 	planes   int   // per-die concurrency (one command per plane)
 	rrNext   []int // per-channel round-robin pointer over its dies
@@ -87,12 +81,14 @@ func (q *fifo) len() int { return len(q.cmds) - q.head }
 
 func (q *fifo) push(c sampler.Command) { q.cmds = append(q.cmds, c) }
 
+func (q *fifo) reset() { q.cmds, q.head = q.cmds[:0], 0 }
+
 func (q *fifo) pop() sampler.Command {
 	c := q.cmds[q.head]
 	q.head++
 	switch {
 	case q.head == len(q.cmds):
-		q.cmds, q.head = q.cmds[:0], 0
+		q.reset()
 	case q.head > 32 && q.head > len(q.cmds)/2:
 		// Compact a mostly consumed prefix so a persistent backlog
 		// cannot grow the array without bound.
@@ -101,6 +97,24 @@ func (q *fifo) pop() sampler.Command {
 	}
 	return c
 }
+
+// fifos is a router's queue storage. A router takes a set off
+// fifoShelf in New and Release hands it back drained, so a warm
+// router's queues start with the arrays the runs before it grew.
+// Commands hold no references, so an idle set pins nothing.
+type fifos struct {
+	// transit holds commands crossing the crossbar. Every crossing
+	// takes crossbarLat and the kernel breaks time ties in scheduling
+	// order, so commands leave in the order they entered: one FIFO and
+	// one bound callback (fnArrive) carry them all.
+	transit fifo
+	// dispatch[die] queues commands waiting for that die; the per-die
+	// queue + flash.Backend's die server model the paper's per-die
+	// dispatch queues polled round-robin by the channel's issuer.
+	dispatch []fifo
+}
+
+var fifoShelf = pool.NewShelf(func() *fifos { return &fifos{} })
 
 // New returns a router over the backend. Crossbar and parse latencies
 // default to 50 ns each when zero.
@@ -121,13 +135,26 @@ func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) 
 		k: k, backend: backend, cfg: cfg,
 		crossbarLat: crossbarLat, parseLat: parseLat,
 		sectionBits: directgraph.Layout{PageSize: cfg.PageSize}.SectionBits(),
-		dispatch:    make([]fifo, cfg.TotalDies()),
 		inFlight:    make([]int, cfg.TotalDies()),
 		planes:      planes,
 		rrNext:      make([]int, cfg.Channels),
 		ready:       make([]uint64, cfg.Channels*words),
 		readyWords:  words,
 		ops:         cmdOpShelf.List(),
+		qs:          fifoShelf.List(),
+	}
+	r.q = r.qs.Get()
+	// Grow through the set's full capacity so the FIFOs past its last
+	// length keep their arrays too.
+	if n := cfg.TotalDies(); cap(r.q.dispatch) < n {
+		r.q.dispatch = append(r.q.dispatch[:cap(r.q.dispatch)], make([]fifo, n-cap(r.q.dispatch))...)
+	}
+	r.q.dispatch = r.q.dispatch[:cfg.TotalDies()]
+	// A run that drained with commands still queued (a deadlock) handed
+	// its set back as it stood; start every FIFO empty.
+	r.q.transit.reset()
+	for i := range r.q.dispatch {
+		r.q.dispatch[i].reset()
 	}
 	r.fnArrive = r.arrive
 	return r
@@ -171,10 +198,18 @@ var cmdOpShelf = pool.NewShelf(func() *cmdOp {
 	return op
 })
 
-// Release hands the router's recycled command state back to the
-// process for the next run. Call it once the kernel driving the router
-// has returned and no command is in flight.
-func (r *Router) Release() { r.ops.Release() }
+// Release hands the router's recycled command state and queues back to
+// the process for the next run. Call it once the kernel driving the
+// router has returned; with events pending the router keeps its
+// queues, because those events still reach them.
+func (r *Router) Release() {
+	r.ops.Release()
+	if r.q != nil && r.k.Pending() == 0 {
+		r.qs.Put(r.q)
+		r.qs.Release()
+		r.q = nil
+	}
+}
 
 // Route injects a command into the crossbar from the given source
 // channel (−1 for the initial injection from the frontend).
@@ -187,17 +222,17 @@ func (r *Router) Route(srcChannel int, cmd sampler.Command) {
 	if srcChannel >= 0 && srcChannel != dst {
 		r.stats.CrossHops++
 	}
-	r.transit.push(cmd)
+	r.q.transit.push(cmd)
 	r.k.After(r.crossbarLat, r.fnArrive)
 }
 
 // arrive lands the oldest crossbar command in its die's dispatch queue.
 func (r *Router) arrive() {
-	cmd := r.transit.pop()
+	cmd := r.q.transit.pop()
 	// Section addresses embed the physical page; geometry maps it.
 	page := r.pageOf(cmd)
 	die := r.backend.Geometry().GlobalDie(page)
-	q := &r.dispatch[die]
+	q := &r.q.dispatch[die]
 	q.push(cmd)
 	if n := q.len(); n > r.stats.MaxQueue {
 		r.stats.MaxQueue = n
@@ -213,7 +248,7 @@ func (r *Router) markReady(die int) {
 	idx := die % d
 	w := &r.ready[die/d*r.readyWords+idx>>6]
 	bit := uint64(1) << (idx & 63)
-	if r.inFlight[die] < r.planes && r.dispatch[die].len() > 0 {
+	if r.inFlight[die] < r.planes && r.q.dispatch[die].len() > 0 {
 		*w |= bit
 	} else {
 		*w &^= bit
@@ -251,7 +286,7 @@ func (r *Router) pick(channel int) int {
 func (r *Router) take(channel, idx int) (die int, cmd sampler.Command) {
 	d := r.cfg.DiesPerChannel
 	die = channel*d + idx
-	cmd = r.dispatch[die].pop()
+	cmd = r.q.dispatch[die].pop()
 	r.inFlight[die]++
 	r.markReady(die)
 	r.rrNext[channel] = (idx + 1) % d
@@ -310,8 +345,8 @@ func (op *cmdOp) onParsed() {
 // QueuedCommands returns the total commands waiting in dispatch queues.
 func (r *Router) QueuedCommands() int {
 	n := 0
-	for i := range r.dispatch {
-		n += r.dispatch[i].len()
+	for i := range r.q.dispatch {
+		n += r.q.dispatch[i].len()
 	}
 	return n
 }

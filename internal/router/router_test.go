@@ -179,7 +179,7 @@ func scanPick(r *Router, channel int) int {
 	for i := 0; i < d; i++ {
 		idx := (r.rrNext[channel] + i) % d
 		die := channel*d + idx
-		if r.inFlight[die] < r.planes && r.dispatch[die].len() > 0 {
+		if r.inFlight[die] < r.planes && r.q.dispatch[die].len() > 0 {
 			return idx
 		}
 	}
@@ -209,7 +209,7 @@ func TestPickMatchesScan(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4: // arrive
 				die := ch*g.dies + rng.Intn(g.dies)
-				r.dispatch[die].push(sampler.Command{})
+				r.q.dispatch[die].push(sampler.Command{})
 				r.markReady(die)
 			case op < 7 && len(running) > 0: // release
 				i := rng.Intn(len(running))

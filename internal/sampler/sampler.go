@@ -81,9 +81,9 @@ type Result struct {
 	// as it is when read. FeatureBits decodes a copy.
 	Features []byte
 
-	// draws is the command generator's per-secondary draw count,
-	// scratch kept with the Result so a recycled one coalesces without
-	// allocating.
+	// draws is the command generator's scratch: the secondary index of
+	// each draw that left the page, kept with the Result so a recycled
+	// one coalesces without allocating.
 	draws []int
 }
 
@@ -112,9 +112,11 @@ func Execute(l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *x
 // ExecuteInto is Execute writing into a caller-owned Result: it
 // overwrites every field and reuses the backing arrays of Commands and
 // SampledIdx, so a recycled Result makes the die data path
-// allocation-free. The section is read in place from the page bytes,
-// and Features aliases them; on error res holds partial output and must
-// not be used.
+// allocation-free. Each array is sized for the command's whole draw
+// count at once (no command makes more follow-ups or draws than that),
+// so a Result grows at most once, whatever commands it carries. The
+// section is read in place from the page bytes, and Features aliases
+// them; on error res holds partial output and must not be used.
 func ExecuteInto(res *Result, l directgraph.Layout, page []byte, cmd Command, cfg Config, trng *xrand.Source) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -125,8 +127,10 @@ func ExecuteInto(res *Result, l directgraph.Layout, page []byte, cmd Command, cf
 		return fmt.Errorf("sampler: %w", err)
 	}
 	res.Node, res.Addr, res.Hop = sec.NodeID, cmd.Addr, cmd.Hop
-	res.Commands = res.Commands[:0]
-	res.SampledIdx = res.SampledIdx[:0]
+	n := max(cfg.Fanout, cmd.SampleCount)
+	res.Commands = slices.Grow(res.Commands[:0], n)
+	res.SampledIdx = slices.Grow(res.SampledIdx[:0], n)
+	res.draws = slices.Grow(res.draws[:0], n)
 	res.Features = nil
 	if cmd.Secondary {
 		return sampleSecondary(res, &sec, cmd, trng)
@@ -184,9 +188,7 @@ func samplePrimary(res *Result, l directgraph.Layout, sec *directgraph.SectionVi
 		InlineCount:  sec.InlineCount,
 		FullSecCount: l.SecondaryCapacity(),
 	}
-	draws := slices.Grow(res.draws[:0], sec.SecondaryCount)[:sec.SecondaryCount]
-	clear(draws)
-	res.draws = draws
+	draws := res.draws[:0]
 	for i := 0; i < count; i++ {
 		idx := trng.Intn(sec.NeighborCount)
 		res.SampledIdx = append(res.SampledIdx, idx)
@@ -218,22 +220,27 @@ func samplePrimary(res *Result, l directgraph.Layout, sec *directgraph.SectionVi
 			})
 			continue
 		}
-		draws[s]++
+		draws = append(draws, s)
 	}
+	res.draws = draws
 	// Command generator: one coalesced command per touched secondary,
-	// in section order for determinism.
-	for s, n := range draws {
-		if n > 0 {
-			res.Commands = append(res.Commands, Command{
-				Addr:        sec.Secondary(s),
-				Hop:         cmd.Hop, // same node's sampling continues
-				SampleCount: n,
-				Secondary:   true,
-				Target:      cmd.Target,
-				Batch:       cmd.Batch,
-				ParentNode:  sec.NodeID,
-			})
+	// carrying its draw count, in section order for determinism.
+	slices.Sort(draws)
+	for i := 0; i < len(draws); {
+		s, j := draws[i], i+1
+		for j < len(draws) && draws[j] == s {
+			j++
 		}
+		res.Commands = append(res.Commands, Command{
+			Addr:        sec.Secondary(s),
+			Hop:         cmd.Hop, // same node's sampling continues
+			SampleCount: j - i,
+			Secondary:   true,
+			Target:      cmd.Target,
+			Batch:       cmd.Batch,
+			ParentNode:  sec.NodeID,
+		})
+		i = j
 	}
 	return nil
 }

@@ -44,7 +44,7 @@ func FuzzSimRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SimRequest
 		err := decodeJSON(bytes.NewReader(body), &req)
-		var job *simJob
+		var job simJob
 		if err == nil {
 			job, err = s.validate(&req)
 		}

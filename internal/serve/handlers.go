@@ -156,7 +156,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	fam := family{kind: job.kind, dataset: job.desc.Name}
 	bk := s.breakers.get(fam)
 	if !bk.Allow(time.Now().UnixNano()) {
-		s.serveDegraded(w, job, fam, start, "circuit open")
+		s.serveDegraded(w, &job, fam, start, "circuit open")
 		return
 	}
 	s.budget.Earn()
@@ -184,11 +184,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		bk.Record(time.Now().UnixNano(), true)
 	} else {
 		s.reg.Counter("beaconserved_cache_misses_total").Inc()
-		if m, err = s.runResilient(ctx, bk, job, inst, key); err != nil {
+		mj := job
+		if m, err = s.runResilient(ctx, bk, &mj, inst, key); err != nil {
 			// Transient exhaustion with the breaker now open degrades
 			// instead of surfacing a 5xx the client can do nothing about.
 			if ctx.Err() == nil && exp.IsTransient(err) && bk.State() == chaos.Open {
-				s.serveDegraded(w, job, fam, start, "retries exhausted; circuit open")
+				s.serveDegraded(w, &job, fam, start, "retries exhausted; circuit open")
 				return
 			}
 			s.finishErr(w, r, err)

@@ -82,37 +82,39 @@ func decodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// validate resolves a SimRequest against the server's limits.
-func (s *Server) validate(req *SimRequest) (*simJob, error) {
+// validate resolves a SimRequest against the server's limits. It
+// returns the job by value, so a memo hit keeps it on its stack; the
+// miss path copies it to the heap for the runs it starts.
+func (s *Server) validate(req *SimRequest) (simJob, error) {
 	if req.Platform == "" {
-		return nil, badf("missing required field \"platform\"")
+		return simJob{}, badf("missing required field \"platform\"")
 	}
 	kind, err := platform.ByName(req.Platform)
 	if err != nil {
-		return nil, badf("%v", err)
+		return simJob{}, badf("%v", err)
 	}
 	if req.Dataset == "" {
-		return nil, badf("missing required field \"dataset\"")
+		return simJob{}, badf("missing required field \"dataset\"")
 	}
 	desc, err := dataset.ByName(req.Dataset)
 	if err != nil {
-		return nil, badf("%v", err)
+		return simJob{}, badf("%v", err)
 	}
-	job := &simJob{kind: kind, desc: desc, nodes: 10_000, batches: 6}
+	job := simJob{kind: kind, desc: desc, nodes: 10_000, batches: 6}
 	if req.Nodes != 0 {
 		if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
-			return nil, badf("nodes %d outside [1, %d]", req.Nodes, s.cfg.MaxNodes)
+			return simJob{}, badf("nodes %d outside [1, %d]", req.Nodes, s.cfg.MaxNodes)
 		}
 		job.nodes = req.Nodes
 	}
 	if req.Batches != 0 {
 		if req.Batches < 0 || req.Batches > s.cfg.MaxBatches {
-			return nil, badf("batches %d outside [1, %d]", req.Batches, s.cfg.MaxBatches)
+			return simJob{}, badf("batches %d outside [1, %d]", req.Batches, s.cfg.MaxBatches)
 		}
 		job.batches = req.Batches
 	}
 	if req.BatchSize < 0 || req.ReadLatencyNS < 0 || req.Channels < 0 || req.Dies < 0 || req.Cores < 0 {
-		return nil, badf("overrides must be non-negative")
+		return simJob{}, badf("overrides must be non-negative")
 	}
 
 	cfg := config.Default()
@@ -146,11 +148,11 @@ func (s *Server) validate(req *SimRequest) (*simJob, error) {
 		cfg.Fault.DeadChannels = f.DeadChannels
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, badf("%v", err)
+		return simJob{}, badf("%v", err)
 	}
 	job.cfg = cfg
 	if job.timeout, err = s.requestTimeout(req.TimeoutMS); err != nil {
-		return nil, err
+		return simJob{}, err
 	}
 	return job, nil
 }

@@ -305,6 +305,10 @@ type Kernel struct {
 	canceled bool
 	probe    func(at Time)
 	cancel   func() bool
+	// servers is the set NewServer hands this kernel's service centers
+	// out of (nil until the first NewServer and after ReleaseServers).
+	servers *serverSet
+	ss      pool.List[serverSet]
 	// cancelEvery overrides cancelStride when non-zero (SetCancelStride).
 	cancelEvery uint64
 	// nextPoll is the step number of the next cancellation poll, the
@@ -567,12 +571,68 @@ type inService struct {
 	doneDelay Time
 }
 
-// NewServer returns a service center with the given parallel width.
+// serverSet holds the service centers of one kernel, in the order its
+// owners built them. A kernel takes a set off serverShelf at its first
+// NewServer and ReleaseServers hands it back, so the next kernel's
+// owners get the same servers with the queue, slot and free-list arrays
+// the runs before them grew. A set whose kernel built fewer servers
+// keeps the rest idle; one that runs short grows.
+type serverSet struct {
+	srv []*Server
+	n   int // handed out to the current kernel
+}
+
+var serverShelf = pool.NewShelf(func() *serverSet { return &serverSet{} })
+
+// NewServer returns a service center with the given parallel width,
+// drawn from the kernel's server set.
 func NewServer(k *Kernel, width int) *Server {
 	if width <= 0 {
 		panic("sim: server width must be positive")
 	}
-	return &Server{k: k, width: width}
+	set := k.servers
+	if set == nil {
+		k.ss = serverShelf.List()
+		set = k.ss.Get()
+		k.servers = set
+	}
+	if set.n == len(set.srv) {
+		set.srv = append(set.srv, &Server{})
+	}
+	s := set.srv[set.n]
+	set.n++
+	s.k, s.width = k, width
+	return s
+}
+
+// ReleaseServers hands every server built on the kernel back for the
+// next kernel, keeping their arrays and dropping every callback,
+// tracker and policy they hold. Call it once the kernel's owner has
+// read everything it needs from them; a server must not be used
+// afterwards. A kernel with events pending keeps its servers, because
+// those events still name them.
+func (k *Kernel) ReleaseServers() {
+	set := k.servers
+	if set == nil || k.Pending() > 0 {
+		return
+	}
+	for _, s := range set.srv[:set.n] {
+		s.reset()
+	}
+	set.n = 0
+	k.ss.Put(set)
+	k.ss.Release()
+	k.servers = nil
+}
+
+// reset returns an idle server to its zero state but for the capacity
+// of its arrays. A drained server's queue and slot entries are already
+// clear (popFront and complete clear them); clearing the whole capacity
+// again keeps an idle set from pinning callbacks whatever got it there.
+func (s *Server) reset() {
+	clear(s.queue[:cap(s.queue)])
+	clear(s.slots[:cap(s.slots)])
+	*s = Server{queue: s.queue[:0], slots: s.slots[:0], free: s.free[:0]}
 }
 
 // SetUtilization attaches a utilization tracker (may be nil).

@@ -170,8 +170,9 @@ func (r *Source) Perm(n int) []int {
 }
 
 // Fork returns a new independent Source derived from this one; streams of
-// parent and child do not overlap in practice. Used to give each flash
-// die its own TRNG from one experiment seed.
+// parent and child do not overlap in practice. Seeding a Source with
+// r.Uint64() forks in place: that is how each flash die gets its own
+// TRNG from one experiment seed.
 func (r *Source) Fork() *Source { return New(r.Uint64()) }
 
 // Zipf draws from a bounded Zipf distribution over [0, n) with exponent
