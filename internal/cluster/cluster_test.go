@@ -201,8 +201,9 @@ func TestCoordinatorRaceHammer(t *testing.T) {
 }
 
 // TestWarmRunConstructsNoSenseState checks that a cluster run hands
-// every shard backend's free list back: a second identical run draws
-// all of its flash sense state from them and constructs nothing.
+// every shard backend's free list and its kernel's server set back: a
+// second identical run draws all of its flash sense state and its
+// shards' and fabric's servers from them and constructs nothing.
 func TestWarmRunConstructsNoSenseState(t *testing.T) {
 	if pool.Disabled() {
 		t.Skip("pooling disabled")
