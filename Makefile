@@ -30,9 +30,9 @@ bench:
 
 # Run every fuzz target briefly — a smoke net over the decoder, the image
 # walker, the wire formats, the RNG's jump-ahead, the event kernel's
-# dispatch order, the simulate and experiment request validators and the
-# hand-written simulate reply envelope (Go runs one fuzz target per
-# invocation, hence the loops).
+# dispatch order, the configuration validator, the simulate and
+# experiment request validators and the hand-written simulate reply
+# envelope (Go runs one fuzz target per invocation, hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage FuzzValidate; do \
 		echo "== $$t"; \
@@ -46,6 +46,8 @@ fuzz-smoke:
 	@$(GO) test ./internal/xrand/ -run=NONE -fuzz=FuzzJump -fuzztime=$(FUZZTIME)
 	@echo "== FuzzKernelOrder"
 	@$(GO) test ./internal/sim/ -run=NONE -fuzz=FuzzKernelOrder -fuzztime=$(FUZZTIME)
+	@echo "== FuzzConfigValidate"
+	@$(GO) test ./internal/config/ -run=NONE -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME)
 	@for t in FuzzSimRequest FuzzExpRequest FuzzSimEnvelope; do \
 		echo "== $$t"; \
 		$(GO) test ./internal/serve/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \

@@ -81,39 +81,19 @@ func main() {
 		return
 	}
 	if c.jsonOut {
-		if c.exp == "sched" {
-			rep, err := core.BuildSchedReport(o)
-			if err == nil {
-				err = rep.WriteJSON(os.Stdout)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
+		var rep any
+		switch c.exp {
+		case "sched":
+			rep, err = core.BuildSchedReport(o)
+		case "capacity":
+			rep, _, err = core.BuildCapacityReport(o)
+		case "cluster":
+			rep, err = core.BuildClusterReport(o)
+		default:
+			rep, err = core.BuildReport(o)
 		}
-		if c.exp == "capacity" {
-			rep, _, err := core.BuildCapacityReport(o)
-			if err == nil {
-				err = rep.WriteJSON(os.Stdout)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if c.exp == "cluster" {
-			rep, err := core.BuildClusterReport(o)
-			if err == nil {
-				err = rep.WriteJSON(os.Stdout)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-		rep, err := core.BuildReport(o)
 		if err == nil {
-			err = rep.WriteJSON(os.Stdout)
+			err = core.WriteJSON(os.Stdout, rep)
 		}
 		if err != nil {
 			fatal(err)

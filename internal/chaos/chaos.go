@@ -144,13 +144,6 @@ func New(cfg Config) *Injector {
 // succeed) on demand.
 func (in *Injector) Disarm() { in.armed.Store(false) }
 
-// Rearm re-enables injection after Disarm (only if the config enables
-// it at all).
-func (in *Injector) Rearm() { in.armed.Store(in.cfg.Enabled) }
-
-// Armed reports whether injections can currently fire.
-func (in *Injector) Armed() bool { return in != nil && in.armed.Load() }
-
 // Stats exposes the injection counters.
 func (in *Injector) Stats() *Stats { return &in.stats }
 

@@ -261,21 +261,16 @@ func TestBreakerCancelProbe(t *testing.T) {
 }
 
 func TestInjectorDisarm(t *testing.T) {
+	if New(Config{Seed: 1, EngineFailRate: 1}).armed.Load() {
+		t.Fatal("disabled injector starts armed")
+	}
 	in := New(Config{Enabled: true, Seed: 1, EngineFailRate: 1})
-	if !in.Armed() {
-		t.Fatal("enabled injector not armed")
+	if in.engineFault(nil, 1, 0) == nil {
+		t.Fatal("armed injector at fail rate 1 did not fail the leaf")
 	}
 	in.Disarm()
-	if in.Armed() {
-		t.Fatal("disarm did not take")
-	}
-	in.Rearm()
-	if !in.Armed() {
-		t.Fatal("rearm did not take")
-	}
-	var nilInj *Injector
-	if nilInj.Armed() {
-		t.Fatal("nil injector reports armed")
+	if err := in.engineFault(nil, 1, 0); err != nil {
+		t.Fatalf("disarmed injector still injects: %v", err)
 	}
 }
 

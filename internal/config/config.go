@@ -9,6 +9,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"beacongnn/internal/sim"
 )
@@ -64,8 +65,8 @@ func (f Flash) Validate() error {
 		return fmt.Errorf("config: page size %d exceeds 32768", f.PageSize)
 	case f.BlocksPerDie <= 0 || f.PagesPerBlock <= 0:
 		return fmt.Errorf("config: blocks/pages must be positive")
-	case f.ChannelBW <= 0:
-		return fmt.Errorf("config: channel bandwidth must be positive")
+	case !positive(f.ChannelBW):
+		return fmt.Errorf("config: channel bandwidth must be finite and positive")
 	case f.ReadLatency <= 0:
 		return fmt.Errorf("config: read latency must be positive")
 	}
@@ -260,10 +261,10 @@ func (f Fault) Validate(fl Flash) error {
 		return nil
 	}
 	switch {
-	case f.BaseRBER < 0 || f.BaseRBER >= 0.5:
+	case !(f.BaseRBER >= 0 && f.BaseRBER < 0.5):
 		return fmt.Errorf("config: base RBER %v out of range [0, 0.5)", f.BaseRBER)
-	case f.WearRBERPerPE < 0 || f.RetentionRBER < 0:
-		return fmt.Errorf("config: RBER terms must be non-negative")
+	case !nonNegative(f.WearRBERPerPE) || !nonNegative(f.RetentionRBER):
+		return fmt.Errorf("config: RBER terms must be finite and non-negative")
 	case f.HardECCBits <= 0 || f.RetryECCBits < f.HardECCBits || f.SoftECCBits < f.RetryECCBits:
 		return fmt.Errorf("config: ECC tiers must be positive and ascending (%d/%d/%d)",
 			f.HardECCBits, f.RetryECCBits, f.SoftECCBits)
@@ -277,7 +278,7 @@ func (f Fault) Validate(fl Flash) error {
 		return fmt.Errorf("config: initial P/E cycles must be non-negative")
 	case f.SpareRows < 0 || f.SpareRows >= fl.BlocksPerDie:
 		return fmt.Errorf("config: spare rows %d outside [0, %d)", f.SpareRows, fl.BlocksPerDie)
-	case f.StormRBER < 0 || f.StormRBER >= 0.5:
+	case !(f.StormRBER >= 0 && f.StormRBER < 0.5):
 		return fmt.Errorf("config: storm RBER %v out of range [0, 0.5)", f.StormRBER)
 	case f.StormRBER > 0 && (f.StormStart < 0 || f.StormEnd <= f.StormStart):
 		return fmt.Errorf("config: storm window [%v, %v) is empty", f.StormStart, f.StormEnd)
@@ -476,15 +477,24 @@ func (c Config) Validate() error {
 	switch {
 	case c.Firmware.Cores <= 0:
 		return fmt.Errorf("config: firmware cores must be positive")
-	case c.DRAM.Bandwidth <= 0 || c.PCIe.Bandwidth <= 0:
-		return fmt.Errorf("config: link bandwidth must be positive")
+	case !positive(c.DRAM.Bandwidth) || !positive(c.PCIe.Bandwidth):
+		return fmt.Errorf("config: link bandwidth must be finite and positive")
 	case c.GNN.Hops <= 0 || c.GNN.Fanout <= 0 || c.GNN.BatchSize <= 0:
 		return fmt.Errorf("config: GNN parameters must be positive")
-	case c.SSDAccel.Rows <= 0 || c.SSDAccel.Cols <= 0 || c.SSDAccel.ClockHz <= 0:
+	case c.SSDAccel.Rows <= 0 || c.SSDAccel.Cols <= 0 || !positive(c.SSDAccel.ClockHz):
 		return fmt.Errorf("config: accelerator shape must be positive")
+	case !positive(c.TPU.ClockHz):
+		return fmt.Errorf("config: TPU clock must be finite and positive")
 	}
 	if err := c.Sched.Validate(); err != nil {
 		return err
 	}
 	return c.Fault.Validate(c.Flash)
 }
+
+// positive reports whether x is finite and above zero. A bare x <= 0
+// check lets NaN and +Inf through.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// nonNegative reports whether x is finite and at or above zero.
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }

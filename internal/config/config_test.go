@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"testing"
 
 	"beacongnn/internal/sim"
@@ -11,6 +12,11 @@ func TestDefaultValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := Traditional().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	faulty := Default()
+	faulty.Fault.Enabled = true
+	if err := faulty.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,6 +89,14 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.GNN.BatchSize = 0 },
 		func(c *Config) { c.SSDAccel.Rows = 0 },
 	}
+	for _, ff := range floatFields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			mutations = append(mutations, func(c *Config) {
+				c.Fault.Enabled = true
+				*ff.field(c) = v
+			})
+		}
+	}
 	for i, mut := range mutations {
 		c := Default()
 		mut(&c)
@@ -90,4 +104,58 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 			t.Errorf("mutation %d not caught", i)
 		}
 	}
+}
+
+// floatFields are the float-valued fields Validate checks. The last
+// four are Fault's, which only count while fault injection is enabled.
+var floatFields = []struct {
+	name  string
+	field func(*Config) *float64
+}{
+	{"Flash.ChannelBW", func(c *Config) *float64 { return &c.Flash.ChannelBW }},
+	{"DRAM.Bandwidth", func(c *Config) *float64 { return &c.DRAM.Bandwidth }},
+	{"PCIe.Bandwidth", func(c *Config) *float64 { return &c.PCIe.Bandwidth }},
+	{"SSDAccel.ClockHz", func(c *Config) *float64 { return &c.SSDAccel.ClockHz }},
+	{"TPU.ClockHz", func(c *Config) *float64 { return &c.TPU.ClockHz }},
+	{"Fault.BaseRBER", func(c *Config) *float64 { return &c.Fault.BaseRBER }},
+	{"Fault.WearRBERPerPE", func(c *Config) *float64 { return &c.Fault.WearRBERPerPE }},
+	{"Fault.RetentionRBER", func(c *Config) *float64 { return &c.Fault.RetentionRBER }},
+	{"Fault.StormRBER", func(c *Config) *float64 { return &c.Fault.StormRBER }},
+}
+
+// FuzzConfigValidate sets the float fields Validate checks and the
+// integer geometry it reads on top of Default(). Validate must never
+// panic and never accept a non-finite float.
+func FuzzConfigValidate(f *testing.F) {
+	d := Default()
+	f.Add(d.Flash.ChannelBW, d.DRAM.Bandwidth, d.PCIe.Bandwidth, d.SSDAccel.ClockHz, d.TPU.ClockHz,
+		d.Fault.BaseRBER, d.Fault.WearRBERPerPE, d.Fault.RetentionRBER, d.Fault.StormRBER,
+		d.Flash.Channels, d.Flash.DiesPerChannel, d.Flash.PageSize, d.Firmware.Cores, true)
+	f.Add(math.NaN(), 1e9, 1e9, 1e9, 1e9, 0.0, 0.0, 0.0, 0.0, 16, 8, 4096, 4, false)
+	f.Add(1e9, math.Inf(1), 1e9, 1e9, math.NaN(), 0.0, 0.0, 0.0, 0.0, 4, 2, 512, 1, false)
+	f.Add(1e9, 1e9, 1e9, 1e9, 1e9, 1e-7, math.Inf(1), math.NaN(), 0.49, 2, 2, 32768, 8, true)
+	f.Add(0.0, -1.0, 1e9, 0.0, math.Inf(-1), -1e-7, 0.0, 0.0, 0.5, 0, -1, 6000, 0, true)
+	f.Fuzz(func(t *testing.T, chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm float64,
+		channels, dies, pageSize, cores int, faults bool) {
+		c := Default()
+		vals := []float64{chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm}
+		for i, ff := range floatFields {
+			*ff.field(&c) = vals[i]
+		}
+		c.Flash.Channels, c.Flash.DiesPerChannel = channels, dies
+		c.Flash.PageSize, c.Firmware.Cores = pageSize, cores
+		c.Fault.Enabled = faults
+		if c.Validate() != nil {
+			return
+		}
+		checked := vals[:len(vals)-4]
+		if faults {
+			checked = vals
+		}
+		for _, v := range checked {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Validate accepted non-finite %v in %v", v, checked)
+			}
+		}
+	})
 }

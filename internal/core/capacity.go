@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -236,13 +235,6 @@ func BuildCapacityReport(o *Options) (*CapacityReport, []string, error) {
 		}
 	}
 	return rep, traceCells, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *CapacityReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // checkCapacity enforces the sweep's structural invariants.

@@ -55,7 +55,7 @@ func TestCapacityJSONShape(t *testing.T) {
 		t.Fatalf("curves/cells = %d/%d, want 4/4", len(rep.Curves), len(cells))
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]json.RawMessage

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -154,13 +153,6 @@ func BuildClusterReport(o *Options) (*ClusterReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *ClusterReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // checkCluster enforces the sweep's conservation invariants on top of

@@ -101,31 +101,45 @@ func TestInstanceCacheKeyedBySeedAndScale(t *testing.T) {
 }
 
 // TestRunAllDeterministicAcrossWorkers drives the whole experiment
-// suite both ways at a reduced scale; the concatenated report must be
-// byte-identical. Skipped in -short mode: it is the most expensive
-// test in the package.
+// suite both ways at a reduced scale; the concatenated text report and
+// BuildReport's JSON must each be byte-identical. Skipped in -short
+// mode: it is the most expensive test in the package.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll comparison is expensive; skipped in -short mode")
 	}
-	render := func(workers int) string {
+	render := func(workers int) (text, js []byte) {
 		o := &Options{Quick: true, ScaleNodes: 1200, Batches: 2, Workers: workers}
-		var b bytes.Buffer
-		if err := RunAll(o, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		// Find the first diverging line for a readable failure.
-		a, bLines := bytes.Split([]byte(seq), []byte("\n")), bytes.Split([]byte(par), []byte("\n"))
-		for i := 0; i < len(a) && i < len(bLines); i++ {
-			if !bytes.Equal(a[i], bLines[i]) {
-				t.Fatalf("RunAll diverges at line %d:\nseq: %s\npar: %s", i+1, a[i], bLines[i])
+		var tb, jb bytes.Buffer
+		err := RunAll(o, &tb)
+		if err == nil {
+			var rep *Report
+			if rep, err = BuildReport(o); err == nil {
+				err = WriteJSON(&jb, rep)
 			}
 		}
-		t.Fatalf("RunAll outputs differ in length: %d vs %d bytes", len(seq), len(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.Bytes(), jb.Bytes()
 	}
+	seqText, seqJSON := render(1)
+	parText, parJSON := render(8)
+	sameBytes(t, "RunAll", seqText, parText)
+	sameBytes(t, "BuildReport JSON", seqJSON, parJSON)
+}
+
+// sameBytes fails the test at the first line where seq and par differ.
+func sameBytes(t *testing.T, what string, seq, par []byte) {
+	t.Helper()
+	if bytes.Equal(seq, par) {
+		return
+	}
+	a, b := bytes.Split(seq, []byte("\n")), bytes.Split(par, []byte("\n"))
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("%s diverges at line %d:\nseq: %s\npar: %s", what, i+1, a[i], b[i])
+		}
+	}
+	t.Fatalf("%s outputs differ in length: %d vs %d bytes", what, len(seq), len(par))
 }

@@ -5,12 +5,9 @@ import (
 	"io"
 
 	"beacongnn/internal/dataset"
-	"beacongnn/internal/directgraph"
 	"beacongnn/internal/exp"
-	"beacongnn/internal/flash"
 	"beacongnn/internal/metrics"
 	"beacongnn/internal/platform"
-	"beacongnn/internal/sim"
 )
 
 // Report is the machine-readable form of the evaluation: every numeric
@@ -78,136 +75,81 @@ type UtilSummary struct {
 }
 
 // BuildReport runs the numeric experiments and assembles the report.
+// Every series comes from the same builder its text runner formats, so
+// the two renderings always read one computation.
 func BuildReport(o *Options) (*Report, error) {
 	o.fill()
 	rep := &Report{
 		ScaleNodes:       o.ScaleNodes,
 		Batches:          o.Batches,
-		Trad:             map[string]float64{},
 		Util:             map[string]UtilSummary{},
 		LatencyQuantiles: map[string][]metrics.PhaseQuantile{},
 	}
-
-	eng := o.engine()
 	err := exp.Go(
-		// Fig 7.
 		func() error {
-			counts := make([]int, o.Cfg.Flash.DiesPerChannel)
-			for i := range counts {
-				counts[i] = i + 1
-			}
-			points, err := exp.Map(counts, func(n int) (flash.ContentionResult, error) {
-				var res flash.ContentionResult
-				err := eng.ThrottleCtx(o.context(), func() (err error) {
-					res, err = flash.RunChannelContention(o.Cfg.Flash, n, 2*sim.Millisecond)
-					return err
-				})
-				return res, err
-			})
+			points, err := fig7Points(o)
 			if err != nil {
 				return err
 			}
 			for i, res := range points {
 				rep.Fig7 = append(rep.Fig7, Fig7Point{
-					Dies: counts[i], PagesPerS: res.Throughput,
+					Dies: i + 1, PagesPerS: res.Throughput,
 					AvgLatency: res.AvgLatency.Micros(), BusUtil: res.ChannelBusFrac,
 				})
 			}
 			return nil
 		},
-		// Fig 14 (+ utilization summaries on amazon).
 		func() error {
-			grid, err := o.simulateGrid(o.Cfg, datasetNames(), platform.All(), simTimeline)
+			grid, err := fig14Grid(o)
 			if err != nil {
 				return err
 			}
 			for di, d := range dataset.All() {
-				row := Fig14Row{Dataset: d.Name, Values: map[string]float64{}}
+				tput := throughputs(platform.All(), grid[di])
+				rep.Fig14 = append(rep.Fig14, Fig14Row{Dataset: d.Name, Values: tput})
+				rep.Fig14N = append(rep.Fig14N, Fig14Row{Dataset: d.Name, Values: normalizeTo(tput, platform.CC.String())})
+				if d.Name != "amazon" {
+					continue
+				}
 				for ki, k := range platform.All() {
 					r := grid[di][ki]
-					row.Values[k.String()] = r.Throughput
-					if d.Name == "amazon" {
-						rep.Util[k.String()] = UtilSummary{
-							MeanDies: r.MeanDies, MeanChannels: r.MeanChannels, HopOverlap: r.HopOverlap,
-						}
-						rep.LatencyQuantiles[k.String()] = r.PhaseLatency
+					rep.Util[k.String()] = UtilSummary{
+						MeanDies: r.MeanDies, MeanChannels: r.MeanChannels, HopOverlap: r.HopOverlap,
 					}
+					rep.LatencyQuantiles[k.String()] = r.PhaseLatency
 				}
-				rep.Fig14 = append(rep.Fig14, row)
-				rep.Fig14N = append(rep.Fig14N, Fig14Row{
-					Dataset: d.Name,
-					Values:  normalizeTo(row.Values, platform.CC.String()),
-				})
 			}
 			return nil
 		},
-		// Fig 18 sweeps.
 		func() error {
-			sweeps := Fig18Sweeps(o.Quick)
-			all, err := exp.Map(sweeps, func(s Sweep) (map[string][]float64, error) {
-				return RunSweep(o, s)
-			})
+			sweeps, series, err := fig18Series(o)
 			if err != nil {
 				return err
 			}
 			for si, s := range sweeps {
-				ss := SweepSeries{Name: s.Name, Series: all[si]}
-				for _, pt := range s.Points {
-					ss.Points = append(ss.Points, pt.Label)
-				}
-				rep.Fig18 = append(rep.Fig18, ss)
+				rep.Fig18 = append(rep.Fig18, SweepSeries{Name: s.Name, Points: s.labels(), Series: series[si]})
 			}
 			return nil
 		},
-		// Fig 19.
 		func() error {
-			results, err := o.simulateOn(o.Cfg, "amazon", platform.All(), simTimeline)
+			results, err := amazonResults(o)
 			if err != nil {
 				return err
 			}
-			for ki, k := range platform.All() {
-				r := results[ki]
+			for _, r := range results {
 				rep.Fig19 = append(rep.Fig19, EnergyRow{
-					Platform: k.String(), Groups: r.EnergyGroup,
+					Platform: r.Platform, Groups: r.EnergyGroup,
 					PowerW: r.AvgPowerW, Efficiency: r.Efficiency,
 				})
 			}
 			return nil
 		},
-		// Traditional SSD.
-		func() error {
-			cfg := o.Cfg
-			cfg.Flash.ReadLatency = 20 * sim.Microsecond
-			kinds := append([]platform.Kind{platform.CC}, platform.BGOnly()...)
-			grid, err := o.simulateGrid(cfg, datasetNames(), kinds, simTimeline)
-			if err != nil {
-				return err
-			}
-			for di := range dataset.All() {
-				tput := map[string]float64{}
-				for ki, k := range kinds {
-					tput[k.String()] = grid[di][ki].Throughput
-				}
-				for k, v := range normalizeTo(tput, platform.CC.String()) {
-					rep.Trad[k] += v / float64(len(dataset.All()))
-				}
-			}
-			return nil
+		func() (err error) {
+			_, rep.Trad, err = tradSpeedups(o)
+			return err
 		},
-		// Table IV.
 		func() error {
-			sample := 200_000
-			if o.Quick {
-				sample = 40_000
-			}
-			stats, err := exp.Map(dataset.All(), func(d dataset.Desc) (directgraph.Stats, error) {
-				var st directgraph.Stats
-				err := eng.ThrottleCtx(o.context(), func() (err error) {
-					st, err = dataset.FullScaleInflation(d, o.Cfg.Flash.PageSize, sample, o.Cfg.Seed)
-					return err
-				})
-				return st, err
-			})
+			stats, err := table4Stats(o)
 			if err != nil {
 				return err
 			}
@@ -225,9 +167,10 @@ func BuildReport(o *Options) (*Report, error) {
 	return rep, nil
 }
 
-// WriteJSON emits the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
+// WriteJSON emits a report as indented JSON — the one encoding every
+// `beaconbench -json` report shares.
+func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(v)
 }

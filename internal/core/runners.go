@@ -48,16 +48,16 @@ func RunTable3(o *Options, w io.Writer) error {
 	return nil
 }
 
-// RunFig7 reproduces Figure 7a: throughput and latency as active ULL
-// dies on one channel grow from 1 to 8.
-func RunFig7(o *Options, w io.Writer) error {
+// fig7Points runs Figure 7a's channel-contention microbenchmark once
+// per active die count; point i has i+1 dies on the channel.
+func fig7Points(o *Options) ([]flash.ContentionResult, error) {
 	o.fill()
 	counts := make([]int, o.Cfg.Flash.DiesPerChannel)
 	for i := range counts {
 		counts[i] = i + 1
 	}
 	eng := o.engine()
-	points, err := exp.Map(counts, func(n int) (flash.ContentionResult, error) {
+	return exp.Map(counts, func(n int) (flash.ContentionResult, error) {
 		var res flash.ContentionResult
 		err := eng.ThrottleCtx(o.context(), func() (err error) {
 			res, err = flash.RunChannelContention(o.Cfg.Flash, n, 2*sim.Millisecond)
@@ -65,12 +65,18 @@ func RunFig7(o *Options, w io.Writer) error {
 		})
 		return res, err
 	})
+}
+
+// RunFig7 reproduces Figure 7a: throughput and latency as active ULL
+// dies on one channel grow from 1 to 8.
+func RunFig7(o *Options, w io.Writer) error {
+	points, err := fig7Points(o)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%6s %16s %14s %12s\n", "dies", "pages/s", "avg latency", "bus util")
 	for i, res := range points {
-		n := counts[i]
+		n := i + 1
 		fmt.Fprintf(w, "%6d %16.0f %14v %11.0f%%\n", n, res.Throughput, res.AvgLatency, res.ChannelBusFrac*100)
 		if n == o.Cfg.Flash.DiesPerChannel {
 			first := points[0]
@@ -82,13 +88,29 @@ func RunFig7(o *Options, w io.Writer) error {
 	return nil
 }
 
+// fig14Grid simulates all eight platforms on all five datasets under
+// the base config, indexed [dataset][platform] in paper order. The 40
+// simulations fan out across the engine; formatting happens afterwards
+// from the ordered grid, so output is worker-count-invariant.
+func fig14Grid(o *Options) ([][]*platform.Result, error) {
+	o.fill()
+	return o.simulateGrid(o.Cfg, datasetNames(), platform.All(), simTimeline)
+}
+
+// throughputs maps each platform of kinds to its throughput in row,
+// which holds one result per kind in the same order.
+func throughputs(kinds []platform.Kind, row []*platform.Result) map[string]float64 {
+	out := make(map[string]float64, len(kinds))
+	for ki, k := range kinds {
+		out[k.String()] = row[ki].Throughput
+	}
+	return out
+}
+
 // RunFig14 reproduces Figure 14: throughput of all eight platforms on
 // all five datasets, normalized to CC per dataset, plus the averages.
-// The 40 simulations fan out across the engine; formatting happens
-// afterwards from the ordered grid, so output is worker-count-invariant.
 func RunFig14(o *Options, w io.Writer) error {
-	o.fill()
-	grid, err := o.simulateGrid(o.Cfg, datasetNames(), platform.All(), simTimeline)
+	grid, err := fig14Grid(o)
 	if err != nil {
 		return err
 	}
@@ -99,11 +121,7 @@ func RunFig14(o *Options, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for di, d := range dataset.All() {
-		tput := map[string]float64{}
-		for ki, k := range platform.All() {
-			tput[k.String()] = grid[di][ki].Throughput
-		}
-		norm := normalizeTo(tput, platform.CC.String())
+		norm := normalizeTo(throughputs(platform.All(), grid[di]), platform.CC.String())
 		fmt.Fprintf(w, "%-11s", d.Name)
 		for _, k := range platform.All() {
 			fmt.Fprintf(w, "%10.2f", norm[k.String()])
@@ -215,7 +233,7 @@ func RunFig15f(o *Options, w io.Writer) error {
 		metrics.PhaseDRAM:     1,
 		metrics.PhaseAccel:    1,
 	}
-	results, err := o.simulateOn(o.Cfg, "amazon", platform.All(), simTimeline)
+	results, err := amazonResults(o)
 	if err != nil {
 		return err
 	}
@@ -271,8 +289,7 @@ func RunFig16(o *Options, w io.Writer) error {
 
 // RunFig17 reproduces Figure 17: mean per-command lifetime phases.
 func RunFig17(o *Options, w io.Writer) error {
-	o.fill()
-	results, err := o.simulateOn(o.Cfg, "amazon", platform.All(), simTimeline)
+	results, err := amazonResults(o)
 	if err != nil {
 		return err
 	}
@@ -288,12 +305,18 @@ func RunFig17(o *Options, w io.Writer) error {
 	return nil
 }
 
-// RunFig19 reproduces Figure 19: energy grouping and efficiency. One
-// simulation pass feeds both the table and the bar chart — the old code
-// re-simulated every platform a second time just to build the bars.
-func RunFig19(o *Options, w io.Writer) error {
+// amazonResults simulates every platform on amazon under the base
+// config, in platform.All() order: the runs behind Figures 15f, 17 and
+// 19, which the engine's memo shares among them.
+func amazonResults(o *Options) ([]*platform.Result, error) {
 	o.fill()
-	results, err := o.simulateOn(o.Cfg, "amazon", platform.All(), simTimeline)
+	return o.simulateOn(o.Cfg, "amazon", platform.All(), simTimeline)
+}
+
+// RunFig19 reproduces Figure 19: energy grouping and efficiency. One
+// simulation pass feeds both the table and the bar chart.
+func RunFig19(o *Options, w io.Writer) error {
+	results, err := amazonResults(o)
 	if err != nil {
 		return err
 	}
@@ -319,31 +342,36 @@ func RunFig19(o *Options, w io.Writer) error {
 	return nil
 }
 
-// RunTraditional reproduces Section VII-E: the same comparison on a
-// 20 µs-read conventional SSD.
-func RunTraditional(o *Options, w io.Writer) error {
+// tradSpeedups runs Section VII-E: CC and every BG-X platform on a
+// 20 µs-read conventional SSD, on every dataset. It returns the kinds
+// and each one's speedup over CC averaged across datasets.
+func tradSpeedups(o *Options) ([]platform.Kind, map[string]float64, error) {
 	o.fill()
 	// A value-copied config keeps the experiment self-contained: nothing
-	// mutates o.Cfg, so RunTraditional can run concurrently with every
-	// other experiment under RunAll.
+	// mutates o.Cfg, so it can run concurrently with every other
+	// experiment under RunAll.
 	cfg := o.Cfg
 	cfg.Flash.ReadLatency = 20 * sim.Microsecond
-
 	kinds := append([]platform.Kind{platform.CC}, platform.BGOnly()...)
 	grid, err := o.simulateGrid(cfg, datasetNames(), kinds, simTimeline)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	avg := map[string]float64{}
-	for di := range dataset.All() {
-		tput := map[string]float64{}
-		for ki, k := range kinds {
-			tput[k.String()] = grid[di][ki].Throughput
+	for _, row := range grid {
+		for k, v := range normalizeTo(throughputs(kinds, row), platform.CC.String()) {
+			avg[k] += v / float64(len(grid))
 		}
-		norm := normalizeTo(tput, platform.CC.String())
-		for k, v := range norm {
-			avg[k] += v / float64(len(dataset.All()))
-		}
+	}
+	return kinds, avg, nil
+}
+
+// RunTraditional reproduces Section VII-E: the same comparison on a
+// 20 µs-read conventional SSD.
+func RunTraditional(o *Options, w io.Writer) error {
+	kinds, avg, err := tradSpeedups(o)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "average speedup vs CC on a 20 µs SSD:\n")
 	for _, k := range kinds {
@@ -353,17 +381,16 @@ func RunTraditional(o *Options, w io.Writer) error {
 	return nil
 }
 
-// RunTable4 reproduces Table IV: DirectGraph inflation per dataset at
-// full-scale degree statistics.
-func RunTable4(o *Options, w io.Writer) error {
+// table4Stats measures DirectGraph inflation per dataset at full-scale
+// degree statistics, in dataset.All() order.
+func table4Stats(o *Options) ([]directgraph.Stats, error) {
 	o.fill()
 	sample := 200_000
 	if o.Quick {
 		sample = 40_000
 	}
-	paper := map[string]float64{"reddit": 2.8, "amazon": 4.1, "movielens": 3.5, "OGBN": 32.3, "PPI": 3.5}
 	eng := o.engine()
-	stats, err := exp.Map(dataset.All(), func(d dataset.Desc) (directgraph.Stats, error) {
+	return exp.Map(dataset.All(), func(d dataset.Desc) (directgraph.Stats, error) {
 		var st directgraph.Stats
 		err := eng.ThrottleCtx(o.context(), func() (err error) {
 			st, err = dataset.FullScaleInflation(d, o.Cfg.Flash.PageSize, sample, o.Cfg.Seed)
@@ -371,9 +398,16 @@ func RunTable4(o *Options, w io.Writer) error {
 		})
 		return st, err
 	})
+}
+
+// RunTable4 reproduces Table IV: DirectGraph inflation per dataset at
+// full-scale degree statistics.
+func RunTable4(o *Options, w io.Writer) error {
+	stats, err := table4Stats(o)
 	if err != nil {
 		return err
 	}
+	paper := map[string]float64{"reddit": 2.8, "amazon": 4.1, "movielens": 3.5, "OGBN": 32.3, "PPI": 3.5}
 	fmt.Fprintf(w, "%-10s %10s %12s %12s\n", "dataset", "raw GB", "inflation", "paper")
 	for i, d := range dataset.All() {
 		fmt.Fprintf(w, "%-10s %10.1f %11.1f%% %11.1f%%\n", d.Name, d.RawGB, stats[i].InflationRatio()*100, paper[d.Name])

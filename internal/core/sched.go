@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -80,13 +79,6 @@ func BuildSchedReport(o *Options) (*SchedReport, error) {
 		return nil, err
 	}
 	return &SchedReport{Dataset: "amazon", Cells: flat}, nil
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *SchedReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // schedTraceTable runs one traced simulation of the platform under the

@@ -56,7 +56,7 @@ func TestSchedReportJSON(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var round SchedReport

@@ -18,6 +18,15 @@ type Sweep struct {
 	Points []SweepPoint
 }
 
+// labels returns the sweep's x-axis labels in point order.
+func (s Sweep) labels() []string {
+	var out []string
+	for _, pt := range s.Points {
+		out = append(out, pt.Label)
+	}
+	return out
+}
+
 // SweepPoint is one x-axis value of a sweep.
 type SweepPoint struct {
 	Label string
@@ -125,31 +134,35 @@ func RunSweep(o *Options, s Sweep) (map[string][]float64, error) {
 	return out, nil
 }
 
-// RunFig18 executes all six sweeps — concurrently, every (sweep, point,
-// platform) cell an independent simulation — and prints each platform's
-// series normalized to its own minimum (the paper's normalization).
-func RunFig18(o *Options, w io.Writer) error {
+// fig18Series executes all six sweeps — concurrently, every (sweep,
+// point, platform) cell an independent simulation. series[i] is
+// sweeps[i]'s throughput per platform per point.
+func fig18Series(o *Options) (sweeps []Sweep, series []map[string][]float64, err error) {
 	o.fill()
-	sweeps := Fig18Sweeps(o.Quick)
-	all, err := exp.Map(sweeps, func(s Sweep) (map[string][]float64, error) {
+	sweeps = Fig18Sweeps(o.Quick)
+	series, err = exp.Map(sweeps, func(s Sweep) (map[string][]float64, error) {
 		return RunSweep(o, s)
 	})
+	return sweeps, series, err
+}
+
+// RunFig18 prints each Figure-18 sweep with each platform's series
+// normalized to its own minimum (the paper's normalization).
+func RunFig18(o *Options, w io.Writer) error {
+	sweeps, all, err := fig18Series(o)
 	if err != nil {
 		return err
 	}
 	for si, s := range sweeps {
 		res := all[si]
+		labels := s.labels()
 		fmt.Fprintf(w, "-- %s\n", s.Name)
 		fmt.Fprintf(w, "   %-9s", "")
-		for _, pt := range s.Points {
-			fmt.Fprintf(w, "%10s", pt.Label)
+		for _, l := range labels {
+			fmt.Fprintf(w, "%10s", l)
 		}
 		fmt.Fprintln(w)
 		var plotted []viz.Series
-		var labels []string
-		for _, pt := range s.Points {
-			labels = append(labels, pt.Label)
-		}
 		for _, k := range platform.BGOnly() {
 			series := res[k.String()]
 			min := series[0]

@@ -24,11 +24,6 @@ type Partitioned struct {
 	LocalIndex []int32
 }
 
-// LocalPlan returns node v's placement plan on its owning shard.
-func (p *Partitioned) LocalPlan(v graph.NodeID) *NodePlan {
-	return &p.Shards[p.Owner[v]].Build.Plans[p.LocalIndex[v]]
-}
-
 // ShardBytes returns shard s's on-flash footprint (pages × page size) —
 // the volume a failure has to re-replicate onto survivors.
 func (p *Partitioned) ShardBytes(s int) int64 { return p.Shards[s].Build.Stats.TotalBytes }

@@ -35,7 +35,7 @@ func TestBuildPartitionedCoversEveryNodeOnce(t *testing.T) {
 		}
 	}
 	for v, deg := range degrees {
-		if got := p.LocalPlan(graph.NodeID(v)).Degree; got != deg {
+		if got := p.Shards[p.Owner[v]].Build.Plans[p.LocalIndex[v]].Degree; got != deg {
 			t.Fatalf("node %d local plan degree %d, want %d", v, got, deg)
 		}
 	}

@@ -111,8 +111,7 @@ type Checker struct {
 	drains []drainProbe
 
 	// energy shadow ledger
-	energyJ      float64
-	energyEvents uint64
+	energyJ float64
 
 	// flash sense ledger
 	senseRequested uint64
@@ -229,7 +228,6 @@ func (c *Checker) ServerSpan(resourceName string, lane int, arrived, start, end 
 // EnergyEvent is the meter hook (install with energy.Meter.OnAdd): it
 // keeps the shadow ledger the reported total is compared against.
 func (c *Checker) EnergyEvent(comp energy.Component, j float64) {
-	c.energyEvents++
 	if j < 0 {
 		c.violate("energy.nonnegative", "%s charged %g J", comp, j)
 	}
@@ -238,9 +236,6 @@ func (c *Checker) EnergyEvent(comp energy.Component, j float64) {
 
 // EnergyTotal returns the shadow ledger's sum of per-event charges.
 func (c *Checker) EnergyTotal() float64 { return c.energyJ }
-
-// EnergyEvents returns how many deposits the ledger observed.
-func (c *Checker) EnergyEvents() uint64 { return c.energyEvents }
 
 // CountSenseRequest records one page-read request entering the managed
 // sense path (the "requested exactly once" side of flash.conservation).

@@ -13,6 +13,50 @@ import (
 	"beacongnn/internal/sim"
 )
 
+// device is a bare SSD on a fresh kernel: flash backend, firmware
+// cores, DRAM and an NVMe queue pair whose device side ignores
+// commands. The DirectGraph flush and the regular-I/O baseline run on
+// it.
+type device struct {
+	k       *sim.Kernel
+	backend *flash.Backend
+	fw      *firmware.Processor
+	mem     *dram.DRAM
+	qp      *nvme.QueuePair
+}
+
+// newDevice validates cfg and assembles a device with an NVMe queue of
+// the given depth.
+func newDevice(cfg config.Config, queueDepth int) (*device, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	d := &device{k: sim.New()}
+	var err error
+	if d.backend, err = flash.New(d.k, cfg.Flash, 0); err != nil {
+		return nil, err
+	}
+	if d.fw, err = firmware.NewProcessor(d.k, cfg.Firmware); err != nil {
+		return nil, err
+	}
+	if d.mem, err = dram.New(d.k, cfg.DRAM); err != nil {
+		return nil, err
+	}
+	if d.qp, err = nvme.New(d.k, cfg.PCIe, queueDepth); err != nil {
+		return nil, err
+	}
+	d.qp.Device = func(nvme.Command) {}
+	return d, nil
+}
+
+// run drives the kernel until no event is left and then hands the
+// device's recycled state back for the next run.
+func (d *device) run() {
+	d.k.Run()
+	d.backend.Release()
+	d.k.ReleaseServers()
+}
+
 // ConstructionResult measures Section VI-B's second step: flushing the
 // host-built DirectGraph pages into the reserved flash blocks through
 // the customized NVMe interface, with the firmware's per-page write-
@@ -30,31 +74,13 @@ type ConstructionResult struct {
 // programmed to its physical location. Pages flow in physical-page
 // order, so programs stripe across all dies.
 func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*ConstructionResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if inst == nil || inst.Build == nil || inst.Build.Pages == nil {
 		return nil, fmt.Errorf("platform: construction needs a materialized build")
 	}
-	k := sim.New()
-	backend, err := flash.New(k, cfg.Flash, 0)
+	d, err := newDevice(cfg, 1024)
 	if err != nil {
 		return nil, err
 	}
-	fw, err := firmware.NewProcessor(k, cfg.Firmware)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := dram.New(k, cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	qp, err := nvme.New(k, cfg.PCIe, 1024)
-	if err != nil {
-		return nil, err
-	}
-	qp.Device = func(nvme.Command) {}
-
 	pages := make([]uint32, 0, len(inst.Build.Pages))
 	for pn := range inst.Build.Pages {
 		pages = append(pages, pn)
@@ -71,24 +97,22 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	remaining := len(pages)
 	for _, pn := range pages {
 		pn := pn
-		qp.TransferData(cfg.Flash.PageSize, func() {
-			mem.Write(cfg.Flash.PageSize, func() {
+		d.qp.TransferData(cfg.Flash.PageSize, func() {
+			d.mem.Write(cfg.Flash.PageSize, func() {
 				res.VerifyTime += verifyCost
-				fw.Do(verifyCost, func() {
-					backend.ProgramPage(pn, func() {
+				d.fw.Do(verifyCost, func() {
+					d.backend.ProgramPage(pn, func() {
 						remaining--
 					})
 				})
 			})
 		})
 	}
-	k.Run()
-	backend.Release()
-	k.ReleaseServers()
+	d.run()
 	if remaining != 0 {
 		return nil, fmt.Errorf("platform: construction stalled with %d pages pending", remaining)
 	}
-	res.Elapsed = k.Now()
+	res.Elapsed = d.k.Now()
 	if res.Elapsed > 0 {
 		res.Bandwidth = float64(res.Bytes) / res.Elapsed.Seconds()
 	}
@@ -183,42 +207,23 @@ func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, err
 // RegularIOBaseline measures the same 4 KB read path on an idle device
 // (regular-I/O mode): no GNN work, no deferral.
 func RegularIOBaseline(cfg config.Config) (sim.Time, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	k := sim.New()
-	backend, err := flash.New(k, cfg.Flash, 0)
+	d, err := newDevice(cfg, 16)
 	if err != nil {
 		return 0, err
 	}
-	fw, err := firmware.NewProcessor(k, cfg.Firmware)
-	if err != nil {
-		return 0, err
-	}
-	mem, err := dram.New(k, cfg.DRAM)
-	if err != nil {
-		return 0, err
-	}
-	qp, err := nvme.New(k, cfg.PCIe, 16)
-	if err != nil {
-		return 0, err
-	}
-	qp.Device = func(nvme.Command) {}
 	var latency sim.Time
 	cost := cfg.Firmware.PollCost + cfg.Firmware.TranslateCost + cfg.Firmware.FlashCmdCost
-	fw.Do(cost, func() {
-		backend.ReadPage(0, 0, nil, func() {
-			backend.Transfer(0, cfg.Flash.PageSize, func() {
-				mem.Read(cfg.Flash.PageSize, func() {
-					qp.TransferData(cfg.Flash.PageSize, func() {
-						latency = k.Now()
+	d.fw.Do(cost, func() {
+		d.backend.ReadPage(0, 0, nil, func() {
+			d.backend.Transfer(0, cfg.Flash.PageSize, func() {
+				d.mem.Read(cfg.Flash.PageSize, func() {
+					d.qp.TransferData(cfg.Flash.PageSize, func() {
+						latency = d.k.Now()
 					})
 				})
 			})
 		})
 	})
-	k.Run()
-	backend.Release()
-	k.ReleaseServers()
+	d.run()
 	return latency, nil
 }

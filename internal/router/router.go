@@ -342,15 +342,6 @@ func (op *cmdOp) onParsed() {
 	r.ops.Put(op)
 }
 
-// QueuedCommands returns the total commands waiting in dispatch queues.
-func (r *Router) QueuedCommands() int {
-	n := 0
-	for i := range r.q.dispatch {
-		n += r.q.dispatch[i].len()
-	}
-	return n
-}
-
 // Validate cross-checks router geometry against the backend.
 func (r *Router) Validate() error {
 	if r.Exec == nil {

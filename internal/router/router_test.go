@@ -151,8 +151,10 @@ func TestQueuedCommandsDrains(t *testing.T) {
 		r.Route(-1, cmdFor(l, uint32(i)))
 	}
 	k.Run()
-	if r.QueuedCommands() != 0 {
-		t.Fatalf("queued = %d after drain", r.QueuedCommands())
+	for i := range r.q.dispatch {
+		if n := r.q.dispatch[i].len(); n != 0 {
+			t.Fatalf("dispatch queue %d holds %d commands after drain", i, n)
+		}
 	}
 	if r.Stats().MaxQueue < 1 {
 		t.Fatal("max queue never recorded")

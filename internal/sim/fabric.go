@@ -55,9 +55,6 @@ func (f *Fabric) Send(src, dst, n int, done func()) {
 	})
 }
 
-// BytesFrom returns the bytes endpoint i has pushed onto the fabric.
-func (f *Fabric) BytesFrom(i int) uint64 { return f.sentBy[i] }
-
 // BytesTotal returns all bytes moved across the fabric.
 func (f *Fabric) BytesTotal() uint64 {
 	var t uint64
@@ -72,17 +69,3 @@ func (f *Fabric) Messages() uint64 { return f.msgs }
 
 // OccupancyFor returns the single-port occupancy time for n bytes.
 func (f *Fabric) OccupancyFor(n int) Time { return f.egress[0].OccupancyFor(n) }
-
-// Quiesced reports whether every port has drained — true between
-// batches and at end of run, a cheap conservation check.
-func (f *Fabric) Quiesced() bool {
-	for i := range f.egress {
-		if b, q := f.egress[i].Occupancy(); b+q > 0 {
-			return false
-		}
-		if b, q := f.ingress[i].Occupancy(); b+q > 0 {
-			return false
-		}
-	}
-	return true
-}
