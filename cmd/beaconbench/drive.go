@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"beacongnn/internal/metrics"
 )
 
 // runDrive is the live counterpart of -exp chaos: it fires requests at
@@ -98,8 +100,7 @@ func runDrive(base string, requests, clients int, w io.Writer) error {
 		if len(lats) == 0 {
 			return 0
 		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
+		return lats[metrics.NearestRank(p, len(lats))-1]
 	}
 	avail := float64(counts["ok"]+counts["degraded"]) / float64(requests)
 	fmt.Fprintf(w, "drove %s: %d requests, %d clients, %v elapsed\n", base, requests, clients, elapsed.Round(time.Millisecond))

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"beacongnn/internal/dataset"
 	"beacongnn/internal/directgraph"
@@ -139,20 +138,14 @@ func runValidate(args []string) {
 	b := inst.Build
 
 	if *corrupt > 0 || *drop > 0 {
-		keys := make([]uint32, 0, len(b.Pages))
-		for pn := range b.Pages {
-			keys = append(keys, pn)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i := 0; i < *corrupt && i < len(keys); i++ {
-			pg := b.Pages[keys[i]]
+		n := len(b.Pages)
+		for _, pg := range b.Pages[:min(max(*corrupt, 0), n)] {
 			for j := 0; j < 4 && j < len(pg); j++ {
 				pg[j] = 0xFF
 			}
 		}
-		for i := 0; i < *drop && len(keys)-1-i >= 0; i++ {
-			delete(b.Pages, keys[len(keys)-1-i])
-		}
+		// A dropped page leaves a hole in the page table.
+		clear(b.Pages[n-min(max(*drop, 0), n):])
 		fmt.Printf("injected damage: %d smashed headers, %d dropped pages\n", *corrupt, *drop)
 	}
 

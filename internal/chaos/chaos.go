@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"beacongnn/internal/xrand"
 )
 
 // Injection sites. Each boundary draws from its own site constant so
@@ -147,22 +149,12 @@ func (in *Injector) Disarm() { in.armed.Store(false) }
 // Stats exposes the injection counters.
 func (in *Injector) Stats() *Stats { return &in.stats }
 
-// splitmix64 is the standard SplitMix64 finalizer: a bijective avalanche
-// mix, so structured inputs (small sequence numbers, similar digests)
-// still produce uniformly distributed draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // JitterU returns a deterministic jitter coordinate for (key, n): a
 // uniform in [0, 1) that is a pure function of its arguments. The
 // serving layer feeds it to Backoff.Delay so a request's retry
 // schedule is reproducible while distinct keys decorrelate.
 func JitterU(key, n uint64) float64 {
-	h := splitmix64(key ^ n*0xd6e8feb86659fd93 ^ 0x4a495454)
+	h := xrand.SplitMix64(key ^ n*0xd6e8feb86659fd93 ^ 0x4a495454)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -191,10 +183,10 @@ func NewStream(seed uint64) *Stream {
 }
 
 func (s *Stream) draw(site, key uint64) float64 {
-	slot := splitmix64(site ^ key)
+	slot := xrand.SplitMix64(site ^ key)
 	n := s.seq[slot]
 	s.seq[slot] = n + 1
-	h := splitmix64(s.seed ^ slot ^ (n * 0xd6e8feb86659fd93))
+	h := xrand.SplitMix64(s.seed ^ slot ^ (n * 0xd6e8feb86659fd93))
 	return float64(h>>11) / (1 << 53)
 }
 

@@ -9,6 +9,7 @@ import (
 	"beacongnn/internal/graph"
 	"beacongnn/internal/platform"
 	"beacongnn/internal/sim"
+	"beacongnn/internal/xrand"
 )
 
 // Wire-format sizes for coordinator↔device messages. Scatter entries
@@ -107,7 +108,7 @@ func newRun(c Config, inst *dataset.Instance, pt Partitioner) (*run, error) {
 // it or how events interleave.
 func (r *run) draw(batch, round, entry, j int) uint64 {
 	key := uint64(batch)<<48 ^ uint64(round)<<40 ^ uint64(entry)<<8 ^ uint64(j)
-	return splitmix64(r.cfg.Seed ^ splitmix64(key))
+	return xrand.SplitMix64(r.cfg.Seed ^ xrand.SplitMix64(key))
 }
 
 // targets returns batch b's seed nodes.

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"beacongnn/internal/graph"
+	"beacongnn/internal/xrand"
 )
 
 // Partitioner assigns every node to exactly one owning shard. Owner
@@ -33,20 +34,7 @@ const (
 // PartitionerNames lists the pluggable partitioning policies.
 func PartitionerNames() []string { return []string{PartitionHash, PartitionLocality} }
 
-// splitmix64 is the SplitMix64 output function: a bijective avalanche
-// mix used for hash placement and sampling draws. Pure, so every
-// decision derived from it is independent of event ordering.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// HashPartitioner places node v on shard splitmix64(v) mod N: uniform
+// HashPartitioner places node v on shard xrand.SplitMix64(v) mod N: uniform
 // in expectation, oblivious to topology, and trivially stable — the
 // same (node, N) always lands on the same shard.
 type HashPartitioner struct {
@@ -64,7 +52,7 @@ func (p *HashPartitioner) Shards() int { return p.shards }
 
 // Owner implements Partitioner.
 func (p *HashPartitioner) Owner(v graph.NodeID) int {
-	return int(splitmix64(uint64(uint32(v))) % uint64(p.shards))
+	return int(xrand.SplitMix64(uint64(uint32(v))) % uint64(p.shards))
 }
 
 // LocalityPartitioner keeps high-degree neighborhoods co-resident: it

@@ -172,6 +172,22 @@ type Energy struct {
 	StaticWatts      float64 // SSD controller + DRAM background power
 }
 
+// Validate rejects a non-finite or negative constant: one NaN would make
+// every energy and power figure NaN with no error.
+func (e Energy) Validate() error {
+	for _, x := range [...]float64{
+		e.FlashReadPage, e.FlashRetrySense, e.FlashSampleOp, e.ChannelPerByte,
+		e.DRAMPerByte, e.PCIePerByte, e.HostDRAMPerByte, e.CorePerSecond,
+		e.HostCPUPerSecond, e.AccelPerMAC, e.AccelSRAMPerByte, e.RouterPerCmd,
+		e.StaticWatts,
+	} {
+		if !nonNegative(x) {
+			return fmt.Errorf("config: energy constant %v must be finite and non-negative", x)
+		}
+	}
+	return nil
+}
+
 // Ablation switches off individual BeaconGNN design elements, for the
 // ablation benchmarks that quantify each one's contribution.
 type Ablation struct {
@@ -481,10 +497,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: link bandwidth must be finite and positive")
 	case c.GNN.Hops <= 0 || c.GNN.Fanout <= 0 || c.GNN.BatchSize <= 0:
 		return fmt.Errorf("config: GNN parameters must be positive")
+	case !nonNegative(c.GNN.TargetSkew):
+		// A NaN skew would fail the sampler's skew > 0 test and draw
+		// uniform targets without a word.
+		return fmt.Errorf("config: GNN target skew %v must be finite and non-negative", c.GNN.TargetSkew)
 	case c.SSDAccel.Rows <= 0 || c.SSDAccel.Cols <= 0 || !positive(c.SSDAccel.ClockHz):
 		return fmt.Errorf("config: accelerator shape must be positive")
 	case !positive(c.TPU.ClockHz):
 		return fmt.Errorf("config: TPU clock must be finite and positive")
+	}
+	if err := c.Energy.Validate(); err != nil {
+		return err
 	}
 	if err := c.Sched.Validate(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"beacongnn/internal/sim"
@@ -19,6 +20,19 @@ func TestDefaultValidates(t *testing.T) {
 	if err := faulty.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// -exp ext's skewed-target study.
+	zipf := Default()
+	zipf.GNN.TargetSkew = 1.4
+	if err := zipf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// energyField returns Energy's i-th constant (mod the field count), so
+// the tests reach every constant, including any added later.
+func energyField(c *Config, i int) reflect.Value {
+	e := reflect.ValueOf(&c.Energy).Elem()
+	return e.Field(i % e.NumField())
 }
 
 func TestDefaultMatchesPaperAnchors(t *testing.T) {
@@ -97,6 +111,12 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 			})
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		mutations = append(mutations, func(c *Config) { c.GNN.TargetSkew = v })
+		for i := range reflect.TypeFor[Energy]().NumField() {
+			mutations = append(mutations, func(c *Config) { energyField(c, i).SetFloat(v) })
+		}
+	}
 	for i, mut := range mutations {
 		c := Default()
 		mut(&c)
@@ -124,19 +144,21 @@ var floatFields = []struct {
 }
 
 // FuzzConfigValidate sets the float fields Validate checks and the
-// integer geometry it reads on top of Default(). Validate must never
-// panic and never accept a non-finite float.
+// integer geometry it reads on top of Default(), plus the target skew
+// and one energy constant (chosen by which). Validate must never panic
+// and never accept a non-finite float, nor a negative skew or energy.
 func FuzzConfigValidate(f *testing.F) {
 	d := Default()
 	f.Add(d.Flash.ChannelBW, d.DRAM.Bandwidth, d.PCIe.Bandwidth, d.SSDAccel.ClockHz, d.TPU.ClockHz,
 		d.Fault.BaseRBER, d.Fault.WearRBERPerPE, d.Fault.RetentionRBER, d.Fault.StormRBER,
-		d.Flash.Channels, d.Flash.DiesPerChannel, d.Flash.PageSize, d.Firmware.Cores, true)
-	f.Add(math.NaN(), 1e9, 1e9, 1e9, 1e9, 0.0, 0.0, 0.0, 0.0, 16, 8, 4096, 4, false)
-	f.Add(1e9, math.Inf(1), 1e9, 1e9, math.NaN(), 0.0, 0.0, 0.0, 0.0, 4, 2, 512, 1, false)
-	f.Add(1e9, 1e9, 1e9, 1e9, 1e9, 1e-7, math.Inf(1), math.NaN(), 0.49, 2, 2, 32768, 8, true)
-	f.Add(0.0, -1.0, 1e9, 0.0, math.Inf(-1), -1e-7, 0.0, 0.0, 0.5, 0, -1, 6000, 0, true)
+		d.Flash.Channels, d.Flash.DiesPerChannel, d.Flash.PageSize, d.Firmware.Cores, true,
+		d.GNN.TargetSkew, d.Energy.StaticWatts, uint8(12))
+	f.Add(math.NaN(), 1e9, 1e9, 1e9, 1e9, 0.0, 0.0, 0.0, 0.0, 16, 8, 4096, 4, false, 1.4, math.NaN(), uint8(12))
+	f.Add(1e9, math.Inf(1), 1e9, 1e9, math.NaN(), 0.0, 0.0, 0.0, 0.0, 4, 2, 512, 1, false, math.NaN(), 1e-9, uint8(0))
+	f.Add(1e9, 1e9, 1e9, 1e9, 1e9, 1e-7, math.Inf(1), math.NaN(), 0.49, 2, 2, 32768, 8, true, 0.0, math.Inf(1), uint8(5))
+	f.Add(0.0, -1.0, 1e9, 0.0, math.Inf(-1), -1e-7, 0.0, 0.0, 0.5, 0, -1, 6000, 0, true, -1.0, -1e-12, uint8(200))
 	f.Fuzz(func(t *testing.T, chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm float64,
-		channels, dies, pageSize, cores int, faults bool) {
+		channels, dies, pageSize, cores int, faults bool, skew, energy float64, which uint8) {
 		c := Default()
 		vals := []float64{chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm}
 		for i, ff := range floatFields {
@@ -145,6 +167,8 @@ func FuzzConfigValidate(f *testing.F) {
 		c.Flash.Channels, c.Flash.DiesPerChannel = channels, dies
 		c.Flash.PageSize, c.Firmware.Cores = pageSize, cores
 		c.Fault.Enabled = faults
+		c.GNN.TargetSkew = skew
+		energyField(&c, int(which)).SetFloat(energy)
 		if c.Validate() != nil {
 			return
 		}
@@ -155,6 +179,11 @@ func FuzzConfigValidate(f *testing.F) {
 		for _, v := range checked {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("Validate accepted non-finite %v in %v", v, checked)
+			}
+		}
+		for _, v := range []float64{skew, energy} {
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				t.Fatalf("Validate accepted target skew %v, energy constant %d = %v", skew, which, energy)
 			}
 		}
 	})

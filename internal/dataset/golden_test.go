@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"testing"
 
 	"beacongnn/internal/graph"
@@ -98,15 +97,10 @@ func instanceDigest(inst *Instance) (string, error) {
 			w(int64(o))
 		}
 	}
-	nums := make([]uint32, 0, len(b.Pages))
-	for pn := range b.Pages {
-		nums = append(nums, pn)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	w(int64(len(nums)))
-	for _, pn := range nums {
-		w(int64(pn), int64(len(b.Pages[pn])))
-		buf = append(buf, b.Pages[pn]...)
+	w(int64(len(b.Pages)))
+	for i, page := range b.Pages {
+		w(int64(b.First)+int64(i), int64(len(page)))
+		buf = append(buf, page...)
 	}
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)), nil

@@ -8,23 +8,19 @@ import (
 	"beacongnn/internal/graph"
 )
 
-// PageAllocator hands out physical page numbers for DirectGraph pages.
-// In the full system the FTL reserves physical blocks and exposes their
-// pages here (Section VI-A); tests may use a simple counter.
-type PageAllocator interface {
-	// NextPage returns the next free physical page number.
-	NextPage() (uint32, error)
-}
-
-// SeqAllocator allocates pages sequentially from Next. Because the
-// flash geometry stripes consecutive page numbers across dies, this is
-// also what spreads DirectGraph across the whole backend.
+// SeqAllocator hands out physical page numbers for DirectGraph pages,
+// sequentially from Next. In the full system the FTL reserves a run of
+// block rows, whose pages are consecutive, and exposes them here
+// (Section VI-A). Because the flash geometry stripes consecutive page
+// numbers across dies, this is also what spreads DirectGraph across
+// the whole backend, and it is what lets a build keep its pages in one
+// table indexed by page number.
 type SeqAllocator struct {
 	Next  uint32
 	Limit uint32 // exclusive; 0 = unlimited within uint32 range
 }
 
-// NextPage implements PageAllocator.
+// NextPage returns the next free page number.
 func (a *SeqAllocator) NextPage() (uint32, error) {
 	if a.Limit != 0 && a.Next >= a.Limit {
 		return 0, fmt.Errorf("directgraph: page allocator exhausted at %d", a.Limit)
@@ -60,11 +56,24 @@ type Build struct {
 	Layout Layout
 	Plans  []NodePlan // indexed by node id
 	Stats  Stats
-	Pages  map[uint32][]byte // nil in layout-only mode
+	// Pages is the image in page order: Pages[i] holds page First+i, or
+	// is nil where the image lacks that page. Pages is nil in
+	// layout-only mode.
+	Pages [][]byte
+	First uint32 // the image's first page number
 }
 
 // NodeAddr returns node v's primary section address.
 func (b *Build) NodeAddr(v graph.NodeID) Addr { return b.Plans[v].Primary }
+
+// Page returns the bytes of page pn, or false if the image does not
+// materialize that page.
+func (b *Build) Page(pn uint32) ([]byte, bool) {
+	if i := int(pn - b.First); i < len(b.Pages) {
+		return b.Pages[i], b.Pages[i] != nil
+	}
+	return nil, false
+}
 
 // Clone deep-copies the build: plans (including their address slices)
 // and page bytes. Relocation and fault-recovery remapping mutate a build
@@ -73,7 +82,7 @@ func (b *Build) NodeAddr(v graph.NodeID) Addr { return b.Plans[v].Primary }
 // for all page bytes and one backing array each for the plans'
 // Secondaries and SecOffsets.
 func (b *Build) Clone() *Build {
-	c := &Build{Layout: b.Layout, Stats: b.Stats, Plans: make([]NodePlan, len(b.Plans))}
+	c := &Build{Layout: b.Layout, Stats: b.Stats, First: b.First, Plans: make([]NodePlan, len(b.Plans))}
 	var nsec, noff int
 	for i := range b.Plans {
 		nsec += len(b.Plans[i].Secondaries)
@@ -93,9 +102,9 @@ func (b *Build) Clone() *Build {
 			total += len(page)
 		}
 		slab := make([]byte, 0, total)
-		c.Pages = make(map[uint32][]byte, len(b.Pages))
-		for pn, page := range b.Pages {
-			c.Pages[pn] = carve(&slab, page)
+		c.Pages = make([][]byte, len(b.Pages))
+		for i, page := range b.Pages {
+			c.Pages[i] = carve(&slab, page)
 		}
 	}
 	return c
@@ -114,20 +123,6 @@ func carve[T any](dst *[]T, src []T) []T {
 	return (*dst)[start:len(*dst):len(*dst)]
 }
 
-// PageNumbers returns the set of allocated physical pages, usable for
-// the Section VI-E security verification.
-func (b *Build) PageNumbers() map[uint32]bool {
-	set := make(map[uint32]bool, len(b.Pages))
-	for i := range b.Plans {
-		p := &b.Plans[i]
-		set[b.Layout.Page(p.Primary)] = true
-		for _, s := range p.Secondaries {
-			set[b.Layout.Page(s)] = true
-		}
-	}
-	return set
-}
-
 // openPage tracks the shared page currently being filled.
 type openPage struct {
 	num      uint32
@@ -140,7 +135,7 @@ func (op *openPage) gap(pageSize int) int { return pageSize - op.used }
 
 type builder struct {
 	layout Layout
-	alloc  PageAllocator
+	alloc  *SeqAllocator
 	plans  []NodePlan
 	stats  Stats
 
@@ -337,43 +332,40 @@ func (b *builder) placeSharedPrimary(size int) (Addr, int, error) {
 // BuildLayout runs only Algorithm 1's metadata pass over a degree
 // sequence — enough to compute addresses and Table IV inflation at full
 // dataset scale without materializing page bytes.
-func BuildLayout(l Layout, degrees []int, alloc PageAllocator) (*Build, error) {
+func BuildLayout(l Layout, degrees []int, alloc *SeqAllocator) (*Build, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
+	first := alloc.Next
 	b := &builder{layout: l, alloc: alloc}
 	if err := b.assign(degrees); err != nil {
 		return nil, err
 	}
-	return &Build{Layout: l, Plans: b.plans, Stats: b.stats}, nil
+	return &Build{Layout: l, Plans: b.plans, Stats: b.stats, First: first}, nil
 }
 
 // BuildGraph runs the full Algorithm 1: metadata pass, then section
 // serialization into page images (the host-buffer construction of
 // Section VI-B). The returned Build's Pages hold what the flushed flash
 // blocks would contain.
-func BuildGraph(l Layout, g *graph.Graph, alloc PageAllocator) (*Build, error) {
+func BuildGraph(l Layout, g *graph.Graph, alloc *SeqAllocator) (*Build, error) {
 	return buildGraph(l, g, alloc, 0)
 }
 
 // buildGraph is BuildGraph with serialize's chunk count forced; 0 picks
 // it from the work.
-func buildGraph(l Layout, g *graph.Graph, alloc PageAllocator, chunks int) (*Build, error) {
+func buildGraph(l Layout, g *graph.Graph, alloc *SeqAllocator, chunks int) (*Build, error) {
 	if l.FeatureDim != g.FeatureDim() {
 		return nil, fmt.Errorf("directgraph: layout dim %d != graph dim %d", l.FeatureDim, g.FeatureDim())
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
 	}
 	degrees := make([]int, g.NumNodes())
 	for v := range degrees {
 		degrees[v] = g.Degree(graph.NodeID(v))
 	}
-	b := &builder{layout: l, alloc: alloc}
-	if err := b.assign(degrees); err != nil {
+	build, err := BuildLayout(l, degrees, alloc)
+	if err != nil {
 		return nil, err
 	}
-	build := &Build{Layout: l, Plans: b.plans, Stats: b.stats}
 	if err := serialize(build, g, chunks); err != nil {
 		return nil, err
 	}
@@ -387,39 +379,37 @@ const minChunk = 1 << 18
 
 // serialize writes every node's sections straight into their pages, in
 // two passes. The metadata pass has fixed the page count, so all page
-// images are cut from one zeroed slab. The first pass, serial, walks
-// the sections in node order, cuts each page on its first use and
-// checks that every section fits its page, so the layout and any error
-// are those of a plain serial build. The second pass writes chunks of
-// nodes (splitNodes; 0 chunks = fanout.Count of the section bytes)
-// concurrently. Sections of different nodes never share a byte, so
-// chunks that meet inside a shared page write disjoint parts of it.
+// images are cut from one zeroed slab, in page order. The first pass,
+// serial, walks the sections in node order and checks that every
+// section fits its page, so any error is that of a plain serial build.
+// The second pass writes chunks of nodes (splitNodes; 0 chunks =
+// fanout.Count of the section bytes) concurrently. Sections of
+// different nodes never share a byte, so chunks that meet inside a
+// shared page write disjoint parts of it.
 // The graph holds no features: each chunk opens one feature cursor at
 // its first node and draws every node's features straight into its
 // primary section, so the pages are the features' only copy.
 func serialize(build *Build, g *graph.Graph, chunks int) error {
 	l := build.Layout
 	ps := l.PageSize
-	npages := build.Stats.PrimaryPages + build.Stats.SecondaryPages
-	slab := make([]byte, npages*ps)
-	build.Pages = make(map[uint32][]byte, npages)
-	cut := func(a Addr, off, size int) error {
-		pn := l.Page(a)
-		if _, ok := build.Pages[pn]; !ok {
-			build.Pages[pn], slab = slab[:ps:ps], slab[ps:]
-		}
+	slab := make([]byte, (build.Stats.PrimaryPages+build.Stats.SecondaryPages)*ps)
+	build.Pages = make([][]byte, len(slab)/ps)
+	for i := range build.Pages {
+		build.Pages[i] = slab[i*ps : (i+1)*ps : (i+1)*ps]
+	}
+	fits := func(a Addr, off, size int) error {
 		if off+size > ps {
-			return fmt.Errorf("directgraph: page %d overflow at offset %d", pn, off)
+			return fmt.Errorf("directgraph: page %d overflow at offset %d", l.Page(a), off)
 		}
 		return nil
 	}
 	for v := range build.Plans {
 		plan := &build.Plans[v]
-		if err := cut(plan.Primary, plan.PrimaryOffset, plan.PrimarySize); err != nil {
+		if err := fits(plan.Primary, plan.PrimaryOffset, plan.PrimarySize); err != nil {
 			return err
 		}
 		for s, sa := range plan.Secondaries {
-			if err := cut(sa, plan.SecOffsets[s], plan.secSize(s)); err != nil {
+			if err := fits(sa, plan.SecOffsets[s], plan.secSize(s)); err != nil {
 				return err
 			}
 		}
@@ -474,7 +464,7 @@ func writeNode(build *Build, g *graph.Graph, feats *graph.FeatureCursor, addrs [
 	l := build.Layout
 	plan := &build.Plans[v]
 	nbrs := g.Neighbors(graph.NodeID(v))
-	buf := build.Pages[l.Page(plan.Primary)][plan.PrimaryOffset:][:plan.PrimarySize]
+	buf := build.Pages[l.Page(plan.Primary)-build.First][plan.PrimaryOffset:][:plan.PrimarySize]
 	buf[0] = SectionTypePrimary
 	putU16(buf, 2, plan.PrimarySize)
 	putU32(buf, 4, uint32(v))
@@ -494,7 +484,7 @@ func writeNode(build *Build, g *graph.Graph, feats *graph.FeatureCursor, addrs [
 	for s, sa := range plan.Secondaries {
 		count := plan.secEntries(s)
 		size := plan.secSize(s)
-		sec := build.Pages[l.Page(sa)][plan.SecOffsets[s]:][:size]
+		sec := build.Pages[l.Page(sa)-build.First][plan.SecOffsets[s]:][:size]
 		sec[0] = SectionTypeSecondary
 		putU16(sec, 2, size)
 		putU32(sec, 4, uint32(v))

@@ -254,7 +254,7 @@ func (b *Build) Primary(v int) (SectionView, error) {
 		return SectionView{}, fmt.Errorf("directgraph: node %d outside the build's %d nodes", v, len(b.Plans))
 	}
 	a := b.Plans[v].Primary
-	page, ok := b.Pages[b.Layout.Page(a)]
+	page, ok := b.Page(b.Layout.Page(a))
 	if !ok {
 		return SectionView{}, fmt.Errorf("directgraph: node %d primary %#x: page %d not materialized", v, uint32(a), b.Layout.Page(a))
 	}
@@ -272,7 +272,7 @@ func (b *Build) Primary(v int) (SectionView, error) {
 // and the tests; the simulated die samplers read sections in place
 // through ViewSection instead.
 func (b *Build) ReadSection(a Addr) (*Section, error) {
-	page, ok := b.Pages[b.Layout.Page(a)]
+	page, ok := b.Page(b.Layout.Page(a))
 	if !ok {
 		return nil, fmt.Errorf("directgraph: page %d not materialized", b.Layout.Page(a))
 	}

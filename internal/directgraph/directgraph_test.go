@@ -401,7 +401,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		name   string
 		damage func(b *Build)
 	}{
-		{"dropped primary page", func(b *Build) { delete(b.Pages, b.Layout.Page(b.NodeAddr(5))) }},
+		{"dropped primary page", func(b *Build) { b.Pages[b.Layout.Page(b.NodeAddr(5))-b.First] = nil }},
 		{"smashed header", func(b *Build) { b.Pages[b.Layout.Page(b.NodeAddr(5))][0] = 0xFF }},
 		{"plan at another node's primary", func(b *Build) { b.Plans[5].Primary = b.Plans[6].Primary }},
 		{"secondary entry escapes", func(b *Build) {
@@ -614,9 +614,9 @@ func TestSharedBackingArraysIsolated(t *testing.T) {
 	}
 	appendThrough(b)
 
-	before := map[uint32][]byte{}
-	for pn, page := range b.Pages {
-		before[pn] = append([]byte(nil), page...)
+	before := make([][]byte, len(b.Pages))
+	for i, page := range b.Pages {
+		before[i] = append([]byte(nil), page...)
 	}
 	plans := append([]NodePlan(nil), b.Plans...)
 	secs := make([][]Addr, len(plans))
@@ -634,9 +634,9 @@ func TestSharedBackingArraysIsolated(t *testing.T) {
 	if err := firstIssue(b); err != nil {
 		t.Fatalf("original after relocating its clone: %v", err)
 	}
-	for pn, page := range b.Pages {
-		if !bytes.Equal(page, before[pn]) {
-			t.Fatalf("page %d of the original changed when its clone was relocated", pn)
+	for i, page := range b.Pages {
+		if !bytes.Equal(page, before[i]) {
+			t.Fatalf("page %d of the original changed when its clone was relocated", b.First+uint32(i))
 		}
 	}
 	for i := range b.Plans {

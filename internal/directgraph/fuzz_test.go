@@ -24,10 +24,7 @@ func FuzzFindSection(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for pn := range b.Pages {
-		f.Add(b.Pages[pn], 0)
-		break
-	}
+	f.Add(b.Pages[0], 0)
 	f.Add(make([]byte, 1024), 3)
 	f.Fuzz(func(t *testing.T, page []byte, idx int) {
 		if len(page) != l.PageSize {
@@ -76,22 +73,21 @@ func FuzzRelocate(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for pn := range b.Pages {
-		f.Add(b.Pages[pn], uint32(64))
-		break
-	}
+	f.Add(b.Pages[0], uint32(64))
 	f.Add(make([]byte, 1024), uint32(1))
 	f.Fuzz(func(t *testing.T, page []byte, delta uint32) {
 		delta %= 1 << 20 // keep page<<SectionBits from wrapping uint32
-		cp := append([]byte(nil), page...)
-		fb := &Build{Layout: l, Pages: map[uint32][]byte{7: cp}}
+		// A non-nil copy, even of no bytes: a nil entry is a page the
+		// image lacks, which Relocate skips.
+		cp := append([]byte{}, page...)
+		fb := &Build{Layout: l, Pages: [][]byte{cp}, First: 7}
 		before, beforeErr := SectionsInPage(l, cp)
 		if err := Relocate(fb, delta); err != nil {
 			return // rejected cleanly: fine, whatever the corruption was
 		}
-		moved, ok := fb.Pages[7+delta]
+		moved, ok := fb.Page(7 + delta)
 		if !ok {
-			t.Fatalf("relocated page missing from key %d", 7+delta)
+			t.Fatalf("relocated page missing at page %d", 7+delta)
 		}
 		if beforeErr == nil {
 			after, err := SectionsInPage(l, moved)
@@ -140,16 +136,10 @@ func FuzzViewSection(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seed from the lowest-numbered pages so the seed set does not
-	// depend on map iteration order.
-	pns := make([]uint32, 0, len(b.Pages))
-	for pn := range b.Pages {
-		pns = append(pns, pn)
-	}
-	slices.Sort(pns)
-	for _, pn := range pns[:min(6, len(pns))] {
-		f.Add(b.Pages[pn], 0)
-		f.Add(b.Pages[pn], 1)
+	// Seed from the lowest-numbered pages.
+	for _, page := range b.Pages[:min(6, len(b.Pages))] {
+		f.Add(page, 0)
+		f.Add(page, 1)
 	}
 	f.Add(make([]byte, 1024), 3)
 	f.Add(make([]byte, 100), 0)

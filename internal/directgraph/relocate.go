@@ -6,8 +6,9 @@ import "fmt"
 // the address-patching half of Section VI-F's wear-levelling
 // reclamation, where DirectGraph migrates to clean blocks "while
 // updating the embedded physical addresses to these new locations".
-// Plans, the page map, and all addresses embedded in page bytes are
-// rewritten in place.
+// Plans and all addresses embedded in page bytes are rewritten in
+// place, and the image's first page moves by delta; no page changes
+// its place in the table.
 func Relocate(b *Build, delta uint32) error {
 	l := b.Layout
 	// An address is page<<SectionBits | section, so moving its page by
@@ -21,11 +22,11 @@ func Relocate(b *Build, delta uint32) error {
 			p.Secondaries[j] = shift(p.Secondaries[j])
 		}
 	}
-	if b.Pages == nil {
-		return nil
-	}
-	moved := make(map[uint32][]byte, len(b.Pages))
-	for pn, page := range b.Pages {
+	for i, page := range b.Pages {
+		if page == nil {
+			continue
+		}
+		pn := b.First + uint32(i)
 		if len(page) != l.PageSize {
 			return fmt.Errorf("%w: page %d length %d != %d during relocation",
 				ErrCorruptSection, pn, len(page), l.PageSize)
@@ -80,8 +81,7 @@ func Relocate(b *Build, delta uint32) error {
 			}
 			off += length
 		}
-		moved[pn+delta] = page
 	}
-	b.Pages = moved
+	b.First += delta
 	return nil
 }

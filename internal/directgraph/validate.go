@@ -3,7 +3,6 @@ package directgraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Image validation: walk a materialized DirectGraph page by page,
@@ -42,54 +41,45 @@ func (r *ValidationReport) add(page uint32, section int, err error) {
 }
 
 // Validate decodes every section of every page in the build and checks
-// every address the image and its plans hold: each must land on a page
-// the plans allocate (PageNumbers), on a section that decodes, of the
-// right type — a secondary for a primary's secondary pointers, a
+// every address the image and its plans hold: each must land inside the
+// image's page range, on a page it holds, on a section that decodes, of
+// the right type — a secondary for a primary's secondary pointers, a
 // primary for inline neighbors and secondary entries, and node v's
 // primary for plan v's address. Unlike the sampler it does not stop at
-// the first error: all issues are collected, pages in sorted order and
+// the first error: all issues are collected, pages in page order and
 // then plans in node order. Layout-only builds (nil Pages) validate
 // trivially.
 //
 // Every page's section chain is walked once, with ViewSection's checks,
 // into a table of what ViewSection returns for each section index, and
 // every address is checked against its target page's entry there: a
-// check costs a map lookup and an array read, not a walk of the target
-// page.
+// check costs two array reads, not a walk of the target page.
 func Validate(b *Build) *ValidationReport {
 	r := &ValidationReport{}
 	if b.Pages == nil {
 		return r
 	}
 	l := b.Layout
-	pages := make([]uint32, 0, len(b.Pages))
-	for pn := range b.Pages {
-		pages = append(pages, pn)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	st := &sectionTable{targets: make(map[uint32]target, len(pages))}
-	for _, pn := range pages {
-		st.addPage(l, pn, b.Pages[pn])
-	}
-	for pn := range b.PageNumbers() {
-		t := st.targets[pn]
-		t.allowed = true
-		st.targets[pn] = t
+	st := &sectionTable{targets: make([]target, len(b.Pages))}
+	for i, page := range b.Pages {
+		if page != nil {
+			st.addPage(l, i, page)
+		}
 	}
 
 	// check verifies one embedded address, found in section fromSec of
 	// page from, that must point at a section of type want.
 	check := func(from uint32, fromSec int, a Addr, want byte) {
 		pn := l.Page(a)
-		t := st.targets[pn]
+		i := int(pn - b.First)
 		var err error
 		switch {
-		case !t.allowed:
+		case i >= len(st.targets):
 			err = fmt.Errorf("addr %#x escapes the allocated pages (page %d)", uint32(a), pn)
-		case !t.present:
+		case !st.targets[i].present:
 			err = fmt.Errorf("addr %#x targets missing page %d", uint32(a), pn)
 		default:
-			if typ, serr := st.kind(t, l.Section(a)); serr != nil {
+			if typ, serr := st.kind(st.targets[i], l.Section(a)); serr != nil {
 				err = fmt.Errorf("addr %#x: %w", uint32(a), serr)
 			} else if typ != want {
 				err = fmt.Errorf("addr %#x targets type %d section, want %d", uint32(a), typ, want)
@@ -101,12 +91,15 @@ func Validate(b *Build) *ValidationReport {
 		}
 	}
 
-	for _, pn := range pages {
-		page := b.Pages[pn]
+	for i, page := range b.Pages {
+		if page == nil {
+			continue
+		}
+		pn := b.First + uint32(i)
 		r.Pages++
 		if len(page) != l.PageSize {
 			r.CorruptSections++
-			r.add(pn, -1, st.targets[pn].end)
+			r.add(pn, -1, st.targets[i].end)
 			continue
 		}
 		off := 0
@@ -152,28 +145,28 @@ func Validate(b *Build) *ValidationReport {
 // The types of all pages share one array, so an address check reads
 // one byte.
 type sectionTable struct {
-	targets map[uint32]target
+	targets []target      // by page number − the image's first page
 	types   []byte        // by first+index; 0 where the section does not decode
 	errs    map[int]error // the decode errors, by first+index
 }
 
-// target is a page as an address check sees it: whether the plans
-// allocate it and the image holds it, where its sections start in the
-// table and how many the chain reaches, and the error ViewSection
-// returns for every index past them.
+// target is a page as an address check sees it: whether the image
+// holds it, where its sections start in the table and how many the
+// chain reaches, and the error ViewSection returns for every index past
+// them.
 type target struct {
-	allowed, present bool
-	first, n         int
-	end              error
+	present  bool
+	first, n int
+	end      error
 }
 
 // addPage walks the page's section chain once, making ViewSection's
 // checks at every step, and records each section it reaches.
-func (st *sectionTable) addPage(l Layout, pn uint32, page []byte) {
+func (st *sectionTable) addPage(l Layout, i int, page []byte) {
 	t := target{present: true, first: len(st.types)}
 	if len(page) != l.PageSize {
 		t.end = fmt.Errorf("%w: page length %d != %d", ErrCorruptSection, len(page), l.PageSize)
-		st.targets[pn] = t
+		st.targets[i] = t
 		return
 	}
 	for off := 0; ; {
@@ -193,7 +186,7 @@ func (st *sectionTable) addPage(l Layout, pn uint32, page []byte) {
 		t.n++
 		off += length
 	}
-	st.targets[pn] = t
+	st.targets[i] = t
 }
 
 // kind returns the type of section idx of the target page, or the

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
-	"sort"
 	"testing"
 
 	"beacongnn/internal/directgraph"
@@ -25,18 +23,12 @@ func validateByViewSection(b *directgraph.Build) *directgraph.ValidationReport {
 		r.Issues = append(r.Issues, directgraph.ValidationIssue{Page: page, Section: section, Err: err})
 	}
 	l := b.Layout
-	allowed := b.PageNumbers()
-	pages := make([]uint32, 0, len(b.Pages))
-	for pn := range b.Pages {
-		pages = append(pages, pn)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	check := func(from uint32, fromSec int, a directgraph.Addr, want byte) {
 		pn := l.Page(a)
-		target, ok := b.Pages[pn]
+		target, ok := b.Page(pn)
 		var err error
 		switch {
-		case !allowed[pn]:
+		case pn < b.First || pn-b.First >= uint32(len(b.Pages)):
 			err = fmt.Errorf("addr %#x escapes the allocated pages (page %d)", uint32(a), pn)
 		case !ok:
 			err = fmt.Errorf("addr %#x targets missing page %d", uint32(a), pn)
@@ -53,8 +45,11 @@ func validateByViewSection(b *directgraph.Build) *directgraph.ValidationReport {
 			add(from, fromSec, err)
 		}
 	}
-	for _, pn := range pages {
-		page := b.Pages[pn]
+	for i, page := range b.Pages {
+		if page == nil {
+			continue
+		}
+		pn := b.First + uint32(i)
 		r.Pages++
 		if len(page) != l.PageSize {
 			r.CorruptSections++
@@ -134,11 +129,7 @@ func TestValidateMatchesChainWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pns := make([]uint32, 0, len(base.Pages))
-	for pn := range base.Pages {
-		pns = append(pns, pn)
-	}
-	slices.Sort(pns)
+	n := len(base.Pages)
 
 	cases := map[string]*directgraph.Build{"clean": base.Clone()}
 	// FuzzValidate's seed corpus: one page's start overwritten.
@@ -147,41 +138,40 @@ func TestValidateMatchesChainWalk(t *testing.T) {
 		data  []byte
 	}
 	seeds := []seed{{0, []byte{}}, {1, make([]byte, 512)}}
-	for i, pn := range pns[:min(4, len(pns))] {
-		page := base.Pages[pn]
+	for i, page := range base.Pages[:min(4, n)] {
 		seeds = append(seeds, seed{uint8(i), page}, seed{uint8(i), page[:16]},
 			seed{uint8(i), append([]byte{directgraph.SectionTypeSecondary}, page[1:]...)})
 	}
 	for i, s := range seeds {
 		b := base.Clone()
-		copy(b.Pages[pns[int(s.which)%len(pns)]], s.data)
+		copy(b.Pages[int(s.which)%n], s.data)
 		cases[fmt.Sprintf("fuzz-seed-%d", i)] = b
 	}
 	// Each seed page shifted onto another page: chains that end early,
 	// run past the page or change type mid-walk.
-	for i, pn := range pns[:min(6, len(pns))] {
+	for i, page := range base.Pages[:min(6, n)] {
 		b := base.Clone()
-		copy(b.Pages[pns[(i+1)%len(pns)]][7*i:], base.Pages[pn])
+		copy(b.Pages[(i+1)%n][7*i:], page)
 		cases[fmt.Sprintf("shifted-%d", i)] = b
 	}
 	// dgtool validate -corrupt N -drop M: smash the first four bytes of
-	// the N lowest pages, delete the M highest.
-	for _, cd := range [][2]int{{1, 0}, {0, 1}, {3, 2}, {len(pns), 0}} {
+	// the N lowest pages, drop the M highest.
+	for _, cd := range [][2]int{{1, 0}, {0, 1}, {3, 2}, {n, 0}} {
 		b := base.Clone()
-		for i := 0; i < cd[0] && i < len(pns); i++ {
-			pg := b.Pages[pns[i]]
+		for i := 0; i < cd[0] && i < n; i++ {
+			pg := b.Pages[i]
 			for j := 0; j < 4 && j < len(pg); j++ {
 				pg[j] = 0xFF
 			}
 		}
 		for i := 0; i < cd[1]; i++ {
-			delete(b.Pages, pns[len(pns)-1-i])
+			b.Pages[n-1-i] = nil
 		}
 		cases[fmt.Sprintf("corrupt-%d-drop-%d", cd[0], cd[1])] = b
 	}
 	// A truncated page and a relocated image with a dangling plan.
 	short := base.Clone()
-	short.Pages[pns[2]] = short.Pages[pns[2]][:100]
+	short.Pages[2] = short.Pages[2][:100]
 	cases["short-page"] = short
 	moved := base.Clone()
 	if err := directgraph.Relocate(moved, 1000); err != nil {

@@ -65,10 +65,8 @@ func TestReservationCoversDirectGraphBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pn := range b.PageNumbers() {
-		if pn < first || pn >= first+count {
-			t.Fatalf("DirectGraph page %d outside reserved range [%d, %d)", pn, first, first+count)
-		}
+	if end := b.First + uint32(len(b.Pages)); b.First < first || end > first+count {
+		t.Fatalf("DirectGraph pages [%d, %d) outside reserved range [%d, %d)", b.First, end, first, first+count)
 	}
 }
 

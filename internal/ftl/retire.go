@@ -8,8 +8,11 @@ import "fmt"
 // An uncorrectable page retires its block, the page remaps into a spare
 // row at the top of the device, and — once enough of the DirectGraph
 // region has been lost — a reclamation relocates the whole image onto
-// fresh rows. Resolve maps a possibly-stale page number (held by an
-// in-flight command) through both mechanisms to where the data lives now.
+// fresh rows. The FTL alone maps page numbers: ImagePage follows a
+// possibly-stale page number (held by an in-flight command) through the
+// relocations to its page in the image, and PhysicalPage follows an
+// image page through the spare remap to the page the flash senses. A
+// remap moves no bytes: the image keeps them under the image page.
 
 // relocation records one DirectGraph move: pages in [first, first+count)
 // at the time of the move now live delta pages higher.
@@ -71,30 +74,25 @@ func (f *FTL) RecordRelocation(first, count, delta uint32) {
 	f.relocs = append(f.relocs, relocation{first: first, count: count, delta: delta})
 }
 
-// Resolve maps a possibly-stale page number to its current physical
-// page: relocations are replayed in order, then the spare remap applies.
-func (f *FTL) Resolve(page uint32) uint32 {
+// ImagePage replays the relocations in order: it names the page of the
+// current DirectGraph image that a possibly-stale page number, held by
+// an in-flight command, refers to. Those are the bytes the die reads.
+func (f *FTL) ImagePage(page uint32) uint32 {
 	for _, r := range f.relocs {
 		if page >= r.first && page < r.first+r.count {
 			page += r.delta
 		}
 	}
+	return page
+}
+
+// PhysicalPage applies the spare remap to an image page: it names the
+// physical page that is sensed and transferred in its place.
+func (f *FTL) PhysicalPage(page uint32) uint32 {
 	if p, ok := f.remap[page]; ok {
 		return p
 	}
 	return page
-}
-
-// RemapsInRange returns the retired→spare remap entries whose retired
-// page lies in [first, first+count).
-func (f *FTL) RemapsInRange(first, count uint32) map[uint32]uint32 {
-	out := make(map[uint32]uint32)
-	for old, sp := range f.remap {
-		if old >= first && old < first+count {
-			out[old] = sp
-		}
-	}
-	return out
 }
 
 // ClearRemapsIn drops remap entries whose retired page lies in

@@ -78,8 +78,8 @@ func TestRemapPageSkipsRetiredAndFilteredDies(t *testing.T) {
 	if sp < spareFirst {
 		t.Fatalf("remap target %d below spare region %d", sp, spareFirst)
 	}
-	if got := f.Resolve(1234); got != sp {
-		t.Fatalf("Resolve(1234) = %d, want %d", got, sp)
+	if got := f.PhysicalPage(1234); got != sp {
+		t.Fatalf("PhysicalPage(1234) = %d, want %d", got, sp)
 	}
 	// The cursor never reuses pages: a second remap gets a later page.
 	sp2, err := f.RemapPage(99, nil)
@@ -108,45 +108,44 @@ func TestResolveReplaysRelocationsThenRemap(t *testing.T) {
 	// range moved up another.
 	f.RecordRelocation(0, rp, rp)
 	f.RecordRelocation(rp, rp, rp)
-	if got := f.Resolve(5); got != 5+2*rp {
-		t.Fatalf("Resolve(5) = %d, want %d", got, 5+2*rp)
+	if got := f.ImagePage(5); got != 5+2*rp {
+		t.Fatalf("ImagePage(5) = %d, want %d", got, 5+2*rp)
 	}
-	// A remap of the fully-resolved page applies after the replay.
+	// A remap of the image page applies after the replay, and leaves
+	// the image page where it was.
 	sp, err := f.RemapPage(5+2*rp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Resolve(5); got != sp {
-		t.Fatalf("Resolve(5) = %d, want spare %d", got, sp)
+	if got := f.ImagePage(5); got != 5+2*rp {
+		t.Fatalf("ImagePage(5) = %d after a remap, want %d", got, 5+2*rp)
+	}
+	if got := f.PhysicalPage(f.ImagePage(5)); got != sp {
+		t.Fatalf("PhysicalPage(ImagePage(5)) = %d, want spare %d", got, sp)
 	}
 	// Pages outside the moved ranges resolve unchanged.
 	out := 3 * rp
-	if got := f.Resolve(out); got != out {
-		t.Fatalf("Resolve(%d) = %d, want identity", out, got)
+	if got := f.PhysicalPage(f.ImagePage(out)); got != out {
+		t.Fatalf("page %d resolves to %d, want identity", out, got)
 	}
 }
 
-func TestRemapsInRangeAndClear(t *testing.T) {
+func TestClearRemapsIn(t *testing.T) {
 	f := newFTL()
 	if err := f.ReserveSpares(1); err != nil {
 		t.Fatal(err)
 	}
-	a, err := f.RemapPage(10, nil)
-	if err != nil {
+	if _, err := f.RemapPage(10, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.RemapPage(5000, nil); err != nil {
 		t.Fatal(err)
 	}
-	got := f.RemapsInRange(0, 100)
-	if len(got) != 1 || got[10] != a {
-		t.Fatalf("RemapsInRange = %v", got)
-	}
 	f.ClearRemapsIn(0, 100)
-	if f.Resolve(10) != 10 {
+	if f.PhysicalPage(10) != 10 {
 		t.Fatal("cleared remap still resolves")
 	}
-	if f.Resolve(5000) == 5000 {
+	if f.PhysicalPage(5000) == 5000 {
 		t.Fatal("out-of-range remap was cleared")
 	}
 }

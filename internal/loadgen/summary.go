@@ -1,9 +1,9 @@
 package loadgen
 
 import (
-	"math"
 	"sort"
 
+	"beacongnn/internal/metrics"
 	"beacongnn/internal/sim"
 )
 
@@ -22,17 +22,6 @@ func latSummary(samples []sim.Time) (mean, p50, p99, p999, max int64) {
 	for _, s := range samples {
 		sum += s
 	}
-	at := func(q float64) int64 {
-		// Nearest rank ⌈q·n⌉ with the same epsilon snap-down as
-		// metrics.Histogram.Quantile (0.07·100 lands a hair above 7).
-		rank := int(math.Ceil(q * float64(n) * (1 - 1e-9)))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > n {
-			rank = n
-		}
-		return int64(samples[rank-1])
-	}
+	at := func(q float64) int64 { return int64(samples[metrics.NearestRank(q, n)-1]) }
 	return int64(sum / sim.Time(n)), at(0.5), at(0.99), at(0.999), int64(samples[n-1])
 }

@@ -178,17 +178,7 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	if q >= 1 {
 		return h.max
 	}
-	// ⌈q·n⌉, guarded against float overshoot: when q·n is an exact rank
-	// mathematically, the double product can land epsilon above it
-	// (0.07·100 = 7.000000000000001) and a bare Ceil then returns the
-	// next rank up. Intended products are either integers or at least
-	// ~1e-3 away, so a 1e-9 relative snap-down is far from shifting a
-	// genuinely fractional rank while absorbing the representation error.
-	p := q * float64(h.count)
-	rank := uint64(math.Ceil(p * (1 - 1e-9)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := uint64(NearestRank(q, int(h.count)))
 	var cum uint64
 	for b, n := range h.buckets {
 		cum += n
@@ -207,6 +197,20 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		}
 	}
 	return h.max
+}
+
+// NearestRank returns the 1-based nearest rank ⌈q·n⌉ of quantile q
+// among n ≥ 1 sorted samples, clamped to [1, n]: the rank every exact
+// and histogram quantile in the program reads. It guards against float
+// overshoot: when q·n is an exact rank mathematically, the double
+// product can land epsilon above it (0.07·100 = 7.000000000000001) and
+// a bare Ceil then returns the next rank up. Intended products are
+// either integers or at least ~1e-3 away, so a 1e-9 relative snap-down
+// is far from shifting a genuinely fractional rank while absorbing the
+// representation error.
+func NearestRank(q float64, n int) int {
+	rank := int(math.Ceil(q * float64(n) * (1 - 1e-9)))
+	return min(max(rank, 1), n)
 }
 
 // String renders count/mean/p50/p99/max. An empty histogram says so

@@ -63,3 +63,27 @@ func TestBucketOfMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestNearestRank pins the rank rule ⌈q·n⌉. At the 60 requests a
+// beaconbench -drive run sends by default, p99 is the largest sample
+// (rank 60), not the second largest that the floor rank ⌊q·(n−1)⌋+1
+// gives.
+func TestNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		q       float64
+		n, want int
+	}{
+		{0.99, 60, 60},
+		{0.5, 60, 30},
+		{0.999, 60, 60},
+		{0.07, 100, 7}, // q·n lands a hair above 7 in float64
+		{0.5, 2, 1},
+		{0, 5, 1},
+		{1, 5, 5},
+		{0.5, 1, 1},
+	} {
+		if got := NearestRank(c.q, c.n); got != c.want {
+			t.Errorf("NearestRank(%v, %d) = %d, want %d", c.q, c.n, got, c.want)
+		}
+	}
+}

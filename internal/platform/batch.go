@@ -345,19 +345,21 @@ func (op *execOp) onSenseStart(at sim.Time) {
 func (op *execOp) onSenseDone(final uint32) {
 	s := op.b.sys
 	op.senseEnd = s.k.Now()
-	pageBytes, ok := s.build.Pages[final]
+	img := s.imagePage(s.layout.Page(op.cmd.Addr))
+	pageBytes, ok := s.build.Page(img)
 	if !ok {
 		// A command addressing a hole in the image is recoverable at
 		// the run level (the batch cannot finish, the run fails with
 		// context) — not a process-crashing invariant.
 		cmd := op.cmd
 		op.release()
-		s.fail(fmt.Errorf("platform: command addresses unmaterialized page %d (batch %d hop %d)", final, cmd.Batch, cmd.Hop))
+		s.fail(fmt.Errorf("platform: command addresses unmaterialized page %d (batch %d hop %d)", img, cmd.Batch, cmd.Hop))
 		return
 	}
 	die := s.backend.Geometry().GlobalDie(final)
-	// The die's section iterator reads the page bytes in place, so a
-	// remapped or relocated page is always seen as it is now.
+	// The die's section iterator reads the image page's bytes in place,
+	// so a relocated page is always seen as it is now; a spare remap
+	// changes only the physical page, final.
 	res := s.lists.result.Get()
 	if err := sampler.ExecuteInto(res, s.layout, pageBytes, op.cmd, s.samplerCfg, &s.trng.die[die]); err != nil {
 		// Section VI-E: the sampler aborts and control returns to
@@ -421,10 +423,10 @@ func (b *batchState) accountDie(cmd sampler.Command, res *sampler.Result) []samp
 	return immediate
 }
 
-// sectionNode reads the node id of the section at a, following spare
-// remaps and relocations to the page's current physical home.
+// sectionNode reads the node id of the section at a, following
+// relocations to the page's place in the current image.
 func (s *System) sectionNode(a directgraph.Addr) (uint32, bool) {
-	page, ok := s.build.Pages[s.resolvePage(s.layout.Page(a))]
+	page, ok := s.build.Page(s.imagePage(s.layout.Page(a)))
 	if !ok {
 		return 0, false
 	}

@@ -11,12 +11,13 @@ import (
 )
 
 // Reliability plumbing: every DirectGraph page sense goes through
-// senseManaged, which resolves possibly-stale page numbers (relocation,
-// spare remaps), classifies the sense through the fault injector, and on
-// an uncorrectable page runs the firmware recovery ladder — bounded
-// re-sense attempts with exponential backoff under a per-command
-// deadline, then block retirement, spare remapping, optionally a full
-// DirectGraph relocation, and finally a degraded read. With the fault
+// senseManaged, which resolves possibly-stale page numbers through the
+// FTL (relocation, spare remaps), classifies the sense through the
+// fault injector, and on an uncorrectable page runs the firmware
+// recovery ladder — bounded re-sense attempts with exponential backoff
+// under a per-command deadline, then block retirement, spare remapping,
+// optionally a full DirectGraph relocation, and finally a degraded
+// read. With the fault
 // model disabled all of this collapses to a plain ReadPage.
 
 // fail aborts the simulation with the first unrecoverable error instead
@@ -28,20 +29,30 @@ func (s *System) fail(err error) {
 	s.k.Stop()
 }
 
-// resolvePage maps a possibly-stale page number to where the data lives
-// now (identity when the fault model is off).
+// imagePage maps a possibly-stale page number to its page in the
+// current image, whose bytes the die reads (identity when the fault
+// model is off).
+func (s *System) imagePage(p uint32) uint32 {
+	if s.ftl == nil {
+		return p
+	}
+	return s.ftl.ImagePage(p)
+}
+
+// resolvePage maps a possibly-stale page number to the physical page
+// that holds its data now: its image page, spare-remapped.
 func (s *System) resolvePage(p uint32) uint32 {
 	if s.ftl == nil {
 		return p
 	}
-	return s.ftl.Resolve(p)
+	return s.ftl.PhysicalPage(s.ftl.ImagePage(p))
 }
 
 // senseManaged senses a DirectGraph page with fault handling. done
-// receives the final physical page the data was read from, for the
-// page-bytes lookup and the channel transfer. ioDL is the EDF scheduling
-// deadline threaded to the die (0 = none; see sched.go — distinct from
-// the recovery deadline below). With no injector the event sequence is
+// receives the final physical page the data was read from, for the die
+// and the channel transfer. ioDL is the EDF scheduling deadline threaded
+// to the die (0 = none; see sched.go — distinct from the recovery
+// deadline below). With no injector the event sequence is
 // identical to backend.ReadPage. The per-sense state lives in a pooled
 // senseCtx whose continuations are bound once (pools.go).
 func (s *System) senseManaged(page uint32, dieExtra, ioDL sim.Time, senseStart func(sim.Time), done func(final uint32)) {
@@ -146,11 +157,12 @@ func recoveryBackoff(base sim.Time, attempt int) sim.Time {
 // recoverPage retires the failed page's block, remaps the page into the
 // spare region (onto a healthy die), and — once enough wear-caused
 // retirements accumulate — relocates the whole DirectGraph onto fresh
-// rows. Dead-die retirements never trigger relocation: the fresh rows
+// rows. A remap changes only the FTL's map; the image keeps the bytes.
+// Dead-die retirements never trigger relocation: the fresh rows
 // would stripe across the same dead die and churn forever; remap-only is
 // the stable response to a die outage.
 func (s *System) recoverPage(rp uint32, dieDead bool) error {
-	if s.ftl.Resolve(rp) != rp {
+	if s.resolvePage(rp) != rp {
 		return nil // a concurrent recovery of this page already ran
 	}
 	geom := s.backend.Geometry()
@@ -162,17 +174,10 @@ func (s *System) recoverPage(rp uint32, dieDead bool) error {
 			s.retireWear++
 		}
 	}
-	sp, err := s.ftl.RemapPage(rp, func(die int) bool { return !s.inj.DieDead(die) })
-	if err != nil {
+	if _, err := s.ftl.RemapPage(rp, func(die int) bool { return !s.inj.DieDead(die) }); err != nil {
 		return fmt.Errorf("platform: recovering page %d: %w", rp, err)
 	}
 	s.inj.NoteRemappedPage()
-	if pb, ok := s.build.Pages[rp]; ok {
-		// The simulator's stand-in for rebuilding the page from the host
-		// copy: the bytes move to their new physical home.
-		s.build.Pages[sp] = pb
-		delete(s.build.Pages, rp)
-	}
 	fc := s.cfg.Fault
 	if !dieDead && fc.RelocateAfterRetire > 0 && s.retireWear >= fc.RelocateAfterRetire {
 		s.retireWear = 0
@@ -182,8 +187,8 @@ func (s *System) recoverPage(rp uint32, dieDead bool) error {
 }
 
 // relocateDirectGraph migrates the DirectGraph to fresh block rows: the
-// FTL plans the move (skipping retired rows and spares), spare-remapped
-// pages fold back into the image, every embedded address shifts by the
+// FTL plans the move (skipping retired rows and spares) and drops the
+// spare remaps it supersedes, every embedded address shifts by the
 // plan's delta, and the move is recorded so stale in-flight page numbers
 // keep resolving. Running out of rows is not an error — the device
 // degrades to remap-only service.
@@ -193,15 +198,7 @@ func (s *System) relocateDirectGraph() error {
 		return nil // no clean rows left: keep serving from spares
 	}
 	count := uint32(plan.Rows) * uint32(s.cfg.Flash.TotalDies()) * uint32(s.cfg.Flash.PagesPerBlock)
-	// Undo spare remaps inside the old region first: the relocated image
-	// is whole, and relocation shifts every page key uniformly, so spare
-	// keys must not linger in the map.
-	for old, sp := range s.ftl.RemapsInRange(plan.OldFirstPage, count) {
-		if pb, ok := s.build.Pages[sp]; ok {
-			s.build.Pages[old] = pb
-			delete(s.build.Pages, sp)
-		}
-	}
+	// The relocated copy is whole: the old region's spare remaps go.
 	s.ftl.ClearRemapsIn(plan.OldFirstPage, count)
 	if err := directgraph.Relocate(s.build, plan.PageDelta); err != nil {
 		return fmt.Errorf("platform: relocating DirectGraph: %w", err)

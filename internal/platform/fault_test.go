@@ -173,7 +173,7 @@ func TestBatchErrorPropagation(t *testing.T) {
 	// Hollow out a private copy of the image: every die command now
 	// addresses an unmaterialized page.
 	s.build = s.build.Clone()
-	s.build.Pages = map[uint32][]byte{}
+	clear(s.build.Pages)
 	if _, err := s.Run(1); err == nil || !strings.Contains(err.Error(), "unmaterialized") {
 		t.Fatalf("hollow image run returned %v, want unmaterialized-page error", err)
 	}

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
@@ -81,22 +80,17 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	if err != nil {
 		return nil, err
 	}
-	pages := make([]uint32, 0, len(inst.Build.Pages))
-	for pn := range inst.Build.Pages {
-		pages = append(pages, pn)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-
 	// Per-page firmware verification: destination must lie in reserved
 	// blocks and embedded section addresses must stay inside them; we
 	// charge a fixed check cost per page (the checks themselves are
 	// exercised functionally by directgraph.Validate in tests).
 	const verifyCost = 1 * sim.Microsecond
-	res := &ConstructionResult{Pages: len(pages), Bytes: int64(len(pages)) * int64(cfg.Flash.PageSize)}
+	b := inst.Build
+	res := &ConstructionResult{Pages: len(b.Pages), Bytes: int64(len(b.Pages)) * int64(cfg.Flash.PageSize)}
 
-	remaining := len(pages)
-	for _, pn := range pages {
-		pn := pn
+	remaining := len(b.Pages)
+	for i := range b.Pages {
+		pn := b.First + uint32(i)
 		d.qp.TransferData(cfg.Flash.PageSize, func() {
 			d.mem.Write(cfg.Flash.PageSize, func() {
 				res.VerifyTime += verifyCost

@@ -348,6 +348,21 @@ func TestFunctionalSamplingValidUnderRemapAndRelocation(t *testing.T) {
 	}
 }
 
+// TestFunctionalSamplingValidUnderRemapOnly is the same check under a
+// dead die, whose pages are spare-remapped but never relocated: the
+// physical page a command senses differs from the image page whose
+// bytes the die reads, with no relocation in between.
+func TestFunctionalSamplingValidUnderRemapOnly(t *testing.T) {
+	cfg := faultCfg()
+	cfg.Fault.DeadDies = []int{0}
+	cfg.Fault.BaseRBER = 1e-7
+	cfg.Fault.WearRBERPerPE = 0
+	res := checkFunctionalSampling(t, testInstance(t), cfg, 2)
+	if st := res.Faults; st.RemappedPages == 0 || st.Relocations != 0 {
+		t.Fatalf("dead die gave %d remaps and %d relocations, want remaps only", st.RemappedPages, st.Relocations)
+	}
+}
+
 // checkFunctionalSampling runs BG-2 with a sample observer and requires
 // every sampled edge to exist in the graph and the per-hop child counts
 // to match the fanout tree (the dataset has no zero-degree nodes).

@@ -27,18 +27,27 @@ func New(seed uint64) *Source {
 	return &src
 }
 
-// Seed resets the generator state from seed.
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// SplitMix64 returns the SplitMix64 output for state x: x advanced by
+// one increment, then put through the finalizer's avalanche mix. It is
+// a pure bijection, so structured inputs (small sequence numbers,
+// similar digests) still give uniformly distributed draws, and a draw
+// keyed by its position does not depend on event order.
+func SplitMix64(x uint64) uint64 {
+	x += golden
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Seed resets the generator state from seed: the first four outputs of
+// a SplitMix64 stream started at seed.
 func (r *Source) Seed(seed uint64) {
-	sm := seed
-	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
 	for i := range r.s {
-		r.s[i] = next()
+		r.s[i] = SplitMix64(seed)
+		seed += golden
 	}
 	// xoshiro state must not be all zero; splitmix64 cannot produce
 	// four zero outputs in a row, but guard anyway.

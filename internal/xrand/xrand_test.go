@@ -296,3 +296,21 @@ func BenchmarkJump(b *testing.B) {
 		r.Jump(1<<40 + uint64(i))
 	}
 }
+
+// TestSplitMix64Reference pins SplitMix64 to the reference stream from
+// state 0, and Seed to the first four outputs of the stream at seed.
+func TestSplitMix64Reference(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec}
+	var x uint64
+	for i, w := range want {
+		if got := SplitMix64(x); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
+		x += 0x9e3779b97f4a7c15
+	}
+	var r Source
+	r.Seed(0)
+	if r.s != [4]uint64(want) {
+		t.Fatalf("Seed(0) state = %#x, want %#x", r.s, want)
+	}
+}
