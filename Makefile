@@ -31,8 +31,9 @@ bench:
 # Run every fuzz target briefly — a smoke net over the decoder, the image
 # walker, the wire formats, the RNG's jump-ahead, the event kernel's
 # dispatch order, the configuration validator, the simulate and
-# experiment request validators and the hand-written simulate reply
-# envelope (Go runs one fuzz target per invocation, hence the loops).
+# experiment request validators, the hand-written simulate reply
+# envelope and the workload-trace loader (Go runs one fuzz target per
+# invocation, hence the loops).
 fuzz-smoke:
 	@for t in FuzzFindSection FuzzViewSection FuzzRelocate FuzzSectionsInPage FuzzValidate; do \
 		echo "== $$t"; \
@@ -52,6 +53,8 @@ fuzz-smoke:
 		echo "== $$t"; \
 		$(GO) test ./internal/serve/ -run=NONE -fuzz=$$t -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	@echo "== FuzzTraceLoad"
+	@$(GO) test ./internal/trace/ -run=NONE -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME)
 
 cover:
 	$(GO) test -coverprofile=$(COVERPROFILE) ./...

@@ -125,14 +125,11 @@ func run(args []string) int {
 		HTTPLatency:     *chaosLatency,
 		HTTPTruncRate:   *chaosTruncRate,
 	}
-	ccfg.Enabled = ccfg.EngineFailRate > 0 || ccfg.EngineStallRate > 0 ||
-		ccfg.EvictRate > 0 || ccfg.HTTPDropRate > 0 || ccfg.HTTPLatencyRate > 0 ||
-		ccfg.HTTPTruncRate > 0
 	if err := ccfg.Validate(); err != nil {
 		logger.Print(err)
 		return 2
 	}
-	if ccfg.Enabled {
+	if ccfg.Active() {
 		logger.Printf("CHAOS INJECTION ARMED (seed %d) — this daemon will fault on purpose", ccfg.Seed)
 	}
 

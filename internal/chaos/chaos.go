@@ -39,12 +39,12 @@ const (
 	siteHTTPTrunc   uint64 = 0x48545243
 )
 
-// Config controls the injector. The zero value disables everything.
-// Rates are probabilities in [0, 1] evaluated independently per
-// decision point.
+// Config controls the injector. The zero value disables everything:
+// injection is on exactly when some rate is positive (Active). Rates
+// are probabilities in [0, 1] evaluated independently per decision
+// point.
 type Config struct {
-	Enabled bool   // master switch; false short-circuits every site
-	Seed    uint64 // injection schedule seed; same seed ⇒ same schedule
+	Seed uint64 // injection schedule seed; same seed ⇒ same schedule
 
 	// Engine boundary (exp.FaultHook).
 	EngineFailRate  float64       // probability a leaf run fails with a transient error
@@ -104,9 +104,8 @@ func (c *Config) Validate() error {
 
 // Active reports whether any injection can fire.
 func (c *Config) Active() bool {
-	return c.Enabled && (c.EngineFailRate > 0 || c.EngineStallRate > 0 ||
-		c.EvictRate > 0 || c.HTTPDropRate > 0 || c.HTTPLatencyRate > 0 ||
-		c.HTTPTruncRate > 0)
+	return c.EngineFailRate > 0 || c.EngineStallRate > 0 || c.EvictRate > 0 ||
+		c.HTTPDropRate > 0 || c.HTTPLatencyRate > 0 || c.HTTPTruncRate > 0
 }
 
 // Stats counts injections by class. Read with the accessor; fields are
@@ -123,9 +122,9 @@ type Stats struct {
 // Injector draws deterministic injection decisions. Safe for
 // concurrent use; a nil *Injector injects nothing.
 type Injector struct {
-	cfg   Config
-	armed atomic.Bool
-	runs  atomic.Uint64 // engine runs observed, for EngineFailAfter grace
+	cfg      Config
+	disarmed atomic.Bool   // set by Disarm
+	runs     atomic.Uint64 // engine runs observed, for EngineFailAfter grace
 
 	mu     sync.Mutex
 	stream Stream // guarded by mu
@@ -133,18 +132,16 @@ type Injector struct {
 	stats Stats
 }
 
-// New builds an injector from cfg (which must have been Validated).
-// The injector starts armed iff cfg.Enabled.
+// New builds an armed injector from cfg (which must have been
+// Validated).
 func New(cfg Config) *Injector {
-	in := &Injector{cfg: cfg, stream: *NewStream(cfg.Seed)}
-	in.armed.Store(cfg.Enabled)
-	return in
+	return &Injector{cfg: cfg, stream: *NewStream(cfg.Seed)}
 }
 
 // Disarm stops all future injections without tearing down wiring —
 // tests use it to let a faulted system recover (breakers close, probes
 // succeed) on demand.
-func (in *Injector) Disarm() { in.armed.Store(false) }
+func (in *Injector) Disarm() { in.disarmed.Store(true) }
 
 // Stats exposes the injection counters.
 func (in *Injector) Stats() *Stats { return &in.stats }

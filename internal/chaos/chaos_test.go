@@ -20,7 +20,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d validated", i)
 		}
 	}
-	c := Config{Enabled: true, EngineStallRate: 0.5}
+	c := Config{EngineStallRate: 0.5}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	if !c.Active() {
-		t.Fatal("enabled config with a rate should be active")
+		t.Fatal("a config with a rate should be active")
 	}
-	if (&Config{Enabled: true}).Active() {
+	if (&Config{Seed: 7}).Active() {
 		t.Fatal("all-zero rates must not be active")
 	}
 }
@@ -47,11 +47,11 @@ func TestDrawDeterministicAndIndependent(t *testing.T) {
 		}
 		return out
 	}
-	a := New(Config{Enabled: true, Seed: 7})
+	a := New(Config{Seed: 7})
 	want := seq(a, siteEngineFail, 42, 8)
 
 	// Interleave heavy traffic on other sites and keys.
-	b := New(Config{Enabled: true, Seed: 7})
+	b := New(Config{Seed: 7})
 	for i := 0; i < 1000; i++ {
 		b.draw(siteHTTPDrop, uint64(i))
 		b.draw(siteEngineFail, uint64(i)+1000)
@@ -60,7 +60,7 @@ func TestDrawDeterministicAndIndependent(t *testing.T) {
 		t.Fatal("draw stream for (site, key) depends on other keys' traffic")
 	}
 
-	c := New(Config{Enabled: true, Seed: 8})
+	c := New(Config{Seed: 8})
 	if got := seq(c, siteEngineFail, 42, 8); equalF(got, want) {
 		t.Fatal("different seeds produced the same stream")
 	}
@@ -72,7 +72,7 @@ func TestDrawDeterministicAndIndependent(t *testing.T) {
 }
 
 func TestDrawConcurrencySafe(t *testing.T) {
-	in := New(Config{Enabled: true, Seed: 1})
+	in := New(Config{Seed: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -86,7 +86,7 @@ func TestDrawConcurrencySafe(t *testing.T) {
 	wg.Wait()
 	// Each goroutine's key advanced exactly 500 times; the next draw is
 	// therefore the 501st of that stream regardless of interleaving.
-	ref := New(Config{Enabled: true, Seed: 1})
+	ref := New(Config{Seed: 1})
 	var want float64
 	for i := 0; i <= 500; i++ {
 		want = ref.draw(siteEngineStall, 3)
@@ -261,10 +261,7 @@ func TestBreakerCancelProbe(t *testing.T) {
 }
 
 func TestInjectorDisarm(t *testing.T) {
-	if New(Config{Seed: 1, EngineFailRate: 1}).armed.Load() {
-		t.Fatal("disabled injector starts armed")
-	}
-	in := New(Config{Enabled: true, Seed: 1, EngineFailRate: 1})
+	in := New(Config{Seed: 1, EngineFailRate: 1})
 	if in.engineFault(nil, 1, 0) == nil {
 		t.Fatal("armed injector at fail rate 1 did not fail the leaf")
 	}

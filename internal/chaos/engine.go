@@ -26,7 +26,7 @@ func (in *Injector) Attach(eng *exp.Engine) {
 // The grace counter runs on attempt 0 only, so hedges and retries of an
 // early request do not burn the priming window.
 func (in *Injector) engineFault(eng *exp.Engine, digest uint64, attempt int) error {
-	if !in.armed.Load() {
+	if in.disarmed.Load() {
 		return nil
 	}
 	if attempt == 0 && in.runs.Add(1) <= in.cfg.EngineFailAfter {

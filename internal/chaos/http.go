@@ -56,7 +56,7 @@ func (in *Injector) WrapHTTP(next http.Handler, onInject func(class string)) htt
 		}
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !in.armed.Load() {
+		if in.disarmed.Load() {
 			next.ServeHTTP(w, r)
 			return
 		}

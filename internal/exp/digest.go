@@ -21,9 +21,9 @@ import (
 // (moving a dead die into the dead-channel list changes the digest),
 // and an empty slice hashes like a nil one: both mean no dead units.
 // The walk reads each leaf at its offset, with no reflection per call.
-func ConfigDigest(cfg config.Config) uint64 {
+func ConfigDigest(cfg *config.Config) uint64 {
 	h := uint64(fnvOffset)
-	base := unsafe.Pointer(&cfg)
+	base := unsafe.Pointer(cfg)
 	for _, l := range digestPlan {
 		p := unsafe.Add(base, l.off)
 		switch l.kind {

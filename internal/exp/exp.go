@@ -242,7 +242,7 @@ func Key(kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches,
 		Kind:     kind,
 		Dataset:  inst.Desc.Name,
 		Nodes:    inst.Graph.NumNodes(),
-		Digest:   ConfigDigest(cfg),
+		Digest:   ConfigDigest(&cfg),
 		Batches:  batches,
 		Timeline: timeline,
 	}
@@ -301,7 +301,7 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	m, err := e.SimulateKeyCtx(ctx, Key(kind, cfg, inst, batches, timeline), kind, cfg, inst, batches, timeline)
+	m, err := e.SimulateKeyCtx(ctx, Key(kind, cfg, inst, batches, timeline), &cfg, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -309,17 +309,18 @@ func (e *Engine) SimulateCtx(ctx context.Context, kind platform.Kind, cfg config
 }
 
 // SimulateKeyCtx is SimulateCtx returning the memo entry, for a caller
-// that already holds key, which must be Key(kind, cfg, inst, batches,
-// timeline): a serving layer computes it once for its lookup.
-func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*Memo, error) {
+// that made key once, when it validated the request. The key names the
+// platform, batches and timeline to run; cfg and inst must be what its
+// digest and dataset describe.
+func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, cfg *config.Config, inst *dataset.Instance) (*Memo, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
 	if e.noMemo {
-		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
+		return e.leaf(ctx, key, cfg, inst, 0)
 	}
 	return e.memo.Do(ctx, key, func() (*Memo, error) {
-		return e.leaf(ctx, key, 0, kind, cfg, inst, batches, timeline)
+		return e.leaf(ctx, key, cfg, inst, 0)
 	})
 }
 
@@ -330,16 +331,16 @@ func (e *Engine) SimulateKeyCtx(ctx context.Context, key SimKey, kind platform.K
 // never stored, must not fight the primary's over the memo slot.
 // attempt is forwarded to the fault hook so injection schedules can
 // tell primaries from hedges.
-func (e *Engine) SimulateFreshCtx(ctx context.Context, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline, attempt int) (*Memo, error) {
+func (e *Engine) SimulateFreshCtx(ctx context.Context, key SimKey, cfg *config.Config, inst *dataset.Instance, attempt int) (*Memo, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("exp: nil dataset instance")
 	}
-	return e.leaf(ctx, Key(kind, cfg, inst, batches, timeline), attempt, kind, cfg, inst, batches, timeline)
+	return e.leaf(ctx, key, cfg, inst, attempt)
 }
 
-// leaf runs one simulation under a worker slot, after consulting the
-// fault hook with the simulation's key, and wraps its result in a Memo.
-func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platform.Kind, cfg config.Config, inst *dataset.Instance, batches, timeline int) (*Memo, error) {
+// leaf runs key's simulation under a worker slot, after consulting the
+// fault hook with the key, and wraps its result in a Memo.
+func (e *Engine) leaf(ctx context.Context, key SimKey, cfg *config.Config, inst *dataset.Instance, attempt int) (*Memo, error) {
 	var res *platform.Result
 	err := e.ThrottleCtx(ctx, func() (err error) {
 		if e.hook != nil {
@@ -348,7 +349,7 @@ func (e *Engine) leaf(ctx context.Context, key SimKey, attempt int, kind platfor
 			}
 		}
 		e.runs.Add(1)
-		res, err = e.simFn(ctx, kind, cfg, inst, batches, timeline)
+		res, err = e.simFn(ctx, key.Kind, *cfg, inst, key.Batches, key.Timeline)
 		return err
 	})
 	if err != nil {

@@ -35,8 +35,8 @@ func testInstance(t testing.TB) *dataset.Instance {
 // entry.
 func TestConfigDigestDistinguishesFields(t *testing.T) {
 	base := config.Default()
-	d0 := ConfigDigest(base)
-	if d0 != ConfigDigest(base) {
+	d0 := ConfigDigest(&base)
+	if d0 != ConfigDigest(&base) {
 		t.Fatal("digest not stable")
 	}
 	leaves := 0
@@ -67,13 +67,13 @@ func TestConfigDigestDistinguishesFields(t *testing.T) {
 		default:
 			t.Fatalf("%s: test cannot mutate kind %v", path, v.Kind())
 		}
-		if ConfigDigest(base) == d0 {
+		if ConfigDigest(&base) == d0 {
 			t.Errorf("changing %s did not change the digest", path)
 		}
 		v.Set(old)
 	}
 	visit("Config", reflect.ValueOf(&base).Elem())
-	if ConfigDigest(base) != d0 {
+	if ConfigDigest(&base) != d0 {
 		t.Fatal("restoring every field did not restore the digest")
 	}
 	if leaves != len(digestPlan) {
@@ -85,7 +85,7 @@ func TestConfigDigestDistinguishesFields(t *testing.T) {
 	a, b := base, base
 	a.Fault.DeadDies, a.Fault.DeadChannels = []int{1, 2}, []int{3}
 	b.Fault.DeadDies, b.Fault.DeadChannels = []int{1}, []int{2, 3}
-	if ConfigDigest(a) == ConfigDigest(b) {
+	if ConfigDigest(&a) == ConfigDigest(&b) {
 		t.Error("moving a dead unit between the lists did not change the digest")
 	}
 }
@@ -118,7 +118,7 @@ func TestConfigDigestEmptyDeadListsAreNil(t *testing.T) {
 	base := config.Default()
 	empty := base
 	empty.Fault.DeadDies, empty.Fault.DeadChannels = []int{}, []int{}
-	if ConfigDigest(empty) != ConfigDigest(base) {
+	if ConfigDigest(&empty) != ConfigDigest(&base) {
 		t.Fatal("empty and nil dead-unit lists digest differently")
 	}
 }
@@ -404,7 +404,7 @@ func TestLookupCountsOneHit(t *testing.T) {
 	if _, ok := e.Lookup(key); ok {
 		t.Fatal("Lookup hit before any simulation")
 	}
-	r1, err := e.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0)
+	r1, err := e.SimulateKeyCtx(context.Background(), key, &cfg, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestLookupCountsOneHit(t *testing.T) {
 
 	off := New(1)
 	off.DisableMemo()
-	if _, err := off.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0); err != nil {
+	if _, err := off.SimulateKeyCtx(context.Background(), key, &cfg, inst); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := off.Lookup(key); ok {

@@ -88,7 +88,7 @@ func TestSimulateFreshCtxBypassesMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	runsBefore, _ := e.Stats()
-	r2, err := e.SimulateFreshCtx(context.Background(), platform.BG2, cfg, inst, 2, 0, 1)
+	r2, err := e.SimulateFreshCtx(context.Background(), Key(platform.BG2, cfg, inst, 2, 0), &cfg, inst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSimulateFreshCtxBypassesMemo(t *testing.T) {
 		sawAttempt = attempt
 		return nil
 	})
-	if _, err := e.SimulateFreshCtx(context.Background(), platform.BG1, cfg, inst, 2, 0, 3); err != nil {
+	if _, err := e.SimulateFreshCtx(context.Background(), Key(platform.BG1, cfg, inst, 2, 0), &cfg, inst, 3); err != nil {
 		t.Fatal(err)
 	}
 	if sawAttempt != 3 {

@@ -35,7 +35,7 @@ func TestMemoKeepsOneEncodingPerEntry(t *testing.T) {
 	inst := testInstance(t)
 	cfg := config.Default()
 	key := Key(platform.BG2, cfg, inst, 2, 0)
-	first, err := e.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0)
+	first, err := e.SimulateKeyCtx(context.Background(), key, &cfg, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMemoKeepsOneEncodingPerEntry(t *testing.T) {
 	if _, ok := e.Lookup(key); ok {
 		t.Fatal("Lookup hit an evicted key")
 	}
-	again, err := e.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0)
+	again, err := e.SimulateKeyCtx(context.Background(), key, &cfg, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMemoFirstServeEncodesOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			m, err := e.SimulateKeyCtx(context.Background(), key, platform.BG2, cfg, inst, 2, 0)
+			m, err := e.SimulateKeyCtx(context.Background(), key, &cfg, inst)
 			if err == nil {
 				served[i], err = m.JSON()
 			}

@@ -79,7 +79,9 @@ func (c *benchClient) post(b *testing.B, body, cache string) {
 //   - memo-hit: the same request repeatedly, so each op is decode +
 //     validation + memo lookup + envelope write around the entry's
 //     stored encoding. This is the latency a client sees for a repeated
-//     query and must stay microseconds.
+//     query and must stay microseconds;
+//   - cluster-hit: memo-hit through a 2-replica Cluster, so each op
+//     adds the router's placement and forwarding to the same work.
 func BenchmarkRequestPath(b *testing.B) {
 	c := newBenchClient(New(Config{Workers: 1, MaxNodes: 50_000}))
 	base := `{"platform":"BG-2","dataset":"amazon","nodes":2000,"batches":2`
@@ -109,6 +111,17 @@ func BenchmarkRequestPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.post(b, body, "hit")
+		}
+	})
+
+	cluster := newBenchClient(NewCluster(2, Config{Workers: 2, MaxNodes: 50_000}))
+	b.Run("cluster-hit", func(b *testing.B) {
+		body := base + `}`
+		cluster.post(b, body, "") // materialize and make the key resident on its replica
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cluster.post(b, body, "hit")
 		}
 	})
 }

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
+	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -30,10 +30,9 @@ type Cluster struct {
 	replicas []*replica
 	ring     []ringEntry
 	reg      *metrics.Registry
+	mux      *http.ServeMux
 	draining atomic.Bool
 
-	requests    []*metrics.Counter // routed per replica
-	deadProbes  []*metrics.Counter // contacts that found the replica dead
 	fallbacks   *metrics.Counter
 	unavailable *metrics.Counter
 
@@ -44,8 +43,9 @@ type Cluster struct {
 // mutex makes the route decision (breaker admit + liveness check +
 // outcome record) atomic against kill/recover.
 type replica struct {
-	id  int
-	srv *Server
+	srv        *Server
+	requests   *metrics.Counter // requests routed here
+	deadProbes *metrics.Counter // contacts that found it dead
 
 	mu     sync.Mutex
 	killed bool
@@ -71,18 +71,13 @@ func NewCluster(n int, cfg Config) *Cluster {
 		n = 1
 	}
 	if cfg.Workers > 0 {
-		w := cfg.Workers / n
-		if w < 1 {
-			w = 1
-		}
-		cfg.Workers = w
+		cfg.Workers = max(1, cfg.Workers/n)
 	}
 	full := cfg.withDefaults()
 	c := &Cluster{
-		replicas:   make([]*replica, n),
-		reg:        metrics.NewRegistry(),
-		requests:   make([]*metrics.Counter, n),
-		deadProbes: make([]*metrics.Counter, n),
+		replicas: make([]*replica, n),
+		reg:      metrics.NewRegistry(),
+		mux:      http.NewServeMux(),
 		brkCfg: chaos.BreakerConfig{
 			Threshold: full.BreakerThreshold,
 			Cooldown:  int64(full.BreakerCooldown),
@@ -92,24 +87,30 @@ func NewCluster(n int, cfg Config) *Cluster {
 	c.unavailable = c.reg.Counter("beaconserved_router_unavailable_total")
 	for i := 0; i < n; i++ {
 		c.replicas[i] = &replica{
-			id:  i,
-			srv: New(cfg),
-			brk: chaos.NewBreaker(c.brkCfg),
+			srv:        New(cfg),
+			requests:   c.reg.Counter(fmt.Sprintf(`beaconserved_replica_requests_total{replica="%d"}`, i)),
+			deadProbes: c.reg.Counter(fmt.Sprintf(`beaconserved_replica_dead_probe_total{replica="%d"}`, i)),
+			brk:        chaos.NewBreaker(c.brkCfg),
 		}
-		c.requests[i] = c.reg.Counter(fmt.Sprintf(`beaconserved_replica_requests_total{replica="%d"}`, i))
-		c.deadProbes[i] = c.reg.Counter(fmt.Sprintf(`beaconserved_replica_dead_probe_total{replica="%d"}`, i))
 		for v := 0; v < vnodesPerReplica; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "replica-%d-vnode-%d", i, v)
 			c.ring = append(c.ring, ringEntry{hash: h.Sum64(), id: i})
 		}
 	}
-	sort.Slice(c.ring, func(a, b int) bool {
-		if c.ring[a].hash != c.ring[b].hash {
-			return c.ring[a].hash < c.ring[b].hash
-		}
-		return c.ring[a].id < c.ring[b].id
+	slices.SortFunc(c.ring, func(a, b ringEntry) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.id, b.id))
 	})
+	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+	c.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		c.reg.WriteText(w)
+	})
+	c.mux.HandleFunc("GET /v1/replicas", c.handleReplicaList)
+	c.mux.HandleFunc("/v1/replicas/{id}/{action}", c.handleReplicaAdmin)
+	c.mux.HandleFunc("POST /v1/simulate", c.routeSimulate)
+	c.mux.HandleFunc("POST /v1/experiment", c.routeExperiment)
+	c.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { c.forward(w, r, 0, false) })
 	return c
 }
 
@@ -162,48 +163,53 @@ func (c *Cluster) Recover(i int) {
 	r.mu.Unlock()
 }
 
-// routeKey derives the placement key for a request. A simulation routes
-// on its validated job — kind, dataset, nodes, batches and config
-// digest — so every spelling of one simulation (defaults written out,
-// platform names in any case) lands on the replica that memoizes it,
-// and the deadline never moves a request off that replica. An
-// experiment routes on its decoded request. A body that fails
-// validation gets no key. The body is restored for the replica's own
-// decoder.
-func (c *Cluster) routeKey(r *http.Request) (uint64, bool) {
-	if r.Method != http.MethodPost {
-		return 0, false
+// routeSimulate runs /v1/simulate's front half once, in the router:
+// a body that fails it gets the 400 a single Server would write, and a
+// valid job is placed by its key, so every spelling of one simulation
+// (defaults written out, platform names in any case, any deadline)
+// lands on the replica that memoizes it. The replica gets the job with
+// the request and does not decode the body again.
+func (c *Cluster) routeSimulate(w http.ResponseWriter, r *http.Request) {
+	// Every replica validates against the same Config.
+	job, err := c.replicas[0].srv.decodeSim(r.Body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
 	}
-	if r.URL.Path != "/v1/simulate" && r.URL.Path != "/v1/experiment" {
-		return 0, false
+	c.forward(w, r.WithContext(context.WithValue(r.Context(), routedJob{}, &job)), simRingKey(job.key), true)
+}
+
+// routeExperiment is routeSimulate for /v1/experiment: an experiment is
+// placed by its validated id, scale and quick flag.
+func (c *Cluster) routeExperiment(w http.ResponseWriter, r *http.Request) {
+	job, err := c.replicas[0].srv.decodeExp(r.Body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
 	}
-	const bodyCap = 1 << 20 // matches the replicas' strict decoder limit
-	body, err := io.ReadAll(io.LimitReader(r.Body, bodyCap+1))
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if err != nil || len(body) > bodyCap {
-		return 0, false
-	}
+	key := ringHash(fmt.Appendf(nil, "exp|%s|%t|%d|%d", job.exp.ID, job.quick, job.nodes, job.batches))
+	c.forward(w, r.WithContext(context.WithValue(r.Context(), routedJob{}, job)), key, true)
+}
+
+// simRingKey is a simulation's place on the ring: the FNV-64a hash of
+// "sim|kind|dataset|nodes|batches|digest" from its key. The key's
+// timeline is the same for every served simulation.
+func simRingKey(k exp.SimKey) uint64 {
+	var buf [64]byte
+	b := append(buf[:0], "sim|"...)
+	b = strconv.AppendInt(b, int64(k.Kind), 10)
+	b = append(append(append(b, '|'), k.Dataset...), '|')
+	b = strconv.AppendInt(b, int64(k.Nodes), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k.Batches), 10)
+	b = append(b, '|')
+	return ringHash(strconv.AppendUint(b, k.Digest, 10))
+}
+
+func ringHash(b []byte) uint64 {
 	h := fnv.New64a()
-	if r.URL.Path == "/v1/simulate" {
-		var req SimRequest
-		if decodeJSON(bytes.NewReader(body), &req) != nil {
-			return 0, false
-		}
-		// Every replica validates against the same Config.
-		job, err := c.replicas[0].srv.validate(&req)
-		if err != nil {
-			return 0, false
-		}
-		fmt.Fprintf(h, "sim|%d|%s|%d|%d|%d", job.kind, job.desc.Name, job.nodes, job.batches, exp.ConfigDigest(job.cfg))
-	} else {
-		var req ExpRequest
-		if json.Unmarshal(body, &req) != nil {
-			return 0, false
-		}
-		fmt.Fprintf(h, "exp|%s|%t|%d|%d", req.ID, req.Quick, req.Nodes, req.Batches)
-	}
-	return h.Sum64(), true
+	h.Write(b)
+	return h.Sum64()
 }
 
 // candidates returns replica ids in ring order starting at the first
@@ -212,12 +218,9 @@ func (c *Cluster) routeKey(r *http.Request) (uint64, bool) {
 func (c *Cluster) candidates(key uint64) []int {
 	n := len(c.replicas)
 	out := make([]int, 0, n)
-	seen := make([]bool, n)
 	start := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= key })
 	for i := 0; len(out) < n && i < len(c.ring); i++ {
-		e := c.ring[(start+i)%len(c.ring)]
-		if !seen[e.id] {
-			seen[e.id] = true
+		if e := c.ring[(start+i)%len(c.ring)]; !slices.Contains(out, e.id) {
 			out = append(out, e.id)
 		}
 	}
@@ -234,7 +237,7 @@ func (c *Cluster) admit(r *replica, now int64) bool {
 		return false
 	}
 	if r.killed {
-		c.deadProbes[r.id].Inc()
+		r.deadProbes.Inc()
 		r.brk.Record(now, false)
 		return false
 	}
@@ -242,55 +245,26 @@ func (c *Cluster) admit(r *replica, now int64) bool {
 	return true
 }
 
-// ServeHTTP routes to the owning replica, falling through the ring past
-// dead replicas. Router-level admin and observability endpoints are
-// handled here; everything else reaches a replica's own handler stack.
-func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodGet && r.URL.Path == "/healthz":
-		c.handleHealthz(w, r)
-		return
-	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.reg.WriteText(w)
-		return
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/replicas":
-		c.handleReplicaList(w, r)
-		return
-	}
-	if id, action, ok := replicaAdminPath(r); ok {
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-			return
-		}
-		if id < 0 || id >= len(c.replicas) {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no replica %d", id)})
-			return
-		}
-		switch action {
-		case "kill":
-			c.Kill(id)
-		case "recover":
-			c.Recover(id)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"replica": id, "action": action})
-		return
-	}
+// ServeHTTP serves the router's own admin and observability endpoints
+// and routes everything else to a replica's full handler stack.
+func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-	key, hasKey := c.routeKey(r)
-	order := c.candidates(key)
+// forward serves r on the first replica in ring order from key that
+// admits it, falling through dead replicas. placed marks a request
+// placed by its own key, whose fallback is counted and marked.
+func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, key uint64, placed bool) {
 	now := time.Now().UnixNano()
-	for rank, id := range order {
+	for rank, id := range c.candidates(key) {
 		rep := c.replicas[id]
 		if !c.admit(rep, now) {
 			continue
 		}
-		if rank > 0 && hasKey {
+		if rank > 0 && placed {
 			c.fallbacks.Inc()
 			w.Header().Set("X-Replica-Fallback", "1")
 		}
 		w.Header().Set("X-Replica", strconv.Itoa(id))
-		c.requests[id].Inc()
+		rep.requests.Inc()
 		rep.srv.ServeHTTP(w, r)
 		return
 	}
@@ -298,33 +272,29 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no live replica available"})
 }
 
-// replicaAdminPath parses /v1/replicas/{id}/{kill|recover}.
-func replicaAdminPath(r *http.Request) (id int, action string, ok bool) {
-	const prefix = "/v1/replicas/"
-	p := r.URL.Path
-	if len(p) <= len(prefix) || p[:len(prefix)] != prefix {
-		return 0, "", false
+// handleReplicaAdmin serves POST /v1/replicas/{id}/{kill|recover}. It
+// checks the method itself so a 405 is JSON like every other error.
+func (c *Cluster) handleReplicaAdmin(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		return
 	}
-	rest := p[len(prefix):]
-	slash := -1
-	for i := range rest {
-		if rest[i] == '/' {
-			slash = i
-			break
-		}
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil || id < 0 || id >= len(c.replicas) {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no replica " + r.PathValue("id")})
+		return
 	}
-	if slash <= 0 {
-		return 0, "", false
+	action := r.PathValue("action")
+	switch action {
+	case "kill":
+		c.Kill(id)
+	case "recover":
+		c.Recover(id)
+	default:
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no replica action " + strconv.Quote(action)})
+		return
 	}
-	id, err := strconv.Atoi(rest[:slash])
-	if err != nil {
-		return 0, "", false
-	}
-	action = rest[slash+1:]
-	if action != "kill" && action != "recover" {
-		return 0, "", false
-	}
-	return id, action, true
+	writeJSON(w, http.StatusOK, map[string]any{"replica": id, "action": action})
 }
 
 type replicaStatus struct {
@@ -342,7 +312,7 @@ func (c *Cluster) handleReplicaList(w http.ResponseWriter, _ *http.Request) {
 			ID:       i,
 			Killed:   r.killed,
 			Breaker:  r.brk.State().String(),
-			Requests: c.requests[i].Value(),
+			Requests: r.requests.Value(),
 		}
 		r.mu.Unlock()
 	}

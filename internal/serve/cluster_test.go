@@ -3,9 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -55,19 +57,20 @@ func TestClusterPlacementIsStableAndSpreads(t *testing.T) {
 	}
 }
 
-// TestClusterEquivalentRequestsShareReplica routes spellings of one
+// TestClusterEquivalentRequestsShareReplica places spellings of one
 // simulation — defaults written out, the platform name in another case,
-// a deadline — and requires one placement key for all of them, so one
-// replica simulates and memoizes the key. A body that fails validation
-// routes with no key.
+// a deadline — by their validated jobs' keys and requires one placement
+// for all of them, so one replica simulates and memoizes the key. A
+// body that fails validation is not placed.
 func TestClusterEquivalentRequestsShareReplica(t *testing.T) {
 	c := testCluster(t, 4, Config{})
-	route := func(body string) (uint64, bool) {
-		return c.routeKey(httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+	place := func(body string) (uint64, error) {
+		job, err := c.replicas[0].srv.decodeSim(strings.NewReader(body))
+		return simRingKey(job.key), err
 	}
-	want, ok := route(`{"platform":"BG-2","dataset":"amazon"}`)
-	if !ok {
-		t.Fatal("valid body routed with no key")
+	want, err := place(`{"platform":"BG-2","dataset":"amazon"}`)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, body := range []string{
 		`{"platform":"BG-2","dataset":"amazon","nodes":10000}`,
@@ -75,13 +78,72 @@ func TestClusterEquivalentRequestsShareReplica(t *testing.T) {
 		`{"platform":"bg-2","dataset":"amazon"}`,
 		`{"platform":"BG-2","dataset":"amazon","timeout_ms":5000}`,
 	} {
-		if got, ok := route(body); !ok || got != want {
-			t.Errorf("%s: key %x (ok %v) on replica %d, want %x on replica %d",
-				body, got, ok, c.candidates(got)[0], want, c.candidates(want)[0])
+		if got, err := place(body); err != nil || got != want {
+			t.Errorf("%s: key %x (err %v) on replica %d, want %x on replica %d",
+				body, got, err, c.candidates(got)[0], want, c.candidates(want)[0])
 		}
 	}
-	if _, ok := route(`{"platform":"BG-2","dataset":"no-such-dataset"}`); ok {
-		t.Error("a body that fails validation got a placement key")
+	if _, err := place(`{"platform":"BG-2","dataset":"no-such-dataset"}`); err == nil {
+		t.Error("a body that fails validation was placed")
+	}
+}
+
+// TestClusterRejectsBadBodiesAtRouter sends bodies that fail the strict
+// decode or validation — an unknown experiment field, an unknown
+// dataset, trailing data — to a cluster and to a single server: the
+// router answers each itself with the server's 400 and error body,
+// without an X-Replica header and without counting a replica request.
+func TestClusterRejectsBadBodiesAtRouter(t *testing.T) {
+	c := testCluster(t, 2, Config{})
+	single := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/experiment", `{"id":"fig14","quick":true,"bogus":1}`},
+		{"/v1/experiment", `{"id":"no-such-figure"}`},
+		{"/v1/simulate", `{"platform":"BG-2","dataset":"no-such-dataset"}`},
+		{"/v1/simulate", `{"platform":"BG-2","dataset":"amazon"} {}`},
+	} {
+		got, want := post(t, c, tc.path, tc.body), post(t, single, tc.path, tc.body)
+		if got.Code != http.StatusBadRequest || got.Body.String() != want.Body.String() ||
+			got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s %s: router %d %q, single server %d %q",
+				tc.path, tc.body, got.Code, got.Body, want.Code, want.Body)
+		}
+		if id := got.Header().Get("X-Replica"); id != "" {
+			t.Errorf("%s %s: rejected body routed to replica %s", tc.path, tc.body, id)
+		}
+	}
+	for i, r := range c.replicas {
+		if n := r.requests.Value(); n != 0 {
+			t.Errorf("replica %d counted %d requests, want 0", i, n)
+		}
+	}
+}
+
+// TestClusterDecodesAndDigestsOnce counts, through the package's decode
+// and digest hooks, what one routed simulate request costs on a miss
+// and on a hit: one strict decode and one config digest, made by the
+// router and handed to the replica with the job.
+func TestClusterDecodesAndDigestsOnce(t *testing.T) {
+	c := testCluster(t, 2, Config{})
+	var decodes, digests atomic.Int64
+	decode := decodeJSON
+	t.Cleanup(func() { decodeJSON, digestHook = decode, nil })
+	decodeJSON = func(r io.Reader, v any) error {
+		decodes.Add(1)
+		return decode(r, v)
+	}
+	digestHook = func() { digests.Add(1) }
+	body := routeBody(5)
+	for _, cache := range []string{"miss", "hit"} {
+		decodes.Store(0)
+		digests.Store(0)
+		rec := postSim(c, body)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != cache {
+			t.Fatalf("%s: code %d X-Cache %q: %.200s", cache, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		if decodes.Load() != 1 || digests.Load() != 1 {
+			t.Errorf("%s: %d decodes and %d digests, want 1 and 1", cache, decodes.Load(), digests.Load())
+		}
 	}
 }
 
@@ -132,10 +194,10 @@ func TestClusterDeadReplicaProbeClamped(t *testing.T) {
 	// Threshold 1 → exactly one contact trips the breaker Open; with an
 	// hour's cooldown the hammer must never touch the dead replica
 	// again.
-	if probes := c.deadProbes[pid].Value(); probes > 1 {
+	if probes := c.replicas[pid].deadProbes.Value(); probes > 1 {
 		t.Fatalf("dead replica probed %d times during hammer; breaker should clamp to 1", probes)
 	}
-	if got := c.requests[survivor].Value(); got < hammer {
+	if got := c.replicas[survivor].requests.Value(); got < hammer {
 		t.Fatalf("survivor served %d of %d hammer requests", got, hammer)
 	}
 }

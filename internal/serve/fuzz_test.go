@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"beacongnn/internal/exp"
 )
 
 // addCorpus seeds f with the committed bodies in testdata/<dir>, in
@@ -35,19 +38,14 @@ func checkRejection(t *testing.T, err error) {
 // FuzzSimRequest hardens the /v1/simulate request path from body bytes
 // to a runnable job: any body is either rejected as a badRequestError
 // (a 400) or yields a job whose config validates, whose size lies
-// within the server's limits, and whose timeout is positive and at most
-// MaxTimeout. The corpus is the committed bodies in
+// within the server's limits, whose key carries its config's digest,
+// and whose timeout is positive and at most MaxTimeout. The corpus is the committed bodies in
 // testdata/simrequest.
 func FuzzSimRequest(f *testing.F) {
 	addCorpus(f, "simrequest")
 	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req SimRequest
-		err := decodeJSON(bytes.NewReader(body), &req)
-		var job simJob
-		if err == nil {
-			job, err = s.validate(&req)
-		}
+		job, err := s.decodeSim(bytes.NewReader(body))
 		if err != nil {
 			checkRejection(t, err)
 			return
@@ -55,11 +53,14 @@ func FuzzSimRequest(f *testing.F) {
 		if err := job.cfg.Validate(); err != nil {
 			t.Fatalf("accepted job has an invalid config: %v", err)
 		}
-		if job.nodes < 1 || job.nodes > s.cfg.MaxNodes || job.batches < 1 || job.batches > s.cfg.MaxBatches {
-			t.Fatalf("accepted job size %d nodes × %d batches outside the server limits", job.nodes, job.batches)
+		if k := job.key; k.Nodes < 1 || k.Nodes > s.cfg.MaxNodes || k.Batches < 1 || k.Batches > s.cfg.MaxBatches {
+			t.Fatalf("accepted job size %d nodes × %d batches outside the server limits", k.Nodes, k.Batches)
+		}
+		if job.key.Digest != exp.ConfigDigest(&job.cfg) {
+			t.Fatalf("job key digest %x, config digest %x", job.key.Digest, exp.ConfigDigest(&job.cfg))
 		}
 		if job.timeout <= 0 || job.timeout > s.cfg.MaxTimeout {
-			t.Fatalf("timeout_ms %d resolved to %v, outside (0, %v]", req.TimeoutMS, job.timeout, s.cfg.MaxTimeout)
+			t.Fatalf("timeout %v outside (0, %v]", job.timeout, s.cfg.MaxTimeout)
 		}
 	})
 }
@@ -73,15 +74,14 @@ func FuzzExpRequest(f *testing.F) {
 	addCorpus(f, "exprequest")
 	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req ExpRequest
-		err := decodeJSON(bytes.NewReader(body), &req)
-		var job *expJob
-		if err == nil {
-			job, err = s.validateExp(&req)
-		}
+		job, err := s.decodeExp(bytes.NewReader(body))
 		if err != nil {
 			checkRejection(t, err)
 			return
+		}
+		var req ExpRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("accepted body does not decode: %v", err)
 		}
 		if job.exp.ID != req.ID || job.exp.Run == nil {
 			t.Fatalf("id %q resolved to experiment %q", req.ID, job.exp.ID)

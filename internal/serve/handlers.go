@@ -129,67 +129,70 @@ func (s *Server) finishErr(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// routedJob is the request-context key under which a Cluster hands a
+// replica the job (a *simJob or *expJob) its router already decoded and
+// validated to place the request.
+type routedJob struct{}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req SimRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	job, err := s.validate(&req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	job, routed := r.Context().Value(routedJob{}).(*simJob)
+	if !routed {
+		j, err := s.decodeSim(r.Body)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		job = &j
 	}
 	release, ok := s.admit(w)
 	if !ok {
 		return
 	}
 	defer release()
-	// Requests that fail before the cache lookup still did miss-side work
-	// (instance build), so the label defaults to miss.
+	// Requests that fail before the memo is read, or miss it, are
+	// labelled miss.
 	latency := simulateMissSummary
 	defer func() {
 		s.reg.Summary(latency).Observe(time.Since(start))
 	}()
 
-	fam := family{kind: job.kind, dataset: job.desc.Name}
+	fam := family{kind: job.key.Kind, dataset: job.key.Dataset}
 	bk := s.breakers.get(fam)
 	if !bk.Allow(time.Now().UnixNano()) {
-		s.serveDegraded(w, &job, fam, start, "circuit open")
+		s.serveDegraded(w, fam, start, "circuit open")
 		return
 	}
 	s.budget.Earn()
 
-	ctx, cancel := context.WithTimeout(r.Context(), job.timeout)
-	defer cancel()
-	untrack := s.inflight.track(cancel)
-	defer untrack()
-
-	inst, err := s.eng.Instance(ctx, job.desc.Name, job.nodes, job.cfg.Flash.PageSize, job.cfg.Seed)
-	if err != nil {
-		bk.CancelProbe() // materialization says nothing about engine health
-		s.finishErr(w, r, err)
-		return
-	}
 	// One memo lookup decides hit or miss, so the label says what
 	// happened: a key evicted after the lookup is a miss that runs
 	// through the retry and hedge machinery, never a "hit" that
-	// quietly re-simulates.
-	key := exp.Key(job.kind, job.cfg, inst, job.batches, simTimelinePoints)
-	m, hit := s.eng.Lookup(key)
+	// quietly re-simulates. The key was made at validation, so a hit
+	// needs no dataset instance.
+	m, hit := s.eng.Lookup(job.key)
 	if hit {
 		latency = simulateHitSummary
 		s.reg.Counter("beaconserved_cache_hits_total").Inc()
 		bk.Record(time.Now().UnixNano(), true)
 	} else {
+		ctx, cancel := context.WithTimeout(r.Context(), job.timeout)
+		defer cancel()
+		untrack := s.inflight.track(cancel)
+		defer untrack()
+		inst, err := s.eng.Instance(ctx, job.key.Dataset, job.key.Nodes, job.cfg.Flash.PageSize, job.cfg.Seed)
+		if err != nil {
+			bk.CancelProbe() // materialization says nothing about engine health
+			s.finishErr(w, r, err)
+			return
+		}
 		s.reg.Counter("beaconserved_cache_misses_total").Inc()
-		mj := job
-		if m, err = s.runResilient(ctx, bk, &mj, inst, key); err != nil {
+		mj := *job
+		if m, err = s.runResilient(ctx, bk, &mj, inst); err != nil {
 			// Transient exhaustion with the breaker now open degrades
 			// instead of surfacing a 5xx the client can do nothing about.
 			if ctx.Err() == nil && exp.IsTransient(err) && bk.State() == chaos.Open {
-				s.serveDegraded(w, &job, fam, start, "retries exhausted; circuit open")
+				s.serveDegraded(w, fam, start, "retries exhausted; circuit open")
 				return
 			}
 			s.finishErr(w, r, err)
@@ -202,7 +205,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := m.Result
-	s.stale.Put(fam, staleRecord{platform: res.Platform, dataset: res.Dataset, result: enc, nodes: job.nodes, batches: job.batches})
+	s.stale.Put(fam, staleRecord{platform: res.Platform, dataset: res.Dataset, result: enc, nodes: job.key.Nodes, batches: job.key.Batches})
 	cacheHeader := "miss"
 	if hit {
 		cacheHeader = "hit"
@@ -211,8 +214,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.writeSim(w, simEnvelope{
 		platform: res.Platform,
 		dataset:  res.Dataset,
-		nodes:    job.nodes,
-		batches:  job.batches,
+		nodes:    job.key.Nodes,
+		batches:  job.key.Batches,
 		cached:   hit,
 		wallMS:   float64(time.Since(start).Microseconds()) / 1e3,
 	}, enc)
@@ -223,12 +226,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // X-Degraded/Warning — a deliberate choice over a 5xx the client can
 // only blind-retry into the same open circuit), or 503 + Retry-After
 // when no stale result exists yet.
-func (s *Server) serveDegraded(w http.ResponseWriter, job *simJob, fam family, start time.Time, reason string) {
+func (s *Server) serveDegraded(w http.ResponseWriter, fam family, start time.Time, reason string) {
 	rec, ok := s.stale.Get(fam)
 	if !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		s.writeError(w, http.StatusServiceUnavailable,
-			"circuit open for %v/%s and no stale result to serve: %s", job.kind, job.desc.Name, reason)
+			"circuit open for %v/%s and no stale result to serve: %s", fam.kind, fam.dataset, reason)
 		return
 	}
 	s.reg.Counter("beaconserved_degraded_total").Inc()
@@ -248,15 +251,13 @@ func (s *Server) serveDegraded(w http.ResponseWriter, job *simJob, fam family, s
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req ExpRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	job, err := s.validateExp(&req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	job, routed := r.Context().Value(routedJob{}).(*expJob)
+	if !routed {
+		var err error
+		if job, err = s.decodeExp(r.Body); err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	release, ok := s.admit(w)
 	if !ok {

@@ -9,6 +9,7 @@ import (
 	"beacongnn/internal/config"
 	"beacongnn/internal/core"
 	"beacongnn/internal/dataset"
+	"beacongnn/internal/exp"
 	"beacongnn/internal/platform"
 	"beacongnn/internal/sim"
 )
@@ -48,12 +49,10 @@ type FaultRequest struct {
 // served results stay byte-identical to the CLI's.
 const simTimelinePoints = 1024
 
-// simJob is a validated SimRequest, ready to run.
+// simJob is a validated SimRequest, ready to run. decodeSim makes its
+// key once; routing, the memo lookup and the runs all read it.
 type simJob struct {
-	kind    platform.Kind
-	desc    dataset.Desc
-	nodes   int
-	batches int
+	key     exp.SimKey
 	cfg     config.Config
 	timeout time.Duration
 }
@@ -69,8 +68,9 @@ func badf(format string, a ...any) error {
 
 // decodeJSON strictly decodes one JSON object from r into v: unknown
 // fields, malformed bodies, and trailing garbage are all 400s — a typo
-// in an override must never silently simulate the default instead.
-func decodeJSON(r io.Reader, v any) error {
+// in an override must never silently simulate the default instead. It
+// is a variable only so a test can count decodes.
+var decodeJSON = func(r io.Reader, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -82,10 +82,22 @@ func decodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// validate resolves a SimRequest against the server's limits. It
-// returns the job by value, so a memo hit keeps it on its stack; the
-// miss path copies it to the heap for the runs it starts.
-func (s *Server) validate(req *SimRequest) (simJob, error) {
+// digestHook, when set, is called for each config digest decodeSim
+// makes, so a test can count them. A replaceable digest function would
+// do the same but move every validated job to the heap.
+var digestHook func()
+
+// decodeSim is /v1/simulate's front half: a strict decode of body, then
+// the request resolved against the server's limits into a job and its
+// key. The key's node count is the requested one, because
+// dataset.Materialize yields exactly that many nodes. The job is
+// returned by value, so a memo hit keeps it on its stack; the miss path
+// copies it to the heap for the runs it starts.
+func (s *Server) decodeSim(body io.Reader) (simJob, error) {
+	var req SimRequest
+	if err := decodeJSON(body, &req); err != nil {
+		return simJob{}, err
+	}
 	if req.Platform == "" {
 		return simJob{}, badf("missing required field \"platform\"")
 	}
@@ -100,24 +112,25 @@ func (s *Server) validate(req *SimRequest) (simJob, error) {
 	if err != nil {
 		return simJob{}, badf("%v", err)
 	}
-	job := simJob{kind: kind, desc: desc, nodes: 10_000, batches: 6}
+	job := simJob{key: exp.SimKey{Kind: kind, Dataset: desc.Name, Nodes: 10_000, Batches: 6, Timeline: simTimelinePoints}}
 	if req.Nodes != 0 {
 		if req.Nodes < 0 || req.Nodes > s.cfg.MaxNodes {
 			return simJob{}, badf("nodes %d outside [1, %d]", req.Nodes, s.cfg.MaxNodes)
 		}
-		job.nodes = req.Nodes
+		job.key.Nodes = req.Nodes
 	}
 	if req.Batches != 0 {
 		if req.Batches < 0 || req.Batches > s.cfg.MaxBatches {
 			return simJob{}, badf("batches %d outside [1, %d]", req.Batches, s.cfg.MaxBatches)
 		}
-		job.batches = req.Batches
+		job.key.Batches = req.Batches
 	}
 	if req.BatchSize < 0 || req.ReadLatencyNS < 0 || req.Channels < 0 || req.Dies < 0 || req.Cores < 0 {
 		return simJob{}, badf("overrides must be non-negative")
 	}
 
-	cfg := config.Default()
+	job.cfg = config.Default()
+	cfg := &job.cfg
 	if req.BatchSize > 0 {
 		cfg.GNN.BatchSize = req.BatchSize
 	}
@@ -150,7 +163,10 @@ func (s *Server) validate(req *SimRequest) (simJob, error) {
 	if err := cfg.Validate(); err != nil {
 		return simJob{}, badf("%v", err)
 	}
-	job.cfg = cfg
+	job.key.Digest = exp.ConfigDigest(cfg)
+	if digestHook != nil {
+		digestHook()
+	}
 	if job.timeout, err = s.requestTimeout(req.TimeoutMS); err != nil {
 		return simJob{}, err
 	}
@@ -166,8 +182,12 @@ type expJob struct {
 	timeout time.Duration
 }
 
-// validateExp resolves an ExpRequest against the server's limits.
-func (s *Server) validateExp(req *ExpRequest) (*expJob, error) {
+// decodeExp is decodeSim for /v1/experiment.
+func (s *Server) decodeExp(body io.Reader) (*expJob, error) {
+	var req ExpRequest
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
+	}
 	e, err := core.ByID(req.ID)
 	if err != nil {
 		return nil, badf("%v", err)

@@ -55,13 +55,13 @@ func (bs *breakerSet) get(f family) *chaos.Breaker {
 // deterministic per-key jitter, and hedged duplicates for stragglers.
 // The memo-hit path never comes here — the caller answers hits from
 // its one memo lookup, so the hot path pays none of this.
-func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJob, inst *dataset.Instance, key exp.SimKey) (*exp.Memo, error) {
+func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJob, inst *dataset.Instance) (*exp.Memo, error) {
 	backoff := chaos.Backoff{
 		Base: s.cfg.RetryBackoffBase.Nanoseconds(),
 		Max:  s.cfg.RetryBackoffMax.Nanoseconds(),
 	}
 	for attempt := 0; ; attempt++ {
-		m, err := s.simulateHedged(ctx, job, inst, key, attempt)
+		m, err := s.simulateHedged(ctx, job, inst, attempt)
 		if err == nil {
 			bk.Record(time.Now().UnixNano(), true)
 			return m, nil
@@ -84,7 +84,7 @@ func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJo
 		// Jitter is a pure function of (key digest, attempt): the retry
 		// schedule for a request is reproducible, yet distinct keys
 		// decorrelate.
-		u := chaos.JitterU(key.Digest, uint64(attempt))
+		u := chaos.JitterU(job.key.Digest, uint64(attempt))
 		select {
 		case <-time.After(time.Duration(backoff.Delay(attempt, u))):
 		case <-ctx.Done():
@@ -98,9 +98,9 @@ func (s *Server) runResilient(ctx context.Context, bk *chaos.Breaker, job *simJo
 // bypasses the memo (SimulateFreshCtx) so it cannot dedupe into the
 // very in-flight entry it is racing; the loser's context is cancelled
 // and the abandonment is observed mid-kernel.
-func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, key exp.SimKey, attempt int) (*exp.Memo, error) {
+func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.Instance, attempt int) (*exp.Memo, error) {
 	if s.cfg.HedgeAfter <= 0 {
-		return s.eng.SimulateKeyCtx(ctx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
+		return s.eng.SimulateKeyCtx(ctx, job.key, &job.cfg, inst)
 	}
 	type outcome struct {
 		m     *exp.Memo
@@ -111,7 +111,7 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 	defer cancelRace()
 	ch := make(chan outcome, 2)
 	go func() {
-		m, err := s.eng.SimulateKeyCtx(raceCtx, key, job.kind, job.cfg, inst, job.batches, simTimelinePoints)
+		m, err := s.eng.SimulateKeyCtx(raceCtx, job.key, &job.cfg, inst)
 		ch <- outcome{m, err, false}
 	}()
 	timer := time.NewTimer(s.cfg.HedgeAfter)
@@ -127,7 +127,7 @@ func (s *Server) simulateHedged(ctx context.Context, job *simJob, inst *dataset.
 				pending++
 				s.reg.Counter("beaconserved_hedges_total").Inc()
 				go func() {
-					m, err := s.eng.SimulateFreshCtx(raceCtx, job.kind, job.cfg, inst, job.batches, simTimelinePoints, attempt+1)
+					m, err := s.eng.SimulateFreshCtx(raceCtx, job.key, &job.cfg, inst, attempt+1)
 					ch <- outcome{m, err, true}
 				}()
 			}

@@ -17,7 +17,6 @@ import (
 // grace period fails transiently.
 func chaosConfig(failRate float64, failAfter uint64) chaos.Config {
 	return chaos.Config{
-		Enabled:         true,
 		Seed:            7,
 		EngineFailRate:  failRate,
 		EngineFailAfter: failAfter,
@@ -136,7 +135,6 @@ func TestRetriesRecoverTransientFaults(t *testing.T) {
 		RetryBackoffMax:  4 * time.Millisecond,
 		BreakerThreshold: 10, // stay closed through the retries
 		Chaos: chaos.Config{
-			Enabled:         true,
 			Seed:            7,
 			EngineFailRate:  0.5,
 			EngineFailAfter: 0,
@@ -284,7 +282,6 @@ func TestChaosHTTPBoundary(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 2,
 		Chaos: chaos.Config{
-			Enabled:      true,
 			Seed:         3,
 			HTTPDropRate: 1,
 		},
@@ -301,7 +298,6 @@ func TestChaosHTTPBoundary(t *testing.T) {
 	st := newTestServer(t, Config{
 		Workers: 2,
 		Chaos: chaos.Config{
-			Enabled:       true,
 			Seed:          3,
 			HTTPTruncRate: 1,
 		},

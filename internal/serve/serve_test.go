@@ -15,6 +15,7 @@ import (
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
+	"beacongnn/internal/exp"
 	"beacongnn/internal/platform"
 )
 
@@ -166,6 +167,31 @@ func TestSimulateMatchesDirectRunAndCaches(t *testing.T) {
 	runsAfter, _ := s.Engine().Stats()
 	if runsAfter != runsBefore {
 		t.Fatalf("cache hit re-simulated (runs %d -> %d)", runsBefore, runsAfter)
+	}
+}
+
+// TestValidatedKeyMatchesEngineKey checks the key decodeSim makes before
+// any instance exists against the one exp.Key derives from the
+// materialized instance: they must be equal, or a hit would be looked up
+// under a key no run ever stored.
+func TestValidatedKeyMatchesEngineKey(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"platform":"bg-2","dataset":"amazon","nodes":300,"batches":1}`,
+		`{"platform":"CC","dataset":"reddit","nodes":600,"seed":9,"channels":4}`,
+		`{"platform":"GList","dataset":"OGBN","nodes":300,"batch_size":16,"fault":{"base_rber":0.001,"dead_dies":[]}}`,
+	} {
+		job, err := s.decodeSim(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		inst, err := s.Engine().Instance(context.Background(), job.key.Dataset, job.key.Nodes, job.cfg.Flash.PageSize, job.cfg.Seed)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if want := exp.Key(job.key.Kind, job.cfg, inst, job.key.Batches, simTimelinePoints); job.key != want {
+			t.Errorf("%s: validated key %+v, engine key %+v", body, job.key, want)
+		}
 	}
 }
 

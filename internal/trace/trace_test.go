@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,4 +139,51 @@ func TestReplayMakesRunsWorkloadIdentical(t *testing.T) {
 	if a.Elapsed != b.Elapsed || a.FlashReads != b.FlashReads {
 		t.Fatal("trace replay not deterministic")
 	}
+}
+
+// FuzzTraceLoad hardens trace.Load, the input beacontrace -inspect and
+// -replay read: any input is either rejected or a trace that passes
+// Validate, whose batches yield in-domain targets, and which survives a
+// Save and Load unchanged. The seeds are the committed inputs in
+// testdata/traceload, in file-name order.
+func FuzzTraceLoad(f *testing.F) {
+	dir := filepath.Join("testdata", "traceload")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries { // ReadDir sorts by file name
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Load accepted an invalid trace: %v", err)
+		}
+		for i := range tr.Batches {
+			for _, v := range tr.Targets(i) {
+				if int(v) >= tr.Nodes {
+					t.Fatalf("batch %d yields target %d outside [0,%d)", i, v, tr.Nodes)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("a saved trace does not load: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("save and load changed the trace:\n%+v\n%+v", tr, again)
+		}
+	})
 }
