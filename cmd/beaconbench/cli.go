@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"beacongnn/internal/config"
@@ -100,6 +101,10 @@ func parseCLI(args []string, stderr io.Writer) (*cliConfig, error) {
 		if _, err := core.ByID(*exp); err != nil {
 			return fail("%v", err)
 		}
+		if *jsonOut && *traceOut == "" && !hasJSONReport(*exp) {
+			return fail("-json: -exp %s has no JSON report; use all, a paper experiment (%s), sched, capacity or cluster",
+				*exp, strings.Join(paperIDs(), ", "))
+		}
 	}
 	if *traceOut != "" {
 		if _, err := platform.ByName(*tracePlt); err != nil {
@@ -138,4 +143,24 @@ func parseCLI(args []string, stderr io.Writer) (*cliConfig, error) {
 			FullResim:  *fullSim,
 		},
 	}, nil
+}
+
+// hasJSONReport reports whether -json has a report for the experiment:
+// the paper experiments share the evaluation report, and sched,
+// capacity and cluster have their own.
+func hasJSONReport(id string) bool {
+	switch id {
+	case "sched", "capacity", "cluster":
+		return true
+	}
+	return slices.Contains(paperIDs(), id)
+}
+
+// paperIDs lists the experiments of the paper's evaluation report.
+func paperIDs() []string {
+	var ids []string
+	for _, e := range core.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }

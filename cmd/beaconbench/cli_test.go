@@ -79,6 +79,8 @@ func TestParseCLIErrors(t *testing.T) {
 		{"capacity-without-drive", []string{"-drive-capacity"}, "-drive"},
 		{"capacity-bad-qps", []string{"-drive", "http://x:1", "-drive-capacity", "-drive-qps", "0"}, "-drive-qps"},
 		{"capacity-bad-arrival", []string{"-drive", "http://x:1", "-drive-capacity", "-drive-arrival", "weibull"}, "weibull"},
+		{"json-chaos", []string{"-json", "-exp", "chaos"}, "sched, capacity or cluster"},
+		{"json-reliab", []string{"-json", "-exp", "reliab"}, "-exp reliab has no JSON report"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,6 +65,8 @@ func (f Flash) Validate() error {
 		return fmt.Errorf("config: page size %d exceeds 32768", f.PageSize)
 	case f.BlocksPerDie <= 0 || f.PagesPerBlock <= 0:
 		return fmt.Errorf("config: blocks/pages must be positive")
+	case f.PlanesPerDie < 1:
+		return fmt.Errorf("config: planes per die must be positive, got %d", f.PlanesPerDie)
 	case !positive(f.ChannelBW):
 		return fmt.Errorf("config: channel bandwidth must be finite and positive")
 	case f.ReadLatency <= 0:
@@ -129,7 +131,6 @@ type GNN struct {
 	Fanout    int // neighbors per hop (base: 3)
 	HiddenDim int // intermediate embedding dim (base: 128)
 	BatchSize int // mini-batch targets (base: 64, swept 32–256)
-	Layers    int // message-passing iterations (= Hops)
 
 	// TargetSkew selects mini-batch targets from a Zipf distribution
 	// with this exponent (0 = uniform, the paper's setting). Skewed
@@ -355,11 +356,6 @@ func DefaultSched() Sched {
 	}
 }
 
-// Enabled reports whether a non-FIFO policy is selected.
-func (s Sched) Enabled() bool {
-	return s.Policy != "" && s.Policy != "fifo"
-}
-
 // Validate checks the scheduling section.
 func (s Sched) Validate() error {
 	switch s.Policy {
@@ -450,7 +446,7 @@ func Default() Config {
 			Rows: 128, Cols: 128, VectorLanes: 1024,
 			ClockHz: 940e6, SRAMBytes: 24 << 20,
 		},
-		GNN:   GNN{Hops: 3, Fanout: 3, HiddenDim: 128, BatchSize: 64, Layers: 3},
+		GNN:   GNN{Hops: 3, Fanout: 3, HiddenDim: 128, BatchSize: 64},
 		Fault: DefaultFault(),
 		Sched: DefaultSched(),
 		// Energy constants calibrated to Figure 19's component shares
@@ -493,6 +489,11 @@ func (c Config) Validate() error {
 	switch {
 	case c.Firmware.Cores <= 0:
 		return fmt.Errorf("config: firmware cores must be positive")
+	case c.Host.Cores < 1:
+		// Fig. 15f divides host time by this width.
+		return fmt.Errorf("config: host cores must be positive, got %d", c.Host.Cores)
+	case c.DieSampler.Fixed < 0 || c.DieSampler.PerDraw < 0 || c.DieSampler.CrossbarLat < 0 || c.DieSampler.ParseLat < 0:
+		return fmt.Errorf("config: die sampler and router latencies must be non-negative")
 	case !positive(c.DRAM.Bandwidth) || !positive(c.PCIe.Bandwidth):
 		return fmt.Errorf("config: link bandwidth must be finite and positive")
 	case c.GNN.Hops <= 0 || c.GNN.Fanout <= 0 || c.GNN.BatchSize <= 0:

@@ -102,6 +102,11 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.GNN.Hops = 0 },
 		func(c *Config) { c.GNN.BatchSize = 0 },
 		func(c *Config) { c.SSDAccel.Rows = 0 },
+		func(c *Config) { c.Host.Cores = 0 },
+		func(c *Config) { c.Flash.PlanesPerDie = 0 },
+	}
+	for i := range 4 {
+		mutations = append(mutations, func(c *Config) { *samplerLatency(c, i) = -1 })
 	}
 	for _, ff := range floatFields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -143,22 +148,45 @@ var floatFields = []struct {
 	{"Fault.StormRBER", func(c *Config) *float64 { return &c.Fault.StormRBER }},
 }
 
+// samplerLatency returns DieSampler's i-th latency (mod 4).
+func samplerLatency(c *Config, i int) *sim.Time {
+	ds := &c.DieSampler
+	return [...]*sim.Time{&ds.Fixed, &ds.PerDraw, &ds.CrossbarLat, &ds.ParseLat}[i%4]
+}
+
 // FuzzConfigValidate sets the float fields Validate checks and the
-// integer geometry it reads on top of Default(), plus the target skew
-// and one energy constant (chosen by which). Validate must never panic
-// and never accept a non-finite float, nor a negative skew or energy.
+// integer geometry and widths it reads on top of Default(), plus the
+// target skew, one energy constant and one die-sampler latency (both
+// chosen by which). Validate must never panic and never accept a
+// non-finite float, a negative skew, energy or latency, nor fewer than
+// one host core or plane.
 func FuzzConfigValidate(f *testing.F) {
 	d := Default()
 	f.Add(d.Flash.ChannelBW, d.DRAM.Bandwidth, d.PCIe.Bandwidth, d.SSDAccel.ClockHz, d.TPU.ClockHz,
 		d.Fault.BaseRBER, d.Fault.WearRBERPerPE, d.Fault.RetentionRBER, d.Fault.StormRBER,
 		d.Flash.Channels, d.Flash.DiesPerChannel, d.Flash.PageSize, d.Firmware.Cores, true,
-		d.GNN.TargetSkew, d.Energy.StaticWatts, uint8(12))
-	f.Add(math.NaN(), 1e9, 1e9, 1e9, 1e9, 0.0, 0.0, 0.0, 0.0, 16, 8, 4096, 4, false, 1.4, math.NaN(), uint8(12))
-	f.Add(1e9, math.Inf(1), 1e9, 1e9, math.NaN(), 0.0, 0.0, 0.0, 0.0, 4, 2, 512, 1, false, math.NaN(), 1e-9, uint8(0))
-	f.Add(1e9, 1e9, 1e9, 1e9, 1e9, 1e-7, math.Inf(1), math.NaN(), 0.49, 2, 2, 32768, 8, true, 0.0, math.Inf(1), uint8(5))
-	f.Add(0.0, -1.0, 1e9, 0.0, math.Inf(-1), -1e-7, 0.0, 0.0, 0.5, 0, -1, 6000, 0, true, -1.0, -1e-12, uint8(200))
+		d.GNN.TargetSkew, d.Energy.StaticWatts, uint8(12), d.Host.Cores, d.Flash.PlanesPerDie, int64(d.DieSampler.CrossbarLat))
+	f.Add(math.NaN(), 1e9, 1e9, 1e9, 1e9, 0.0, 0.0, 0.0, 0.0, 16, 8, 4096, 4, false, 1.4, math.NaN(), uint8(12), 2, 2, int64(0))
+	f.Add(1e9, math.Inf(1), 1e9, 1e9, math.NaN(), 0.0, 0.0, 0.0, 0.0, 4, 2, 512, 1, false, math.NaN(), 1e-9, uint8(0), 1, 1, int64(50))
+	f.Add(1e9, 1e9, 1e9, 1e9, 1e9, 1e-7, math.Inf(1), math.NaN(), 0.49, 2, 2, 32768, 8, true, 0.0, math.Inf(1), uint8(5), 4, 4, int64(1))
+	f.Add(0.0, -1.0, 1e9, 0.0, math.Inf(-1), -1e-7, 0.0, 0.0, 0.5, 0, -1, 6000, 0, true, -1.0, -1e-12, uint8(200), -1, -1, int64(-1))
+	// One seed per width or latency rejection, on an otherwise valid
+	// config: zero host cores, zero planes, and each sampler latency
+	// negative (which 0–3 picks Fixed, PerDraw, CrossbarLat, ParseLat).
+	valid := func(hostCores, planes int, lat int64, which uint8) {
+		f.Add(d.Flash.ChannelBW, d.DRAM.Bandwidth, d.PCIe.Bandwidth, d.SSDAccel.ClockHz, d.TPU.ClockHz,
+			d.Fault.BaseRBER, d.Fault.WearRBERPerPE, d.Fault.RetentionRBER, d.Fault.StormRBER,
+			d.Flash.Channels, d.Flash.DiesPerChannel, d.Flash.PageSize, d.Firmware.Cores, false,
+			d.GNN.TargetSkew, d.Energy.StaticWatts, which, hostCores, planes, lat)
+	}
+	valid(0, 2, 50, 2)
+	valid(2, 0, 50, 2)
+	for which := range uint8(4) {
+		valid(2, 2, -1, which)
+	}
 	f.Fuzz(func(t *testing.T, chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm float64,
-		channels, dies, pageSize, cores int, faults bool, skew, energy float64, which uint8) {
+		channels, dies, pageSize, cores int, faults bool, skew, energy float64, which uint8,
+		hostCores, planes int, lat int64) {
 		c := Default()
 		vals := []float64{chBW, dramBW, pcieBW, clock, tpuClock, base, wear, ret, storm}
 		for i, ff := range floatFields {
@@ -169,8 +197,13 @@ func FuzzConfigValidate(f *testing.F) {
 		c.Fault.Enabled = faults
 		c.GNN.TargetSkew = skew
 		energyField(&c, int(which)).SetFloat(energy)
+		c.Host.Cores, c.Flash.PlanesPerDie = hostCores, planes
+		*samplerLatency(&c, int(which)) = sim.Time(lat)
 		if c.Validate() != nil {
 			return
+		}
+		if hostCores < 1 || planes < 1 || lat < 0 {
+			t.Fatalf("Validate accepted %d host cores, %d planes, sampler latency %d", hostCores, planes, lat)
 		}
 		checked := vals[:len(vals)-4]
 		if faults {

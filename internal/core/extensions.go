@@ -62,6 +62,7 @@ func RunExtensions(o *Options, w io.Writer) error {
 				if err != nil {
 					return err
 				}
+				s.BindContext(o.context())
 				_, ioStats, err = s.RunWithRegularIO(o.Batches)
 				return err
 			})

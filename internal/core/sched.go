@@ -97,6 +97,7 @@ func schedTraceTable(o *Options, kind platform.Kind, policy string) (string, err
 	if err != nil {
 		return "", err
 	}
+	s.BindContext(o.context())
 	rec := trace.NewRecorder()
 	s.SetTracer(rec)
 	if _, err := s.Run(o.Batches); err != nil {

@@ -28,6 +28,7 @@ func RunTrace(o *Options, platformName, datasetName string, w io.Writer) (*platf
 	if err != nil {
 		return nil, err
 	}
+	s.BindContext(o.context())
 	rec := trace.NewRecorder()
 	s.SetTracer(rec)
 	res, err := s.Run(o.Batches)

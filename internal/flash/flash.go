@@ -65,9 +65,8 @@ type Backend struct {
 	DieUtil  *sim.Utilization
 	ChanUtil *sim.Utilization
 
-	reads     uint64
-	busBytes  uint64
-	WaitStats sim.WaitStats // queueing before dies (wait_before_flash)
+	reads    uint64
+	busBytes uint64
 
 	// OnRead and OnTransfer, when set, receive energy-accounting events.
 	OnRead     func()
@@ -102,14 +101,10 @@ func New(k *sim.Kernel, cfg config.Flash, timelinePoints int) (*Backend, error) 
 	}
 	senses := senseShelf.List()
 	b.senses = &senses
-	planes := cfg.PlanesPerDie
-	if planes < 1 {
-		planes = 1
-	}
 	b.dies = make([]*sim.Server, cfg.TotalDies())
 	b.samplers = make([]*sim.Server, cfg.TotalDies())
 	for i := range b.dies {
-		b.dies[i] = sim.NewServer(k, planes)
+		b.dies[i] = sim.NewServer(k, cfg.PlanesPerDie)
 		b.dies[i].SetUtilization(b.DieUtil)
 		b.samplers[i] = sim.NewServer(k, 1)
 	}
@@ -230,29 +225,25 @@ func (b *Backend) SensePageDeadline(page uint32, dieExtra, deadline sim.Time, se
 	op := b.senses.Get()
 	op.b, op.die, op.dieExtra, op.out = b, die, dieExtra, out
 	op.deadline = deadline
-	op.arrived = b.k.Now()
-	op.senseStart, op.done = senseStart, done
+	op.done = done
 	if deadline != 0 {
-		b.dies[die].SubmitDeadline(service, deadline, op.fnStart, op.fnDone)
+		b.dies[die].SubmitDeadline(service, deadline, senseStart, op.fnDone)
 		return
 	}
-	b.dies[die].SubmitFull(service, op.fnStart, op.fnDone)
+	b.dies[die].SubmitFull(service, senseStart, op.fnDone)
 }
 
 // senseOp is the pooled per-sense state machine: it replaces the closure
 // ladder SensePage allocated per request (service start/done plus the
 // sampler hand-off) with continuations bound once per pooled object.
 type senseOp struct {
-	b          *Backend
-	die        int
-	dieExtra   sim.Time
-	deadline   sim.Time
-	arrived    sim.Time
-	out        fault.Outcome
-	senseStart func(sim.Time)
-	done       func(fault.Outcome)
+	b        *Backend
+	die      int
+	dieExtra sim.Time
+	deadline sim.Time
+	out      fault.Outcome
+	done     func(fault.Outcome)
 
-	fnStart   func(sim.Time)
 	fnDone    func()
 	fnSampler func()
 }
@@ -261,7 +252,6 @@ type senseOp struct {
 // draws its own list from it (see Release).
 var senseShelf = pool.NewShelf(func() *senseOp {
 	op := &senseOp{}
-	op.fnStart = op.onStart
 	op.fnDone = op.onDone
 	op.fnSampler = op.onSampler
 	return op
@@ -270,7 +260,6 @@ var senseShelf = pool.NewShelf(func() *senseOp {
 func (op *senseOp) release() {
 	b := op.b
 	op.b = nil
-	op.senseStart = nil
 	op.done = nil
 	b.senses.Put(op)
 }
@@ -286,13 +275,6 @@ func (b *Backend) Release() { b.senses.Release() }
 // where per-backend lists would be dealt to different backends by the
 // next run and fall short. Releasing either backend releases it.
 func (b *Backend) ShareFreeLists(other *Backend) { b.senses = other.senses }
-
-func (op *senseOp) onStart(start sim.Time) {
-	op.b.WaitStats.Observe(start - op.arrived)
-	if op.senseStart != nil {
-		op.senseStart(start)
-	}
-}
 
 func (op *senseOp) onDone() {
 	b := op.b

@@ -29,12 +29,8 @@ func (s *System) EnableChecks(c *invariant.Checker) {
 	// checks. These mirror the server constructions in NewSystem and
 	// flash.New; a width mismatch here would surface as a span.nested
 	// violation on a healthy run.
-	planes := s.cfg.Flash.PlanesPerDie
-	if planes < 1 {
-		planes = 1
-	}
 	for i := 0; i < s.cfg.Flash.TotalDies(); i++ {
-		c.RegisterResource("flash.die", i, planes)
+		c.RegisterResource("flash.die", i, s.cfg.Flash.PlanesPerDie)
 		c.RegisterResource("flash.sampler", i, 1)
 	}
 	for i := 0; i < s.cfg.Flash.Channels; i++ {
@@ -81,11 +77,7 @@ func (s *System) runChecks(res *Result) error {
 	}
 	// DieUtil counts busy plane sense units (a two-plane die senses both
 	// planes concurrently), so the capacity bound is dies × planes.
-	planes := s.cfg.Flash.PlanesPerDie
-	if planes < 1 {
-		planes = 1
-	}
-	dieSlots := s.cfg.Flash.TotalDies() * planes
+	dieSlots := s.cfg.Flash.TotalDies() * s.cfg.Flash.PlanesPerDie
 	c.Assert("result.utilization",
 		res.MeanDies >= 0 && res.MeanDies <= float64(dieSlots)*(1+1e-9),
 		"mean active die planes %.3f outside [0, %d]", res.MeanDies, dieSlots)

@@ -12,10 +12,10 @@ import (
 	"beacongnn/internal/sim"
 )
 
-// device is a bare SSD on a fresh kernel: flash backend, firmware
-// cores, DRAM and an NVMe queue pair whose device side ignores
-// commands. The DirectGraph flush and the regular-I/O baseline run on
-// it.
+// device is an SSD on a fresh kernel: flash backend, firmware cores,
+// DRAM and an NVMe queue pair whose device side ignores commands (flows
+// drive it inline). A System is built on one; the DirectGraph flush and
+// the idle regular-I/O baseline run on a bare one.
 type device struct {
 	k       *sim.Kernel
 	backend *flash.Backend
@@ -25,35 +25,52 @@ type device struct {
 }
 
 // newDevice validates cfg and assembles a device with an NVMe queue of
-// the given depth.
-func newDevice(cfg config.Config, queueDepth int) (*device, error) {
+// the given depth; timelinePoints sizes the flash utilization timelines.
+func newDevice(cfg config.Config, queueDepth, timelinePoints int) (device, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return device{}, err
 	}
-	d := &device{k: sim.New()}
+	d := device{k: sim.New()}
 	var err error
-	if d.backend, err = flash.New(d.k, cfg.Flash, 0); err != nil {
-		return nil, err
+	if d.backend, err = flash.New(d.k, cfg.Flash, timelinePoints); err != nil {
+		return device{}, err
 	}
 	if d.fw, err = firmware.NewProcessor(d.k, cfg.Firmware); err != nil {
-		return nil, err
+		return device{}, err
 	}
 	if d.mem, err = dram.New(d.k, cfg.DRAM); err != nil {
-		return nil, err
+		return device{}, err
 	}
 	if d.qp, err = nvme.New(d.k, cfg.PCIe, queueDepth); err != nil {
-		return nil, err
+		return device{}, err
 	}
 	d.qp.Device = func(nvme.Command) {}
 	return d, nil
 }
 
-// run drives the kernel until no event is left and then hands the
+// drain drives the kernel until no event is left and then hands the
 // device's recycled state back for the next run.
-func (d *device) run() {
+func (d *device) drain() {
 	d.k.Run()
 	d.backend.Release()
 	d.k.ReleaseServers()
+}
+
+// regularRead serves one regular 4 KB host read of page on the normal
+// path: firmware poll, translate and flash command, sense, page
+// transfer, DRAM, and PCIe to the host, where done fires.
+func (d *device) regularRead(cfg config.Config, page uint32, done func()) {
+	cost := cfg.Firmware.PollCost + cfg.Firmware.TranslateCost + cfg.Firmware.FlashCmdCost
+	size := cfg.Flash.PageSize
+	d.fw.Do(cost, func() {
+		d.backend.ReadPage(page, 0, nil, func() {
+			d.backend.Transfer(page, size, func() {
+				d.mem.Read(size, func() {
+					d.qp.TransferData(size, done)
+				})
+			})
+		})
+	})
 }
 
 // ConstructionResult measures Section VI-B's second step: flushing the
@@ -76,7 +93,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	if inst == nil || inst.Build == nil || inst.Build.Pages == nil {
 		return nil, fmt.Errorf("platform: construction needs a materialized build")
 	}
-	d, err := newDevice(cfg, 1024)
+	d, err := newDevice(cfg, 1024, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +119,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 			})
 		})
 	}
-	d.run()
+	d.drain()
 	if remaining != 0 {
 		return nil, fmt.Errorf("platform: construction stalled with %d pages pending", remaining)
 	}
@@ -128,68 +145,35 @@ type RegularIOStats struct {
 // RunWithRegularIO simulates the GNN workload with one regular 4 KB
 // read injected at the start of every mini-batch's preparation (worst
 // case: it waits out the entire batch). It returns the GNN result plus
-// the regular-I/O statistics.
+// the regular-I/O statistics. The run is Run's, with only the batch
+// preparation extended; it stays unchecked, because the regular reads
+// sit outside the checker's sense ledger.
 func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, error) {
 	stats := &RegularIOStats{}
-	var completeIO func(arrived sim.Time, deferred sim.Time)
-	completeIO = func(arrived, deferral sim.Time) {
-		// Normal read path: poll, translate, schedule, sense, page
-		// transfer, DRAM, PCIe to host.
-		cost := s.cfg.Firmware.PollCost + s.cfg.Firmware.TranslateCost + s.cfg.Firmware.FlashCmdCost
-		s.fw.Do(cost, func() {
-			// Use a page outside the DirectGraph region.
-			page := uint32(s.cfg.Flash.TotalDies() * s.cfg.Flash.PagesPerBlock * 2)
-			s.backend.ReadPage(page, 0, nil, func() {
-				s.backend.Transfer(page, s.cfg.Flash.PageSize, func() {
-					s.mem.Read(s.cfg.Flash.PageSize, func() {
-						s.qp.TransferData(s.cfg.Flash.PageSize, func() {
-							lat := s.k.Now() - arrived
-							stats.Count++
-							stats.MeanLatency += lat // summed; divided below
-							if lat > stats.MaxLatency {
-								stats.MaxLatency = lat
-							}
-							stats.MeanDeferral += deferral
-							if deferral > 0 {
-								stats.Deferred++
-							}
-						})
-					})
-				})
+	// Use a page outside the DirectGraph region.
+	page := uint32(s.cfg.Flash.TotalDies() * s.cfg.Flash.PagesPerBlock * 2)
+	s.chk = nil
+	res, err := s.run(numBatches, func(i int, done func()) {
+		arrived := s.k.Now()
+		s.prepBatch(i, func() {
+			// Acceleration mode: the request that arrived when this
+			// batch began is served only now, at the batch boundary.
+			deferral := s.k.Now() - arrived
+			s.regularRead(s.cfg, page, func() {
+				lat := s.k.Now() - arrived
+				stats.Count++
+				stats.MeanLatency += lat // summed; divided below
+				stats.MaxLatency = max(stats.MaxLatency, lat)
+				stats.MeanDeferral += deferral
+				if deferral > 0 {
+					stats.Deferred++
+				}
 			})
+			done()
 		})
-	}
-
-	engine := firmware.NewEngine(s.k, !s.cfg.Ablation.NoPipeline)
-	finished := false
-	engine.Run(numBatches,
-		func(i int, done func()) {
-			arrived := s.k.Now()
-			s.prepBatch(i, func() {
-				// Acceleration mode: the request that arrived when this
-				// batch began is served only now, at the batch boundary.
-				completeIO(arrived, s.k.Now()-arrived)
-				done()
-			})
-		},
-		func(i int, done func()) { s.computeBatch(i, done) },
-		func() { finished = true },
-	)
-	s.k.Run()
-	defer s.releaseLists()
-	if !finished {
-		return nil, nil, fmt.Errorf("platform: simulation deadlocked")
-	}
-	elapsed := s.k.Now()
-	s.meter.FinishStatic(elapsed)
-	res := &Result{
-		Platform:   s.kind.String(),
-		Dataset:    s.inst.Desc.Name,
-		Elapsed:    elapsed,
-		Targets:    s.coll.Targets(),
-		Batches:    s.coll.Batches(),
-		Throughput: s.coll.Throughput(elapsed),
-		FlashReads: s.backend.Reads(),
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if stats.Count > 0 {
 		stats.MeanLatency /= sim.Time(stats.Count)
@@ -201,23 +185,12 @@ func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, err
 // RegularIOBaseline measures the same 4 KB read path on an idle device
 // (regular-I/O mode): no GNN work, no deferral.
 func RegularIOBaseline(cfg config.Config) (sim.Time, error) {
-	d, err := newDevice(cfg, 16)
+	d, err := newDevice(cfg, 16, 0)
 	if err != nil {
 		return 0, err
 	}
 	var latency sim.Time
-	cost := cfg.Firmware.PollCost + cfg.Firmware.TranslateCost + cfg.Firmware.FlashCmdCost
-	d.fw.Do(cost, func() {
-		d.backend.ReadPage(0, 0, nil, func() {
-			d.backend.Transfer(0, cfg.Flash.PageSize, func() {
-				d.mem.Read(cfg.Flash.PageSize, func() {
-					d.qp.TransferData(cfg.Flash.PageSize, func() {
-						latency = d.k.Now()
-					})
-				})
-			})
-		})
-	})
-	d.run()
+	d.regularRead(cfg, 0, func() { latency = d.k.Now() })
+	d.drain()
 	return latency, nil
 }

@@ -1,6 +1,9 @@
 package platform
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"beacongnn/internal/config"
@@ -83,6 +86,35 @@ func TestAccelerationModeDefersRegularIO(t *testing.T) {
 	}
 	if stats.MeanDeferral >= stats.MeanLatency {
 		t.Fatal("deferral accounting exceeds total latency")
+	}
+}
+
+// TestRegularIORunErrors: acceleration mode ends a failed run the way
+// Run does. A run that exhausts the spare region reports the FTL's
+// error, and a cancelled context reports context.Canceled; neither is a
+// deadlock.
+func TestRegularIORunErrors(t *testing.T) {
+	inst := testInstance(t)
+	cfg := config.Default()
+	cfg.Fault.Enabled = true
+	cfg.Fault.BaseRBER = 2e-2
+	s, err := NewSystem(CC, cfg, inst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.RunWithRegularIO(8); err == nil || !strings.Contains(err.Error(), "spare region exhausted") {
+		t.Fatalf("spare-exhausting run returned %v, want the FTL's error", err)
+	}
+
+	s, err = NewSystem(BG2, config.Default(), inst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.BindContext(ctx)
+	if _, _, err := s.RunWithRegularIO(2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
 

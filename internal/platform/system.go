@@ -8,16 +8,13 @@ import (
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
 	"beacongnn/internal/directgraph"
-	"beacongnn/internal/dram"
 	"beacongnn/internal/energy"
 	"beacongnn/internal/fault"
 	"beacongnn/internal/firmware"
-	"beacongnn/internal/flash"
 	"beacongnn/internal/ftl"
 	"beacongnn/internal/graph"
 	"beacongnn/internal/invariant"
 	"beacongnn/internal/metrics"
-	"beacongnn/internal/nvme"
 	"beacongnn/internal/router"
 	"beacongnn/internal/sampler"
 	"beacongnn/internal/sim"
@@ -31,18 +28,14 @@ type System struct {
 	cfg  config.Config
 	inst *dataset.Instance
 
-	k       *sim.Kernel
-	backend *flash.Backend
-	fw      *firmware.Processor
-	mem     *dram.DRAM
-	qp      *nvme.QueuePair
-	host    *sim.Server
-	rtr     *router.Router
-	ssdAcc  *accel.Model
-	tpu     *accel.Model
-	accelQ  *sim.Server
-	meter   *energy.Meter
-	coll    *metrics.Collector
+	device
+	host   *sim.Server
+	rtr    *router.Router
+	ssdAcc *accel.Model
+	tpu    *accel.Model
+	accelQ *sim.Server
+	meter  *energy.Meter
+	coll   *metrics.Collector
 
 	layout     directgraph.Layout
 	trng       *trngSlab // the per-die TRNGs, one slab recycled across runs
@@ -136,14 +129,10 @@ func (s *System) SetTracer(t sim.Tracer) {
 
 // NewSystem wires a platform over a materialized dataset instance.
 func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoints int) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if inst == nil || inst.Build == nil || inst.Build.Pages == nil {
 		return nil, fmt.Errorf("platform: dataset instance must be materialized")
 	}
-	k := sim.New()
-	backend, err := flash.New(k, cfg.Flash, timelinePoints)
+	d, err := newDevice(cfg, 1024, timelinePoints)
 	if err != nil {
 		return nil, err
 	}
@@ -152,19 +141,7 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 		return nil, err
 	}
 	if mkSched != nil {
-		backend.SetSchedulers(mkSched)
-	}
-	fw, err := firmware.NewProcessor(k, cfg.Firmware)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := dram.New(k, cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	qp, err := nvme.New(k, cfg.PCIe, 1024)
-	if err != nil {
-		return nil, err
+		d.backend.SetSchedulers(mkSched)
 	}
 	ssdAcc, err := accel.New(cfg.SSDAccel)
 	if err != nil {
@@ -174,16 +151,12 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	if err != nil {
 		return nil, err
 	}
-	hostCores := cfg.Host.Cores
-	if hostCores <= 0 {
-		hostCores = 4
-	}
 	s := &System{
 		kind: kind, caps: CapsOf(kind), cfg: cfg, inst: inst,
-		k: k, backend: backend, fw: fw, mem: mem, qp: qp,
-		host:   sim.NewServer(k, hostCores),
+		device: d,
+		host:   sim.NewServer(d.k, cfg.Host.Cores),
 		ssdAcc: ssdAcc, tpu: tpu,
-		accelQ: sim.NewServer(k, 1),
+		accelQ: sim.NewServer(d.k, 1),
 		meter:  energy.NewMeter(cfg.Energy),
 		coll:   metrics.NewCollector(),
 		lists:  newLists(),
@@ -213,8 +186,8 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 			return nil, fmt.Errorf("platform: fault model: %w", err)
 		}
 		s.inj = fault.NewInjector(cfg.Fault, cfg.Flash, cfg.Seed)
-		backend.FaultInjector = s.inj
-		backend.OnRetrySense = s.meter.FlashRetrySenses
+		s.backend.FaultInjector = s.inj
+		s.backend.OnRetrySense = s.meter.FlashRetrySenses
 	}
 	s.rng.Seed(cfg.Seed ^ uint64(kind)<<32)
 	// Per-die TRNGs, forked deterministically from the experiment seed:
@@ -232,9 +205,8 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	s.fw.OnBusy = s.meter.CoreBusy
 	s.mem.OnBytes = s.meter.DRAMBytes
 	s.qp.OnPCIeBytes = s.meter.PCIeBytes
-	s.qp.Device = func(cmd nvme.Command) {} // commands handled inline by flows
 	if s.caps.HWRouting {
-		s.rtr = router.New(k, backend, cfg.DieSampler.CrossbarLat, cfg.DieSampler.ParseLat)
+		s.rtr = router.New(s.k, s.backend, cfg.DieSampler.CrossbarLat, cfg.DieSampler.ParseLat)
 		s.rtr.OnRouted = s.meter.RouterCmd
 		// The hardware data path of BG-2: die executes, feature DMAs to
 		// DRAM without firmware, children stream back through the
@@ -345,17 +317,19 @@ type Result struct {
 }
 
 // Run simulates numBatches mini-batches and returns the measurements.
-func (s *System) Run(numBatches int) (*Result, error) {
+func (s *System) Run(numBatches int) (*Result, error) { return s.run(numBatches, s.prepBatch) }
+
+// run drives numBatches mini-batches through the prep/compute engine,
+// preparing batch i with prep(i, done), then builds the Result. An
+// unrecoverable device error, a cancelled context and a run that drains
+// before its last batch each end the run with their own error.
+func (s *System) run(numBatches int, prep func(i int, done func())) (*Result, error) {
 	if numBatches <= 0 {
 		return nil, fmt.Errorf("platform: numBatches must be positive")
 	}
 	engine := firmware.NewEngine(s.k, !s.cfg.Ablation.NoPipeline)
 	finished := false
-	engine.Run(numBatches,
-		func(i int, done func()) { s.prepBatch(i, done) },
-		func(i int, done func()) { s.computeBatch(i, done) },
-		func() { finished = true },
-	)
+	engine.Run(numBatches, prep, s.computeBatch, func() { finished = true })
 	s.k.Run()
 	defer s.releaseLists()
 	if s.failErr != nil {

@@ -116,27 +116,17 @@ type fifos struct {
 
 var fifoShelf = pool.NewShelf(func() *fifos { return &fifos{} })
 
-// New returns a router over the backend. Crossbar and parse latencies
-// default to 50 ns each when zero.
+// New returns a router over the backend with the given crossbar hop and
+// stream-parse latencies.
 func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) *Router {
 	cfg := backend.Config()
-	if crossbarLat == 0 {
-		crossbarLat = 50 * sim.Nanosecond
-	}
-	if parseLat == 0 {
-		parseLat = 50 * sim.Nanosecond
-	}
-	planes := cfg.PlanesPerDie
-	if planes < 1 {
-		planes = 1
-	}
 	words := (cfg.DiesPerChannel + 63) / 64
 	r := &Router{
 		k: k, backend: backend, cfg: cfg,
 		crossbarLat: crossbarLat, parseLat: parseLat,
 		sectionBits: directgraph.Layout{PageSize: cfg.PageSize}.SectionBits(),
 		inFlight:    make([]int, cfg.TotalDies()),
-		planes:      planes,
+		planes:      cfg.PlanesPerDie,
 		rrNext:      make([]int, cfg.Channels),
 		ready:       make([]uint64, cfg.Channels*words),
 		readyWords:  words,

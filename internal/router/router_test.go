@@ -19,7 +19,7 @@ func setup(t *testing.T) (*sim.Kernel, *flash.Backend, *Router, directgraph.Layo
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(k, b, 0, 0)
+	r := New(k, b, 50*sim.Nanosecond, 50*sim.Nanosecond)
 	l := directgraph.Layout{PageSize: cfg.PageSize, FeatureDim: 0}
 	return k, b, r, l
 }
@@ -202,7 +202,7 @@ func TestPickMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := New(k, b, 0, 0)
+		r := New(k, b, 50*sim.Nanosecond, 50*sim.Nanosecond)
 		rng := rand.New(rand.NewSource(int64(g.dies)))
 		var running []int // dies with a command in flight, one entry per plane
 		picks := 0

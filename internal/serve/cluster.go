@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,48 @@ type replica struct {
 	brk    *chaos.Breaker
 }
 
+// registry is a metrics registry seen through one fixed label: a
+// cluster's replicas register into the router's registry, each series
+// labeled replica="i", so the router's /metrics shows them all. A
+// standalone server's label is empty and its names pass unchanged.
+type registry struct {
+	*metrics.Registry
+	label string
+
+	mu    sync.Mutex
+	names map[string]string // name as registered → labeled name
+}
+
+func newRegistry(reg *metrics.Registry, label string) *registry {
+	return &registry{Registry: reg, label: label, names: make(map[string]string)}
+}
+
+// name merges the label into name's label set, once per name.
+func (r *registry) name(name string) string {
+	if r.label == "" {
+		return name
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l, ok := r.names[name]
+	if !ok {
+		if strings.HasSuffix(name, "}") {
+			l = name[:len(name)-1] + "," + r.label + "}"
+		} else {
+			l = name + "{" + r.label + "}"
+		}
+		r.names[name] = l
+	}
+	return l
+}
+
+func (r *registry) Counter(name string) *metrics.Counter { return r.Registry.Counter(r.name(name)) }
+func (r *registry) Gauge(name string) *metrics.Gauge     { return r.Registry.Gauge(r.name(name)) }
+func (r *registry) Summary(name string) *metrics.Summary { return r.Registry.Summary(r.name(name)) }
+func (r *registry) GaugeFunc(name string, fn func() float64) {
+	r.Registry.GaugeFunc(r.name(name), fn)
+}
+
 type ringEntry struct {
 	hash uint64
 	id   int
@@ -87,7 +130,7 @@ func NewCluster(n int, cfg Config) *Cluster {
 	c.unavailable = c.reg.Counter("beaconserved_router_unavailable_total")
 	for i := 0; i < n; i++ {
 		c.replicas[i] = &replica{
-			srv:        New(cfg),
+			srv:        newServer(cfg, c.reg, fmt.Sprintf(`replica="%d"`, i)),
 			requests:   c.reg.Counter(fmt.Sprintf(`beaconserved_replica_requests_total{replica="%d"}`, i)),
 			deadProbes: c.reg.Counter(fmt.Sprintf(`beaconserved_replica_dead_probe_total{replica="%d"}`, i)),
 			brk:        chaos.NewBreaker(c.brkCfg),

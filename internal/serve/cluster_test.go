@@ -273,3 +273,35 @@ func TestClusterForwardsExperimentList(t *testing.T) {
 		t.Fatalf("experiment list: %d %s", rec.Code, rec.Body)
 	}
 }
+
+// TestClusterMetricsShowReplicaSeries: the router's /metrics carries
+// each replica's own series under its replica label — the cache
+// counters and the request latency summaries of a miss and a hit.
+func TestClusterMetricsShowReplicaSeries(t *testing.T) {
+	c := testCluster(t, 2, Config{})
+	var id string
+	for range 2 {
+		rec := postSim(c, routeBody(7))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("simulate: %d %s", rec.Code, rec.Body)
+		}
+		id = rec.Header().Get("X-Replica")
+	}
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		`beaconserved_cache_misses_total{replica="` + id + `"} 1`,
+		`beaconserved_cache_hits_total{replica="` + id + `"} 1`,
+		`beaconserved_request_seconds_count{endpoint="simulate",cache="miss",replica="` + id + `"} 1`,
+		`beaconserved_request_seconds_count{endpoint="simulate",cache="hit",replica="` + id + `"} 1`,
+		`beaconserved_replica_requests_total{replica="` + id + `"} 2`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, "\nbeaconserved_cache_hits_total ") {
+		t.Errorf("/metrics has an unlabeled replica series:\n%s", body)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"beacongnn/internal/chaos"
 	"beacongnn/internal/dataset"
 	"beacongnn/internal/exp"
-	"beacongnn/internal/metrics"
 )
 
 // breakerSet owns one circuit breaker per (platform, dataset) family.
@@ -20,10 +19,10 @@ type breakerSet struct {
 	mu  sync.RWMutex
 	cfg chaos.BreakerConfig
 	m   map[family]*chaos.Breaker
-	reg *metrics.Registry
+	reg *registry
 }
 
-func newBreakerSet(cfg chaos.BreakerConfig, reg *metrics.Registry) *breakerSet {
+func newBreakerSet(cfg chaos.BreakerConfig, reg *registry) *breakerSet {
 	return &breakerSet{cfg: cfg, m: make(map[family]*chaos.Breaker), reg: reg}
 }
 

@@ -165,7 +165,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	eng     *exp.Engine
-	reg     *metrics.Registry
+	reg     *registry
 	adm     *admission
 	mux     *http.ServeMux
 	handler http.Handler // mux, or chaos middleware around it
@@ -182,7 +182,11 @@ type Server struct {
 
 // New builds a server: one shared engine (pool, LRU result memo and LRU
 // instance cache), one metrics registry.
-func New(cfg Config) *Server {
+func New(cfg Config) *Server { return newServer(cfg, metrics.NewRegistry(), "") }
+
+// newServer builds a server that registers its metrics into reg, each
+// series labeled with label (none when empty).
+func newServer(cfg Config, reg *metrics.Registry, label string) *Server {
 	cfg = cfg.withDefaults()
 	eng := exp.New(cfg.Workers)
 	if cfg.Check {
@@ -193,7 +197,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		eng:      eng,
-		reg:      metrics.NewRegistry(),
+		reg:      newRegistry(reg, label),
 		adm:      newAdmission(cfg.QueueDepth, cfg.CapacityQPS),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),

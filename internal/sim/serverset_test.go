@@ -25,9 +25,8 @@ func TestReleasedServersAreRecycled(t *testing.T) {
 	}
 	k := New()
 	a, b := NewServer(k, 2), NewServer(k, 1)
-	u, w := NewUtilization(8), &WaitStats{}
+	u := NewUtilization(8)
 	a.SetUtilization(u)
-	a.SetWaitStats(w)
 	a.SetTracer(&spanRec{}, "x", 1)
 	b.SetScheduler(NewSJF())
 	for i := 0; i < 40; i++ {
@@ -48,7 +47,7 @@ func TestReleasedServersAreRecycled(t *testing.T) {
 		t.Fatalf("shelved set holds %d servers, %d handed out; want a and b, none out", len(set.srv), set.n)
 	}
 	for i, s := range set.srv {
-		if s.k != nil || s.util != nil || s.wait != nil || s.tracer != nil || s.sched != nil ||
+		if s.k != nil || s.util != nil || s.tracer != nil || s.sched != nil ||
 			s.busy != 0 || s.head != 0 || s.subSeq != 0 || len(s.queue) != 0 || len(s.slots) != 0 || len(s.free) != 0 {
 			t.Fatalf("server %d not reset: %+v", i, s)
 		}

@@ -529,7 +529,6 @@ type Server struct {
 	queue  []serverReq
 	head   int
 	util   *Utilization
-	wait   *WaitStats
 	tracer Tracer
 	tname  string
 	tlane  int
@@ -638,9 +637,6 @@ func (s *Server) reset() {
 // SetUtilization attaches a utilization tracker (may be nil).
 func (s *Server) SetUtilization(u *Utilization) { s.util = u }
 
-// SetWaitStats attaches a queueing-delay tracker (may be nil).
-func (s *Server) SetWaitStats(w *WaitStats) { s.wait = w }
-
 // SetTracer attaches a request tracer (may be nil) reporting spans under
 // the given resource name and lane.
 func (s *Server) SetTracer(t Tracer, resource string, lane int) {
@@ -747,9 +743,6 @@ func (s *Server) begin(r serverReq) {
 	startAt := s.k.Now()
 	if s.util != nil {
 		s.util.Add(startAt, +1)
-	}
-	if s.wait != nil {
-		s.wait.Observe(startAt - r.arrived)
 	}
 	if r.start != nil {
 		r.start(startAt)
@@ -920,36 +913,3 @@ func (u *Utilization) Peak() int { return u.peak }
 
 // Timeline returns the recorded (time, active) samples.
 func (u *Utilization) Timeline() []UtilPoint { return u.points }
-
-// WaitStats accumulates queueing-delay statistics.
-type WaitStats struct {
-	n     uint64
-	total Time
-	max   Time
-}
-
-// Observe records one queueing delay.
-func (w *WaitStats) Observe(d Time) {
-	w.n++
-	w.total += d
-	if d > w.max {
-		w.max = d
-	}
-}
-
-// Count returns the number of observations.
-func (w *WaitStats) Count() uint64 { return w.n }
-
-// Mean returns the average delay (0 if none observed).
-func (w *WaitStats) Mean() Time {
-	if w.n == 0 {
-		return 0
-	}
-	return w.total / Time(w.n)
-}
-
-// Max returns the largest delay observed.
-func (w *WaitStats) Max() Time { return w.max }
-
-// Total returns the summed delay.
-func (w *WaitStats) Total() Time { return w.total }

@@ -254,23 +254,24 @@ func TestServerParallelWidth(t *testing.T) {
 	}
 }
 
+// TestServerWaitStats: a width-1 server queues back-to-back requests,
+// and each span's start − arrived is the wait it spent in the queue.
 func TestServerWaitStats(t *testing.T) {
 	k := New()
 	s := NewServer(k, 1)
-	var ws WaitStats
-	s.SetWaitStats(&ws)
+	rec := &spanRec{}
+	s.SetTracer(rec, "w", 0)
 	s.Submit(10, nil)
 	s.Submit(10, nil)
 	s.Submit(10, nil)
 	k.Run()
-	if ws.Count() != 3 {
-		t.Fatalf("count = %d", ws.Count())
+	if len(rec.got) != 3 {
+		t.Fatalf("count = %d", len(rec.got))
 	}
-	if ws.Mean() != 10 { // waits 0, 10, 20 → mean 10
-		t.Fatalf("mean wait = %v, want 10", ws.Mean())
-	}
-	if ws.Max() != 20 {
-		t.Fatalf("max wait = %v, want 20", ws.Max())
+	for i, sp := range rec.got {
+		if want := Time(10 * i); sp.start-sp.arrived != want { // waits 0, 10, 20
+			t.Fatalf("span %d waited %v, want %v", i, sp.start-sp.arrived, want)
+		}
 	}
 }
 
