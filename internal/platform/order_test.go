@@ -31,7 +31,7 @@ func (s *spanHasher) ServerSpan(resource string, lane int, arrived, start, end s
 	s.word(int64(end))
 }
 
-// TestEventOrderDigest pins the exact event order of three platforms on
+// TestEventOrderDigest pins the exact event order of every platform on
 // a fixed small instance: the ordered span stream of every traced
 // resource plus the kernel's event count. Any change to the event queue
 // must keep dispatch in (time, sequence) order, which leaves these
@@ -42,14 +42,19 @@ func TestEventOrderDigest(t *testing.T) {
 		steps  uint64
 		digest string
 	}{
-		CC:   {18372, "9b0fbf9ca9467d2e6b8c721329db054f3b0d50d1163b63f3e52e6730802c7c14"},
-		BGSP: {11820, "71ac41d69619cdf5896220dba44d255b0a2e1152bb1ac35f7ac2fcd697c9b9f5"},
-		BG2:  {9232, "403b1baf54f02fd38d88364e940075e58cc969feed627a06a3a182f2cc8a1b58"},
+		CC:        {18372, "9b0fbf9ca9467d2e6b8c721329db054f3b0d50d1163b63f3e52e6730802c7c14"},
+		SmartSage: {12880, "d65180d38f0afc6cea1bba1137145cea4bc3a2e88f0f849ea899e490c40aa71e"},
+		GList:     {12324, "748933e1e978255f40195df41665401f0a881138af3c8dbd66ca2a2599357416"},
+		BG1:       {9412, "049407c6f877816a80db88d57136697497448d169a9b58c68b4363b440ef8917"},
+		BGDG:      {8378, "74cc366deb1d68fcff6dfa89c46ac676d9d7d69cb951566af910c49562ed4b94"},
+		BGSP:      {11820, "71ac41d69619cdf5896220dba44d255b0a2e1152bb1ac35f7ac2fcd697c9b9f5"},
+		BGDGSP:    {10572, "6dadae418f9f33b814a703761cbd902ddf326c217175607dc241ebe4b81e5d62"},
+		BG2:       {9232, "403b1baf54f02fd38d88364e940075e58cc969feed627a06a3a182f2cc8a1b58"},
 	}
 	inst := testInstance(t)
 	cfg := config.Default()
 	cfg.GNN.BatchSize = 16
-	for _, k := range []Kind{CC, BGSP, BG2} {
+	for _, k := range All() {
 		s, err := NewSystem(k, cfg, inst, 0)
 		if err != nil {
 			t.Fatal(err)
