@@ -14,9 +14,7 @@ import (
 
 // DRAM is a single shared read/write port.
 type DRAM struct {
-	pipe   *sim.Pipe
-	reads  uint64
-	writes uint64
+	pipe *sim.Pipe
 
 	// OnBytes, when set, receives every transfer's size for energy
 	// accounting.
@@ -33,7 +31,6 @@ func New(k *sim.Kernel, link config.Link) (*DRAM, error) {
 
 // Write moves n bytes into DRAM; done fires when the port releases them.
 func (d *DRAM) Write(n int, done func()) {
-	d.writes += uint64(n)
 	if d.OnBytes != nil {
 		d.OnBytes(n)
 	}
@@ -42,15 +39,11 @@ func (d *DRAM) Write(n int, done func()) {
 
 // Read moves n bytes out of DRAM.
 func (d *DRAM) Read(n int, done func()) {
-	d.reads += uint64(n)
 	if d.OnBytes != nil {
 		d.OnBytes(n)
 	}
 	d.pipe.Transfer(n, done)
 }
-
-// Traffic returns (bytesRead, bytesWritten).
-func (d *DRAM) Traffic() (uint64, uint64) { return d.reads, d.writes }
 
 // Occupancy reports (in-service, queued) transfers on the port — both
 // zero once a run has drained.

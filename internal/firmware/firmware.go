@@ -22,7 +22,6 @@ type Processor struct {
 	k     *sim.Kernel
 	cfg   config.Firmware
 	cores *sim.Server
-	busy  sim.Time // accumulated core-busy time (all cores)
 
 	// OnBusy, when set, receives per-op core time for energy accounting.
 	OnBusy func(t sim.Time)
@@ -42,9 +41,6 @@ func (p *Processor) SetTracer(t sim.Tracer) { p.cores.SetTracer(t, "firmware.cor
 // Config returns the firmware configuration.
 func (p *Processor) Config() config.Firmware { return p.cfg }
 
-// BusyTime returns total core-busy time accumulated so far.
-func (p *Processor) BusyTime() sim.Time { return p.busy }
-
 // QueueLen returns requests waiting for a core.
 func (p *Processor) QueueLen() int { return p.cores.QueueLen() }
 
@@ -54,7 +50,6 @@ func (p *Processor) Occupancy() (busy, queued int) { return p.cores.Busy(), p.co
 
 // Do occupies one core for cost, then runs done.
 func (p *Processor) Do(cost sim.Time, done func()) {
-	p.busy += cost
 	if p.OnBusy != nil {
 		p.OnBusy(cost)
 	}
@@ -63,13 +58,6 @@ func (p *Processor) Do(cost sim.Time, done func()) {
 
 // Poll models the I/O poller picking up or completing one host request.
 func (p *Processor) Poll(done func()) { p.Do(p.cfg.PollCost, done) }
-
-// Translate models one FTL LPA→PPA lookup.
-func (p *Processor) Translate(done func()) { p.Do(p.cfg.TranslateCost, done) }
-
-// FlashCmd models the flash I/O scheduler handling one flash command:
-// request-queue management, DMA configuration, and status polling.
-func (p *Processor) FlashCmd(done func()) { p.Do(p.cfg.FlashCmdCost, done) }
 
 // ParseResult models classifying one sampling result landed in DRAM.
 func (p *Processor) ParseResult(done func()) { p.Do(p.cfg.ResultParseCost, done) }

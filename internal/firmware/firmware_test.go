@@ -36,9 +36,6 @@ func TestCoreContention(t *testing.T) {
 	if ends[0] != 10 || ends[1] != 10 || ends[2] != 20 || ends[3] != 20 {
 		t.Fatalf("ends = %v", ends)
 	}
-	if p.BusyTime() != 40 {
-		t.Fatalf("busy = %v", p.BusyTime())
-	}
 }
 
 func TestTypedOpsUseConfiguredCosts(t *testing.T) {
@@ -63,10 +60,10 @@ func TestOnBusyHook(t *testing.T) {
 	k, p := proc(t, 1)
 	var total sim.Time
 	p.OnBusy = func(d sim.Time) { total += d }
-	p.Translate(nil)
-	p.FlashCmd(nil)
+	p.Poll(nil)
+	p.ParseResult(nil)
 	k.Run()
-	if total != p.Config().TranslateCost+p.Config().FlashCmdCost {
+	if total != p.Config().PollCost+p.Config().ResultParseCost {
 		t.Fatalf("hook total = %v", total)
 	}
 }

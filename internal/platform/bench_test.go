@@ -10,8 +10,10 @@ import (
 // BenchmarkEventLoop isolates the event-loop layer of a cold simulate
 // request: one System.Run of 4 batches on a warm 10k-node reddit
 // instance, with instance materialization and NewSystem outside the
-// timer. CC is the host-driven page path, BG-SP the firmware-scheduled
-// die-sampler path and BG-2 the router-driven die-sampler path.
+// timer. CC is the host-driven page path, BG-DG the firmware-driven
+// page path with coalesced secondary reads, BG-SP the
+// firmware-scheduled die-sampler path and BG-2 the router-driven
+// die-sampler path.
 func BenchmarkEventLoop(b *testing.B) {
 	d, err := dataset.ByName("reddit")
 	if err != nil {
@@ -22,7 +24,7 @@ func BenchmarkEventLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, k := range []Kind{CC, BGSP, BG2} {
+	for _, k := range []Kind{CC, BGDG, BGSP, BG2} {
 		b.Run(k.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -69,8 +69,6 @@ func TestWarmRunConstructsNoPooledObjects(t *testing.T) {
 // NewSystem through the built Result: with servers, TRNGs, FIFOs and
 // batch buffers recycled, what is left is the System's own objects and
 // the Result's (timelines, breakdowns, histograms), ~100 allocations.
-// BG-DG also hands each coalesced bucket of secondary children to its
-// read, ~200.
 func TestWarmSimulateAllocs(t *testing.T) {
 	if pool.Disabled() {
 		t.Skip("pooling disabled")
@@ -86,12 +84,8 @@ func TestWarmSimulateAllocs(t *testing.T) {
 		}
 		simulate() // the process's first run of the kind builds the objects
 		simulate() // and the arrays grow to this workload's peaks
-		ceiling := 125.0
-		if k == BGDG {
-			ceiling = 240
-		}
-		if n := testing.AllocsPerRun(5, simulate); n > ceiling {
-			t.Errorf("%v: warm Simulate allocated %.0f times, want at most %.0f", k, n, ceiling)
+		if n := testing.AllocsPerRun(5, simulate); n > 125 {
+			t.Errorf("%v: warm Simulate allocated %.0f times, want at most 125", k, n)
 		}
 	}
 }

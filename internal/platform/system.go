@@ -275,6 +275,17 @@ func (s *System) dramRead(n int, done func()) {
 // fwPhase wraps a firmware op with phase accounting.
 func (s *System) fwPhase(cost sim.Time) { s.coll.AddPhase(metrics.PhaseFirmware, cost) }
 
+// commandDone books the lifetime of a flash command created at created
+// whose sense ran from senseStart to senseEnd and whose n-byte channel
+// transfer, submitted at senseEnd, ends now.
+func (s *System) commandDone(created, senseStart, senseEnd sim.Time, n int) {
+	xfer := s.cfg.Flash.TransferTime(n)
+	fl := senseEnd - senseStart
+	s.coll.CommandLifetime(senseStart-created, fl, s.k.Now()-senseEnd-xfer, xfer)
+	s.coll.AddPhase(metrics.PhaseFlash, fl)
+	s.coll.AddPhase(metrics.PhaseChannel, xfer)
+}
+
 // Result is everything a run measures; the beaconbench tool formats
 // these into the paper's tables and figures.
 type Result struct {

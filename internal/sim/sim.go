@@ -802,7 +802,6 @@ type Pipe struct {
 	srv         *Server
 	bytesPerSec float64
 	latency     Time
-	moved       uint64
 }
 
 // NewPipe returns a pipe with the given bandwidth (bytes/second) and fixed
@@ -832,12 +831,8 @@ func (p *Pipe) Transfer(n int, done func()) {
 	if n < 0 {
 		panic("sim: negative transfer size")
 	}
-	p.moved += uint64(n)
 	p.srv.SubmitDelayed(p.OccupancyFor(n), p.latency, done)
 }
-
-// BytesMoved returns the total bytes accepted by the pipe.
-func (p *Pipe) BytesMoved() uint64 { return p.moved }
 
 // Occupancy reports (in-service, queued) transfers on the pipe — both
 // zero once a run has drained.
