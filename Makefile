@@ -62,9 +62,14 @@ cover:
 
 # Run the full quick evaluation under the invariant checker
 # (internal/invariant): every simulation must satisfy the conservation
-# and sanity laws or the run fails naming the broken invariant.
+# and sanity laws or the run fails naming the broken invariant. The
+# scheduling-policy and reliability studies sit outside -exp all, so
+# they run checked too: the non-FIFO policies and the fault model take
+# code paths the figures do not.
 invariants:
 	$(GO) run ./cmd/beaconbench -exp all -quick -check -parallel 0 > /dev/null
+	$(GO) run ./cmd/beaconbench -exp sched -quick -check -parallel 0 > /dev/null
+	$(GO) run ./cmd/beaconbench -exp reliab -quick -check -parallel 0 > /dev/null
 	@echo "invariants: all checks passed"
 
 # Static analysis. go vet always runs; staticcheck and govulncheck run

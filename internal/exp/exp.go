@@ -136,7 +136,7 @@ func (e *Engine) SetFaultHook(h FaultHook) { e.hook = h }
 func (e *Engine) EvictOldest(n int) int { return e.memo.EvictOldest(n) }
 
 // EnableChecks routes every subsequent simulation through the invariant
-// checker (platform.SimulateChecked): each leaf run is verified against
+// checker (platform.SimulateCheckedCtx): each leaf run is verified against
 // the conservation and sanity invariants and fails with a
 // named-invariant diagnostic if any breaks. Checked results are
 // identical to unchecked ones — checking only observes — so the memo

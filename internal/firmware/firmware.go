@@ -13,36 +13,28 @@ package firmware
 import (
 	"fmt"
 
-	"beacongnn/internal/config"
 	"beacongnn/internal/sim"
 )
 
-// Processor is the embedded-core pool.
+// Processor is the embedded-core pool. Callers state each operation's
+// cost (config.Firmware holds them) and occupy a core with Do.
 type Processor struct {
-	k     *sim.Kernel
-	cfg   config.Firmware
 	cores *sim.Server
 
 	// OnBusy, when set, receives per-op core time for energy accounting.
 	OnBusy func(t sim.Time)
 }
 
-// NewProcessor returns a core pool with cfg.Cores parallel cores.
-func NewProcessor(k *sim.Kernel, cfg config.Firmware) (*Processor, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("firmware: cores must be positive, got %d", cfg.Cores)
+// NewProcessor returns a pool of the given number of parallel cores.
+func NewProcessor(k *sim.Kernel, cores int) (*Processor, error) {
+	if cores <= 0 {
+		return nil, fmt.Errorf("firmware: cores must be positive, got %d", cores)
 	}
-	return &Processor{k: k, cfg: cfg, cores: sim.NewServer(k, cfg.Cores)}, nil
+	return &Processor{cores: sim.NewServer(k, cores)}, nil
 }
 
 // SetTracer attaches a request tracer to the core pool.
 func (p *Processor) SetTracer(t sim.Tracer) { p.cores.SetTracer(t, "firmware.cores", 0) }
-
-// Config returns the firmware configuration.
-func (p *Processor) Config() config.Firmware { return p.cfg }
-
-// QueueLen returns requests waiting for a core.
-func (p *Processor) QueueLen() int { return p.cores.QueueLen() }
 
 // Occupancy reports (ops in service, ops queued) on the core pool —
 // both zero once a run has drained.
@@ -54,22 +46,6 @@ func (p *Processor) Do(cost sim.Time, done func()) {
 		p.OnBusy(cost)
 	}
 	p.cores.Submit(cost, done)
-}
-
-// Poll models the I/O poller picking up or completing one host request.
-func (p *Processor) Poll(done func()) { p.Do(p.cfg.PollCost, done) }
-
-// ParseResult models classifying one sampling result landed in DRAM.
-func (p *Processor) ParseResult(done func()) { p.Do(p.cfg.ResultParseCost, done) }
-
-// ECCDecode models a firmware soft-decode pass (or other ECC recovery
-// work) of the given duration on one embedded core.
-func (p *Processor) ECCDecode(cost sim.Time, done func()) { p.Do(cost, done) }
-
-// SampleNodes models firmware-based neighbor sampling of n neighbors
-// from one node's list (the SmartSage/BG-1 offload path).
-func (p *Processor) SampleNodes(n int, done func()) {
-	p.Do(p.cfg.SampleCostFixed+sim.Time(n)*p.cfg.SampleCostPerNode, done)
 }
 
 // Engine is the firmware GNN engine (Section VI-D): it schedules

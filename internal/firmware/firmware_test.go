@@ -3,16 +3,13 @@ package firmware
 import (
 	"testing"
 
-	"beacongnn/internal/config"
 	"beacongnn/internal/sim"
 )
 
 func proc(t *testing.T, cores int) (*sim.Kernel, *Processor) {
 	t.Helper()
 	k := sim.New()
-	cfg := config.Default().Firmware
-	cfg.Cores = cores
-	p, err := NewProcessor(k, cfg)
+	p, err := NewProcessor(k, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +17,7 @@ func proc(t *testing.T, cores int) (*sim.Kernel, *Processor) {
 }
 
 func TestProcessorValidation(t *testing.T) {
-	if _, err := NewProcessor(sim.New(), config.Firmware{Cores: 0}); err == nil {
+	if _, err := NewProcessor(sim.New(), 0); err == nil {
 		t.Fatal("zero cores accepted")
 	}
 }
@@ -38,33 +35,15 @@ func TestCoreContention(t *testing.T) {
 	}
 }
 
-func TestTypedOpsUseConfiguredCosts(t *testing.T) {
-	k, p := proc(t, 1)
-	cfg := p.Config()
-	var at sim.Time
-	p.Poll(func() { at = k.Now() })
-	k.Run()
-	if at != cfg.PollCost {
-		t.Fatalf("poll = %v, want %v", at, cfg.PollCost)
-	}
-	start := k.Now()
-	p.SampleNodes(10, func() { at = k.Now() })
-	k.Run()
-	want := cfg.SampleCostFixed + 10*cfg.SampleCostPerNode
-	if at-start != want {
-		t.Fatalf("sample = %v, want %v", at-start, want)
-	}
-}
-
 func TestOnBusyHook(t *testing.T) {
 	k, p := proc(t, 1)
 	var total sim.Time
 	p.OnBusy = func(d sim.Time) { total += d }
-	p.Poll(nil)
-	p.ParseResult(nil)
+	p.Do(7, nil)
+	p.Do(5, nil)
 	k.Run()
-	if total != p.Config().PollCost+p.Config().ResultParseCost {
-		t.Fatalf("hook total = %v", total)
+	if total != 12 {
+		t.Fatalf("hook total = %v, want 12", total)
 	}
 }
 

@@ -28,9 +28,6 @@ type Geometry struct {
 // NewGeometry returns the mapping for the given flash config.
 func NewGeometry(cfg config.Flash) Geometry { return Geometry{cfg: cfg} }
 
-// Config returns the underlying flash configuration.
-func (g Geometry) Config() config.Flash { return g.cfg }
-
 // Channel returns the channel a page lives on.
 func (g Geometry) Channel(page uint32) int { return int(page) % g.cfg.Channels }
 
@@ -187,27 +184,21 @@ func (b *Backend) BusBytes() uint64 { return b.busBytes }
 // accounting), done when the result is ready in the data register.
 // Neither transfers anything over the channel; use Transfer for that.
 func (b *Backend) ReadPage(page uint32, dieExtra sim.Time, senseStart func(sim.Time), done func()) {
-	b.SensePage(page, dieExtra, senseStart, func(fault.Outcome) {
+	b.SensePage(page, dieExtra, 0, senseStart, func(fault.Outcome) {
 		if done != nil {
 			done()
 		}
 	})
 }
 
-// SensePage is ReadPage with the fault model exposed: done receives the
-// sense's ECC outcome so callers can run the firmware recovery ladder.
-// With no FaultInjector the outcome is always zero (Clean) and the event
-// sequence matches ReadPage exactly. Extra Vref-shift senses extend the
-// die occupancy of this request; they are reported as a flash.retry span
-// to the tracer.
-func (b *Backend) SensePage(page uint32, dieExtra sim.Time, senseStart func(sim.Time), done func(fault.Outcome)) {
-	b.SensePageDeadline(page, dieExtra, 0, senseStart, done)
-}
-
-// SensePageDeadline is SensePage carrying an EDF completion target for
-// the die (and, when dieExtra > 0, the sampler). Only a deadline-aware
-// scheduler reads it; zero means "no deadline".
-func (b *Backend) SensePageDeadline(page uint32, dieExtra, deadline sim.Time, senseStart func(sim.Time), done func(fault.Outcome)) {
+// SensePage is ReadPage with the fault model exposed and an EDF
+// completion target for the die (and, when dieExtra > 0, the sampler):
+// done receives the sense's ECC outcome so callers can run the firmware
+// recovery ladder. With no FaultInjector the outcome is always zero
+// (Clean). Only a deadline-aware scheduler reads the deadline; 0 means
+// none. Extra Vref-shift senses extend the die occupancy of this
+// request; they are reported as a flash.retry span to the tracer.
+func (b *Backend) SensePage(page uint32, dieExtra, deadline sim.Time, senseStart func(sim.Time), done func(fault.Outcome)) {
 	die := b.geom.GlobalDie(page)
 	b.reads++
 	if b.OnRead != nil {
@@ -226,11 +217,7 @@ func (b *Backend) SensePageDeadline(page uint32, dieExtra, deadline sim.Time, se
 	op.b, op.die, op.dieExtra, op.out = b, die, dieExtra, out
 	op.deadline = deadline
 	op.done = done
-	if deadline != 0 {
-		b.dies[die].SubmitDeadline(service, deadline, senseStart, op.fnDone)
-		return
-	}
-	b.dies[die].SubmitFull(service, senseStart, op.fnDone)
+	b.dies[die].SubmitFull(service, deadline, senseStart, op.fnDone)
 }
 
 // senseOp is the pooled per-sense state machine: it replaces the closure
@@ -291,19 +278,11 @@ func (op *senseOp) onDone() {
 		return
 	}
 	if op.done == nil {
-		if op.deadline != 0 {
-			b.samplers[op.die].SubmitDeadline(op.dieExtra, op.deadline, nil, nil)
-		} else {
-			b.samplers[op.die].Submit(op.dieExtra, nil)
-		}
+		b.samplers[op.die].SubmitFull(op.dieExtra, op.deadline, nil, nil)
 		op.release()
 		return
 	}
-	if op.deadline != 0 {
-		b.samplers[op.die].SubmitDeadline(op.dieExtra, op.deadline, nil, op.fnSampler)
-		return
-	}
-	b.samplers[op.die].Submit(op.dieExtra, op.fnSampler)
+	b.samplers[op.die].SubmitFull(op.dieExtra, op.deadline, nil, op.fnSampler)
 }
 
 func (op *senseOp) onSampler() {
@@ -313,25 +292,12 @@ func (op *senseOp) onSampler() {
 }
 
 // Transfer moves n bytes over the page's channel bus (plus the fixed
-// command overhead) and calls done when the bus releases the data.
-func (b *Backend) Transfer(page uint32, n int, done func()) {
-	b.TransferOnChannel(b.geom.Channel(page), n, done)
-}
-
-// TransferDeadline is Transfer carrying an EDF completion target for the
-// channel bus; zero means "no deadline".
-func (b *Backend) TransferDeadline(page uint32, n int, deadline sim.Time, done func()) {
-	b.transferOn(b.geom.Channel(page), n, deadline, done)
-}
-
-// TransferOnChannel is Transfer with an explicit channel index. Dead
-// channels (injected outages) reroute deterministically to the next
+// command overhead) and calls done when the bus releases the data. The
+// deadline is the bus's EDF completion target (0 = none). A dead
+// channel (an injected outage) reroutes deterministically to the next
 // healthy bus, whose queue widens to absorb the displaced traffic.
-func (b *Backend) TransferOnChannel(ch, n int, done func()) {
-	b.transferOn(ch, n, 0, done)
-}
-
-func (b *Backend) transferOn(ch, n int, deadline sim.Time, done func()) {
+func (b *Backend) Transfer(page uint32, n int, deadline sim.Time, done func()) {
+	ch := b.geom.Channel(page)
 	b.busBytes += uint64(n)
 	if b.OnTransfer != nil {
 		b.OnTransfer(n)
@@ -339,11 +305,7 @@ func (b *Backend) transferOn(ch, n int, deadline sim.Time, done func()) {
 	if b.FaultInjector != nil {
 		ch = b.FaultInjector.RouteChannel(ch)
 	}
-	if deadline != 0 {
-		b.channels[ch].SubmitDeadline(b.cfg.TransferTime(n), deadline, nil, done)
-		return
-	}
-	b.channels[ch].Submit(b.cfg.TransferTime(n), done)
+	b.channels[ch].SubmitFull(b.cfg.TransferTime(n), deadline, nil, done)
 }
 
 // IssueCommand occupies the page's channel bus for the command/address
@@ -360,7 +322,7 @@ func (b *Backend) IssueCommand(page uint32, done func()) {
 // by the program latency on the die.
 func (b *Backend) ProgramPage(page uint32, done func()) {
 	die := b.geom.GlobalDie(page)
-	b.TransferOnChannel(b.geom.Channel(page), b.cfg.PageSize, func() {
+	b.Transfer(page, b.cfg.PageSize, 0, func() {
 		b.dies[die].Submit(b.cfg.ProgramLatency, done)
 	})
 }
@@ -396,7 +358,7 @@ func RunChannelContention(cfg config.Flash, activeDies int, duration sim.Time) (
 		page := uint32(die * cfg.Channels)
 		start := k.Now()
 		b.ReadPage(page, 0, nil, func() {
-			b.Transfer(page, cfg.PageSize, func() {
+			b.Transfer(page, cfg.PageSize, 0, func() {
 				completed++
 				totalLat += k.Now() - start
 				if k.Now() < duration {

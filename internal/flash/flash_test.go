@@ -137,8 +137,8 @@ func TestTransferOccupiesChannel(t *testing.T) {
 	k := sim.New()
 	b, _ := New(k, cfg, 0)
 	var ends []sim.Time
-	b.Transfer(0, 4096, func() { ends = append(ends, k.Now()) })
-	b.Transfer(0, 4096, func() { ends = append(ends, k.Now()) })
+	b.Transfer(0, 4096, 0, func() { ends = append(ends, k.Now()) })
+	b.Transfer(0, 4096, 0, func() { ends = append(ends, k.Now()) })
 	k.Run()
 	per := cfg.TransferTime(4096)
 	if ends[0] != per || ends[1] != 2*per {
@@ -169,7 +169,7 @@ func TestEnergyHooks(t *testing.T) {
 	b.OnRead = func() { reads++ }
 	b.OnTransfer = func(n int) { bytes += n }
 	b.ReadPage(0, 0, nil, nil)
-	b.Transfer(0, 100, nil)
+	b.Transfer(0, 100, 0, nil)
 	k.Run()
 	if reads != 1 || bytes != 100 {
 		t.Fatalf("hooks: reads=%d bytes=%d", reads, bytes)

@@ -1,6 +1,6 @@
 // Metamorphic and property-based validation of the simulator, run
 // through the invariant checker: every simulation here executes under
-// platform.SimulateChecked, so a conservation or sanity violation fails
+// platform.SimulateCheckedCtx, so a conservation or sanity violation fails
 // the test with the named invariant even when the metamorphic relation
 // itself holds.
 //
@@ -17,6 +17,7 @@
 package invariant_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -68,7 +69,7 @@ func materialize(t *testing.T, name string, nodes, pageSize int, seed uint64) *d
 // the test on any violation or setup error.
 func simChecked(t *testing.T, kind platform.Kind, cfg config.Config, inst *dataset.Instance) *platform.Result {
 	t.Helper()
-	res, err := platform.SimulateChecked(kind, cfg, inst, metaBatches, 64)
+	res, err := platform.SimulateCheckedCtx(context.Background(), kind, cfg, inst, metaBatches, 64)
 	if err != nil {
 		t.Fatalf("%s (%d ch × %d dies): %v", kind, cfg.Flash.Channels, cfg.Flash.DiesPerChannel, err)
 	}
@@ -263,7 +264,7 @@ func TestPropertyRandomConfigs(t *testing.T) {
 		}
 		inst := materialize(t, "amazon", 1500, pageSize, config.Default().Seed)
 		for _, k := range kinds {
-			if _, err := platform.SimulateChecked(k, cfg, inst, metaBatches, 64); err != nil {
+			if _, err := platform.SimulateCheckedCtx(context.Background(), k, cfg, inst, metaBatches, 64); err != nil {
 				t.Errorf("draw %d (%d ch × %d dies × %d planes, %d cores, hops %d fanout %d batch %d, faults %v): %s: %v",
 					d, cfg.Flash.Channels, cfg.Flash.DiesPerChannel, cfg.Flash.PlanesPerDie,
 					cfg.Firmware.Cores, cfg.GNN.Hops, cfg.GNN.Fanout, cfg.GNN.BatchSize,

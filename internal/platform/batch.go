@@ -147,8 +147,7 @@ func (b *batchState) onRoundTrip() { b.sys.pcieData(8*b.roundN, b.fnAddrsIn) }
 
 func (b *batchState) onAddrsIn() {
 	s := b.sys
-	s.fwPhase(s.cfg.Firmware.PollCost)
-	s.fw.Poll(b.fnPolled)
+	s.fwDo(s.cfg.Firmware.PollCost, b.fnPolled)
 }
 
 func (b *batchState) onPolled() {
@@ -261,7 +260,7 @@ func (b *batchState) dispatchDie(cmd sampler.Command) {
 		cmd.Created = s.k.Now()
 	}
 	if s.caps.HWRouting {
-		s.rtr.Route(-1, cmd)
+		s.rtr.Route(cmd)
 		return
 	}
 	cost := s.cfg.Firmware.FlashCmdCost
@@ -270,8 +269,7 @@ func (b *batchState) dispatchDie(cmd sampler.Command) {
 	}
 	op := s.lists.dieOp.Get()
 	op.b, op.cmd = b, cmd
-	s.fwPhase(cost)
-	s.fw.Do(cost, op.fnFwDone)
+	s.fwDo(cost, op.fnFwDone)
 }
 
 func (op *dieOp) onFwDone() {
@@ -281,19 +279,18 @@ func (op *dieOp) onFwDone() {
 }
 
 func (op *dieOp) onIssued() {
-	op.b.execDie(op.cmd, nil, op.fnExecDone)
+	op.b.execDie(op.cmd, op, nil, nil)
 }
 
 func (op *dieOp) onExecDone(res *sampler.Result) {
 	// Results DMA into DRAM and the firmware parses them.
 	op.res = res
-	op.b.sys.dramWrite(res.BusBytes(), op.fnDramDone)
+	op.b.sys.dramData(res.BusBytes(), op.fnDramDone)
 }
 
 func (op *dieOp) onDramDone() {
 	s := op.b.sys
-	s.fwPhase(s.cfg.Firmware.ResultParseCost)
-	s.fw.ParseResult(op.fnParsed)
+	s.fwDo(s.cfg.Firmware.ResultParseCost, op.fnParsed)
 }
 
 func (op *dieOp) onParsed() {
@@ -307,12 +304,14 @@ func (op *dieOp) onParsed() {
 	b.stepDone(cmd.Hop)
 }
 
-// execDie performs the die-level read + sample + result transfer.
-// onSense (optional) fires when the die's array is free again (data in
-// the cache register); onDone receives the functional sampler result
-// after the channel releases it. Per-command state lives in a pooled
-// execOp (pools.go).
-func (b *batchState) execDie(cmd sampler.Command, onSense func(), onDone func(*sampler.Result)) {
+// execDie performs the die-level read + sample + result transfer. A
+// firmware-scheduled command (BG-SP, BG-DGSP) passes its dieOp, which
+// resumes with the result once the channel releases it. A routed
+// command (BG-2) passes the router's release, which fires when the
+// die's array is free again (data in the cache register), and done, the
+// router's parser; execOp.onXferDone then finishes the command in
+// hardware. Per-command state lives in a pooled execOp (pools.go).
+func (b *batchState) execDie(cmd sampler.Command, fw *dieOp, release func(), done func([]sampler.Command)) {
 	s := b.sys
 	page := s.layout.Page(cmd.Addr)
 	draws := cmd.SampleCount
@@ -321,7 +320,7 @@ func (b *batchState) execDie(cmd sampler.Command, onSense func(), onDone func(*s
 	}
 	extra := s.cfg.DieSampler.Fixed + sim.Time(draws)*s.cfg.DieSampler.PerDraw
 	op := s.lists.execOp.Get()
-	op.b, op.cmd, op.onSense, op.onDone = b, cmd, onSense, onDone
+	op.b, op.cmd, op.fw, op.onSense, op.routed = b, cmd, fw, release, done
 	s.senseManaged(page, extra, s.ioDeadline(cmd.Created), op.fnSenseStart, op.fnSenseDone)
 }
 
@@ -366,14 +365,28 @@ func (op *execOp) onSenseDone(final uint32) {
 	if op.onSense != nil {
 		op.onSense()
 	}
-	s.backend.TransferDeadline(final, res.BusBytes(), s.ioDeadline(op.cmd.Created), op.fnXferDone)
+	s.backend.Transfer(final, res.BusBytes(), s.ioDeadline(op.cmd.Created), op.fnXferDone)
 }
 
 func (op *execOp) onXferDone() {
-	op.b.sys.commandDone(op.cmd.Created, op.senseStart, op.senseEnd, op.res.BusBytes())
-	onDone, res := op.onDone, op.res
+	s, b, cmd, res := op.b.sys, op.b, op.cmd, op.res
+	s.commandDone(cmd.Created, op.senseStart, op.senseEnd, res.BusBytes())
+	fw, routed := op.fw, op.routed
 	op.release()
-	onDone(res)
+	if fw != nil {
+		fw.onExecDone(res)
+		return
+	}
+	// BG-2's hardware data path: the feature DMAs to DRAM, children
+	// stream back to the router's parser and the batch counters
+	// advance, with no embedded core on the way.
+	if n := len(res.Features); n > 0 {
+		s.dramData(n, nil)
+	}
+	children := b.accountDie(cmd, res)
+	s.putResult(res)
+	routed(children) // the router copies children before yielding
+	b.stepDone(cmd.Hop)
 }
 
 // accountDie updates counters for a completed die command and returns

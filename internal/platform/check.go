@@ -46,7 +46,7 @@ func (s *System) EnableChecks(c *invariant.Checker) {
 	c.RegisterDrain("flash", s.backend.Occupancy)
 	c.RegisterDrain("firmware.cores", s.fw.Occupancy)
 	c.RegisterDrain("dram.port", s.mem.Occupancy)
-	c.RegisterDrain("nvme", s.qp.Occupancy)
+	c.RegisterDrain("nvme", s.pcie.Occupancy)
 	c.RegisterDrain("host.cpu", func() (int, int) { return s.host.Busy(), s.host.QueueLen() })
 	c.RegisterDrain("accel.queue", func() (int, int) { return s.accelQ.Busy(), s.accelQ.QueueLen() })
 
@@ -140,15 +140,10 @@ func (s *System) runChecks(res *Result) error {
 	return c.Err()
 }
 
-// SimulateChecked is Simulate with a fresh invariant checker attached:
-// the run fails with a named-invariant diagnostic if any conservation
-// or sanity law breaks. Results are identical to Simulate — checking
-// only observes.
-func SimulateChecked(kind Kind, cfg config.Config, inst *dataset.Instance, numBatches, timelinePoints int) (*Result, error) {
-	return SimulateCheckedCtx(context.Background(), kind, cfg, inst, numBatches, timelinePoints)
-}
-
-// SimulateCheckedCtx is SimulateChecked bound to ctx; see SimulateCtx.
+// SimulateCheckedCtx is SimulateCtx with a fresh invariant checker
+// attached: the run fails with a named-invariant diagnostic if any
+// conservation or sanity law breaks. Results are identical to
+// SimulateCtx — checking only observes.
 func SimulateCheckedCtx(ctx context.Context, kind Kind, cfg config.Config, inst *dataset.Instance, numBatches, timelinePoints int) (*Result, error) {
 	s, err := NewSystem(kind, cfg, inst, timelinePoints)
 	if err != nil {

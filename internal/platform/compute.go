@@ -58,7 +58,7 @@ func (s *System) computeBatch(i int, done func()) {
 	run := func() { s.accelQ.Submit(t, done) }
 	if s.caps.ComputeSSD {
 		// Features and weights stream from SSD DRAM into accelerator SRAM.
-		s.dramRead(featBytes+s.weightsBytes(), run)
+		s.dramData(featBytes+s.weightsBytes(), run)
 		return
 	}
 	// Host-centric: features cross PCIe to the discrete accelerator.

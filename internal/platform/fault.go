@@ -73,7 +73,7 @@ func (s *System) senseAttempt(c *senseCtx) {
 		s.chk.CountRecoverySense()
 	}
 	c.rp = s.resolvePage(c.page)
-	s.backend.SensePageDeadline(c.rp, c.dieExtra, c.ioDL, c.senseStart, c.fnOutcome)
+	s.backend.SensePage(c.rp, c.dieExtra, c.ioDL, c.senseStart, c.fnOutcome)
 }
 
 // onOutcome is senseCtx's bound SensePage continuation: the firmware
@@ -92,7 +92,7 @@ func (c *senseCtx) onOutcome(out fault.Outcome) {
 		s.coll.AddPhase(metrics.PhaseECC, out.FirmwareTime)
 		done, page := c.done, c.page
 		c.release()
-		s.fw.ECCDecode(out.FirmwareTime, func() { done(s.resolvePage(page)) })
+		s.fw.Do(out.FirmwareTime, func() { done(s.resolvePage(page)) })
 	default: // fault.Uncorrectable
 		fc := s.cfg.Fault
 		if c.attempt == 0 && fc.CmdDeadline > 0 {
@@ -124,7 +124,7 @@ func (c *senseCtx) onOutcome(out fault.Outcome) {
 		done, page, dieExtra, ioDL, senseStart := c.done, c.page, c.dieExtra, c.ioDL, c.senseStart
 		c.release()
 		final := s.resolvePage(page)
-		s.backend.SensePageDeadline(final, dieExtra, ioDL, senseStart, func(fault.Outcome) {
+		s.backend.SensePage(final, dieExtra, ioDL, senseStart, func(fault.Outcome) {
 			done(s.resolvePage(page))
 		})
 	}

@@ -5,28 +5,26 @@ import (
 
 	"beacongnn/internal/config"
 	"beacongnn/internal/dataset"
-	"beacongnn/internal/dram"
 	"beacongnn/internal/firmware"
 	"beacongnn/internal/flash"
-	"beacongnn/internal/nvme"
 	"beacongnn/internal/sim"
 )
 
 // device is an SSD on a fresh kernel: flash backend, firmware cores,
-// DRAM and an NVMe queue pair whose device side ignores commands (flows
-// drive it inline). A System is built on one; the DirectGraph flush and
-// the idle regular-I/O baseline run on a bare one.
+// the DRAM port and the PCIe link to the host. A System is built on
+// one; the DirectGraph flush and the idle regular-I/O baseline run on a
+// bare one.
 type device struct {
 	k       *sim.Kernel
 	backend *flash.Backend
 	fw      *firmware.Processor
-	mem     *dram.DRAM
-	qp      *nvme.QueuePair
+	mem     *sim.Pipe // the SSD DRAM port, traced as dram.port
+	pcie    *sim.Pipe // the host link, traced as nvme.pcie
 }
 
-// newDevice validates cfg and assembles a device with an NVMe queue of
-// the given depth; timelinePoints sizes the flash utilization timelines.
-func newDevice(cfg config.Config, queueDepth, timelinePoints int) (device, error) {
+// newDevice validates cfg and assembles a device; timelinePoints sizes
+// the flash utilization timelines.
+func newDevice(cfg config.Config, timelinePoints int) (device, error) {
 	if err := cfg.Validate(); err != nil {
 		return device{}, err
 	}
@@ -35,16 +33,11 @@ func newDevice(cfg config.Config, queueDepth, timelinePoints int) (device, error
 	if d.backend, err = flash.New(d.k, cfg.Flash, timelinePoints); err != nil {
 		return device{}, err
 	}
-	if d.fw, err = firmware.NewProcessor(d.k, cfg.Firmware); err != nil {
+	if d.fw, err = firmware.NewProcessor(d.k, cfg.Firmware.Cores); err != nil {
 		return device{}, err
 	}
-	if d.mem, err = dram.New(d.k, cfg.DRAM); err != nil {
-		return device{}, err
-	}
-	if d.qp, err = nvme.New(d.k, cfg.PCIe, queueDepth); err != nil {
-		return device{}, err
-	}
-	d.qp.Device = func(nvme.Command) {}
+	d.mem = sim.NewPipe(d.k, cfg.DRAM.Bandwidth, cfg.DRAM.Latency)
+	d.pcie = sim.NewPipe(d.k, cfg.PCIe.Bandwidth, cfg.PCIe.Latency)
 	return d, nil
 }
 
@@ -64,9 +57,9 @@ func (d *device) regularRead(cfg config.Config, page uint32, done func()) {
 	size := cfg.Flash.PageSize
 	d.fw.Do(cost, func() {
 		d.backend.ReadPage(page, 0, nil, func() {
-			d.backend.Transfer(page, size, func() {
-				d.mem.Read(size, func() {
-					d.qp.TransferData(size, done)
+			d.backend.Transfer(page, size, 0, func() {
+				d.mem.Transfer(size, func() {
+					d.pcie.Transfer(size, done)
 				})
 			})
 		})
@@ -93,7 +86,7 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	if inst == nil || inst.Build == nil || inst.Build.Pages == nil {
 		return nil, fmt.Errorf("platform: construction needs a materialized build")
 	}
-	d, err := newDevice(cfg, 1024, 0)
+	d, err := newDevice(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +101,8 @@ func SimulateConstruction(cfg config.Config, inst *dataset.Instance) (*Construct
 	remaining := len(b.Pages)
 	for i := range b.Pages {
 		pn := b.First + uint32(i)
-		d.qp.TransferData(cfg.Flash.PageSize, func() {
-			d.mem.Write(cfg.Flash.PageSize, func() {
+		d.pcie.Transfer(cfg.Flash.PageSize, func() {
+			d.mem.Transfer(cfg.Flash.PageSize, func() {
 				res.VerifyTime += verifyCost
 				d.fw.Do(verifyCost, func() {
 					d.backend.ProgramPage(pn, func() {
@@ -185,7 +178,7 @@ func (s *System) RunWithRegularIO(numBatches int) (*Result, *RegularIOStats, err
 // RegularIOBaseline measures the same 4 KB read path on an idle device
 // (regular-I/O mode): no GNN work, no deferral.
 func RegularIOBaseline(cfg config.Config) (sim.Time, error) {
-	d, err := newDevice(cfg, 16, 0)
+	d, err := newDevice(cfg, 0)
 	if err != nil {
 		return 0, err
 	}

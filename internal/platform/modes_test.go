@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"beacongnn/internal/config"
+	"beacongnn/internal/energy"
 	"beacongnn/internal/sim"
 )
 
@@ -67,9 +68,25 @@ func TestAccelerationModeDefersRegularIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The regular reads are metered: each moves one page through the
+	// SSD DRAM port and over PCIe (BG-2 sends the host nothing else of
+	// that size).
+	page := float64(cfg.Flash.PageSize)
+	pcieReads, dramReads := 0, 0
+	s.meter.OnAdd = func(c energy.Component, j float64) {
+		switch {
+		case c == energy.PCIe && j == page*cfg.Energy.PCIePerByte:
+			pcieReads++
+		case c == energy.SSDDRAM && j == page*cfg.Energy.DRAMPerByte:
+			dramReads++
+		}
+	}
 	res, stats, err := s.RunWithRegularIO(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pcieReads != 3 || dramReads < 3 {
+		t.Fatalf("metered %d PCIe and %d DRAM page moves, want 3 and at least 3", pcieReads, dramReads)
 	}
 	if res.Batches != 3 || stats.Count != 3 {
 		t.Fatalf("batches=%d ios=%d", res.Batches, stats.Count)

@@ -140,9 +140,7 @@ func (pg *readPageOp) onHostDone() { pg.op.b.sys.pcieData(64, pg.fnDoorbell) }
 
 // submit hands the page to the firmware's flash scheduler.
 func (pg *readPageOp) submit() {
-	s, cost := pg.op.b.sys, pg.op.fwCost
-	s.fwPhase(cost)
-	s.fw.Do(cost, pg.fnFwDone)
+	pg.op.b.sys.fwDo(pg.op.fwCost, pg.fnFwDone)
 }
 
 func (pg *readPageOp) onFwDone() { pg.op.b.sys.backend.IssueCommand(pg.page, pg.fnIssued) }
@@ -163,13 +161,13 @@ func (pg *readPageOp) onSenseStart(at sim.Time) {
 func (pg *readPageOp) onSenseDone(final uint32) {
 	s := pg.op.b.sys
 	pg.senseEnd = s.k.Now()
-	s.backend.TransferDeadline(final, s.cfg.Flash.PageSize, s.ioDeadline(pg.op.r.created), pg.fnXferDone)
+	s.backend.Transfer(final, s.cfg.Flash.PageSize, s.ioDeadline(pg.op.r.created), pg.fnXferDone)
 }
 
 func (pg *readPageOp) onXferDone() {
 	s := pg.op.b.sys
 	s.commandDone(pg.op.r.created, pg.senseStart, pg.senseEnd, s.cfg.Flash.PageSize)
-	s.dramWrite(s.cfg.Flash.PageSize, pg.fnLanded)
+	s.dramData(s.cfg.Flash.PageSize, pg.fnLanded)
 }
 
 // onLanded runs once the page is in SSD DRAM. Block-interface reads
@@ -177,7 +175,7 @@ func (pg *readPageOp) onXferDone() {
 // (Challenge 2's read amplification).
 func (pg *readPageOp) onLanded() {
 	if n := pg.op.hostBytes; n > 0 {
-		pg.op.b.sys.dramRead(n, pg.fnDramDone)
+		pg.op.b.sys.dramData(n, pg.fnDramDone)
 		return
 	}
 	pg.pageDone()
@@ -202,8 +200,7 @@ func (op *readOp) arrived() {
 	s, r := op.b.sys, op.r
 	switch {
 	case r.secondary:
-		s.fwPhase(s.cfg.Firmware.ResultParseCost)
-		s.fw.ParseResult(op.fnParsed)
+		s.fwDo(s.cfg.Firmware.ResultParseCost, op.fnParsed)
 	case !r.sample:
 		b := op.b
 		op.release()
@@ -211,8 +208,7 @@ func (op *readOp) arrived() {
 	case op.host:
 		s.hostDo(sim.Time(s.cfg.GNN.Fanout)*s.cfg.Host.SampleCostNode, op.fnSampled)
 	default:
-		s.fwPhase(s.cfg.Firmware.SampleCostFixed + sim.Time(s.cfg.GNN.Fanout)*s.cfg.Firmware.SampleCostPerNode)
-		s.fw.SampleNodes(s.cfg.GNN.Fanout, op.fnSampled)
+		s.fwDo(s.cfg.Firmware.SampleCostFixed+sim.Time(s.cfg.GNN.Fanout)*s.cfg.Firmware.SampleCostPerNode, op.fnSampled)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // TestPooledStateIsolationUnderConcurrency hammers the pooled
 // request/batch state machines: many simulations run concurrently, each
-// drawing senseCtx/readOp/readPageOp/dieOp/batchState objects from its
+// drawing senseCtx/readOp/readPageOp/execOp/dieOp/batchState objects from its
 // own free lists, which it takes off the process-wide shelves and hands
 // back when it returns. The pooled round runs twice, so the second round runs on
 // lists the first one handed back — often from another goroutine — and
@@ -35,7 +35,7 @@ func TestPooledStateIsolationUnderConcurrency(t *testing.T) {
 	cfg := config.Default()
 	cfg.GNN.BatchSize = 24
 	// Both pool-heavy regimes, repeated so simulations overlap: the die
-	// paths (BG-SP/BG-2) churn dieOp/execOp/rtrOp, sampler Results and
+	// paths churn execOp, sampler Results and (BG-SP) dieOp or (BG-2)
 	// router cmdOps, the page paths churn readOp/readPageOp — CC and
 	// GList host-controlled, SmartSage with its to-host continuation,
 	// BG-1 firmware-driven, BG-DG with secondary reads — and all share

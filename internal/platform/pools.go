@@ -12,13 +12,14 @@ import (
 // path is flattened into a struct whose continuation funcs are bound once
 // in its shelf's constructor (method values allocate, so the funcs are
 // captured into fields). The page platforms' node reads run on readOp
-// and readPageOp, the die platforms' commands on execOp, dieOp and
-// rtrOp; all share senseCtx and batchState. Every System owns one free
-// list per type (lists), drawn from the type's shelf at first use and
-// handed back when Run returns. Reset discipline: release() clears every reference
-// field before Put, and callers that invoke a final callback copy it to
-// a local, release, then call — the object must never be touched after
-// Put. pool.Disable turns all of this into fresh allocation for the
+// and readPageOp, the die platforms' commands on execOp and (under
+// firmware scheduling) dieOp; all share senseCtx and batchState. Every
+// System owns one free list per type (lists), drawn from the type's
+// shelf at first use and handed back when Run returns. Reset
+// discipline: release() clears every reference field before Put, and
+// callers that invoke a final callback copy it to a local, release,
+// then call — the object must never be touched after Put.
+// pool.Disable turns all of this into fresh allocation for the
 // determinism tests.
 
 // lists are a System's free lists, one per pooled type.
@@ -28,7 +29,6 @@ type lists struct {
 	readPageOp pool.List[readPageOp]
 	execOp     pool.List[execOp]
 	dieOp      pool.List[dieOp]
-	rtrOp      pool.List[rtrOp]
 	batch      pool.List[batchState]
 	result     pool.List[sampler.Result]
 	trng       pool.List[trngSlab]
@@ -38,7 +38,7 @@ func newLists() lists {
 	return lists{
 		senseCtx: senseCtxShelf.List(),
 		readOp:   readOpShelf.List(), readPageOp: readPageOpShelf.List(),
-		execOp: execOpShelf.List(), dieOp: dieOpShelf.List(), rtrOp: rtrOpShelf.List(),
+		execOp: execOpShelf.List(), dieOp: dieOpShelf.List(),
 		batch: batchShelf.List(), result: resultShelf.List(),
 		trng: trngShelf.List(),
 	}
@@ -51,7 +51,6 @@ func (l *lists) release() {
 	l.readPageOp.Release()
 	l.execOp.Release()
 	l.dieOp.Release()
-	l.rtrOp.Release()
 	l.batch.Release()
 	l.result.Release()
 	l.trng.Release()
@@ -158,12 +157,19 @@ func (pg *readPageOp) release() {
 }
 
 // execOp carries one execDie (die platforms) through
-// sense+sample → channel transfer, with lifetime accounting.
+// sense+sample → channel transfer, with lifetime accounting, and then
+// hands the result to its dieOp (fw) or, for a routed BG-2 command,
+// finishes it: onSense and routed are the router's release and parser.
+// It stays apart from dieOp, because a command waits in the firmware
+// queue far longer than it senses: a cold pass holds many more dieOps
+// than execOps, and a merged type would bind the sense leg's
+// continuations on every dieOp.
 type execOp struct {
 	b       *batchState
 	cmd     sampler.Command
+	fw      *dieOp
 	onSense func()
-	onDone  func(*sampler.Result)
+	routed  func([]sampler.Command)
 	res     *sampler.Result
 
 	senseStart, senseEnd sim.Time
@@ -183,7 +189,7 @@ var execOpShelf = pool.NewShelf(func() *execOp {
 
 func (op *execOp) release() {
 	s := op.b.sys
-	op.b, op.onSense, op.onDone, op.res = nil, nil, nil, nil
+	op.b, op.fw, op.onSense, op.routed, op.res = nil, nil, nil, nil, nil
 	s.lists.execOp.Put(op)
 }
 
@@ -196,7 +202,6 @@ type dieOp struct {
 
 	fnFwDone   func()
 	fnIssued   func()
-	fnExecDone func(*sampler.Result)
 	fnDramDone func()
 	fnParsed   func()
 }
@@ -205,7 +210,6 @@ var dieOpShelf = pool.NewShelf(func() *dieOp {
 	op := &dieOp{}
 	op.fnFwDone = op.onFwDone
 	op.fnIssued = op.onIssued
-	op.fnExecDone = op.onExecDone
 	op.fnDramDone = op.onDramDone
 	op.fnParsed = op.onParsed
 	return op
@@ -217,44 +221,8 @@ func (op *dieOp) release() {
 	s.lists.dieOp.Put(op)
 }
 
-// rtrOp is the per-command state of the BG-2 hardware data path wired in
-// NewSystem: die executes, feature DMAs to DRAM, children stream back to
-// the router's parser.
-type rtrOp struct {
-	s    *System
-	b    *batchState
-	cmd  sampler.Command
-	done func([]sampler.Command)
-
-	fnExecDone func(*sampler.Result)
-}
-
-var rtrOpShelf = pool.NewShelf(func() *rtrOp {
-	op := &rtrOp{}
-	op.fnExecDone = op.onExecDone
-	return op
-})
-
-func (op *rtrOp) release() {
-	s := op.s
-	op.s, op.b, op.done = nil, nil, nil
-	s.lists.rtrOp.Put(op)
-}
-
-func (op *rtrOp) onExecDone(res *sampler.Result) {
-	s, b, cmd, done := op.s, op.b, op.cmd, op.done
-	op.release()
-	if n := len(res.Features); n > 0 {
-		s.dramWrite(n, nil)
-	}
-	children := b.accountDie(cmd, res)
-	s.putResult(res)
-	done(children) // the router copies children before yielding
-	b.stepDone(cmd.Hop)
-}
-
 // resultShelf recycles die-sampler Results: execDie fills one through
-// sampler.ExecuteInto and the consumer (dieOp.onParsed, rtrOp.onExecDone)
+// sampler.ExecuteInto and the consumer (dieOp.onParsed, execOp.onXferDone)
 // puts it back once accountDie has read it. Besides its own slices,
 // whose backing arrays are what the list reuses, a Result references
 // only the page its feature bytes alias, which putResult drops.

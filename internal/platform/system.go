@@ -121,8 +121,8 @@ func (s *System) SetTracer(t sim.Tracer) {
 	}
 	s.backend.SetTracer(t)
 	s.fw.SetTracer(t)
-	s.mem.SetTracer(t)
-	s.qp.SetTracer(t)
+	s.mem.SetTracer(t, "dram.port", 0)
+	s.pcie.SetTracer(t, "nvme.pcie", 0)
 	s.host.SetTracer(t, "host.cpu", 0)
 	s.accelQ.SetTracer(t, "accel.queue", 0)
 }
@@ -132,7 +132,7 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	if inst == nil || inst.Build == nil || inst.Build.Pages == nil {
 		return nil, fmt.Errorf("platform: dataset instance must be materialized")
 	}
-	d, err := newDevice(cfg, 1024, timelinePoints)
+	d, err := newDevice(cfg, timelinePoints)
 	if err != nil {
 		return nil, err
 	}
@@ -204,22 +204,17 @@ func NewSystem(kind Kind, cfg config.Config, inst *dataset.Instance, timelinePoi
 	s.backend.OnTransfer = s.meter.ChannelBytes
 	s.fw.OnBusy = s.meter.CoreBusy
 	s.mem.OnBytes = s.meter.DRAMBytes
-	s.qp.OnPCIeBytes = s.meter.PCIeBytes
+	s.pcie.OnBytes = s.meter.PCIeBytes
 	if s.caps.HWRouting {
 		s.rtr = router.New(s.k, s.backend, cfg.DieSampler.CrossbarLat, cfg.DieSampler.ParseLat)
 		s.rtr.OnRouted = s.meter.RouterCmd
-		// The hardware data path of BG-2: die executes, feature DMAs to
-		// DRAM without firmware, children stream back through the
-		// crossbar, and the batch counters advance — no embedded core
-		// touches any of it.
+		// The hardware data path of BG-2: the die executes and execDie
+		// finishes the command without firmware (see execOp.onXferDone).
 		s.rtr.Exec = func(cmd sampler.Command, release func(), done func([]sampler.Command)) {
 			if uint32(cmd.Batch) >= uint32(len(s.batches)) || s.batches[cmd.Batch] == nil {
 				panic(fmt.Sprintf("platform: routed command for unknown batch %d", cmd.Batch))
 			}
-			b := s.batches[cmd.Batch]
-			op := s.lists.rtrOp.Get()
-			op.s, op.b, op.cmd, op.done = s, b, cmd, done
-			b.execDie(cmd, release, op.fnExecDone)
+			s.batches[cmd.Batch].execDie(cmd, nil, release, done)
 		}
 	}
 	return s, nil
@@ -243,9 +238,6 @@ func (s *System) releaseLists() {
 	s.k.ReleaseServers()
 }
 
-// Kind returns the platform kind.
-func (s *System) Kind() Kind { return s.kind }
-
 // hostDo charges host CPU time and accounts it as the host phase.
 func (s *System) hostDo(cost sim.Time, done func()) {
 	s.coll.AddPhase(metrics.PhaseHost, cost)
@@ -258,22 +250,22 @@ func (s *System) pcieData(n int, done func()) {
 	s.pcieBytes += uint64(n)
 	s.coll.AddPhase(metrics.PhasePCIe, sim.Time(float64(n)/s.cfg.PCIe.Bandwidth*float64(sim.Second))+s.cfg.PCIe.Latency)
 	s.meter.HostDRAMBytes(n)
-	s.qp.TransferData(n, done)
+	s.pcie.Transfer(n, done)
 }
 
-// dramWrite/dramRead move bytes through SSD DRAM with phase accounting.
-func (s *System) dramWrite(n int, done func()) {
+// dramData moves n bytes through the SSD DRAM port, into or out of it,
+// with phase accounting.
+func (s *System) dramData(n int, done func()) {
 	s.coll.AddPhase(metrics.PhaseDRAM, sim.Time(float64(n)/s.cfg.DRAM.Bandwidth*float64(sim.Second)))
-	s.mem.Write(n, done)
+	s.mem.Transfer(n, done)
 }
 
-func (s *System) dramRead(n int, done func()) {
-	s.coll.AddPhase(metrics.PhaseDRAM, sim.Time(float64(n)/s.cfg.DRAM.Bandwidth*float64(sim.Second)))
-	s.mem.Read(n, done)
+// fwDo occupies a firmware core for cost and accounts it as the
+// firmware phase.
+func (s *System) fwDo(cost sim.Time, done func()) {
+	s.coll.AddPhase(metrics.PhaseFirmware, cost)
+	s.fw.Do(cost, done)
 }
-
-// fwPhase wraps a firmware op with phase accounting.
-func (s *System) fwPhase(cost sim.Time) { s.coll.AddPhase(metrics.PhaseFirmware, cost) }
 
 // commandDone books the lifetime of a flash command created at created
 // whose sense ran from senseStart to senseEnd and whose n-byte channel

@@ -7,7 +7,6 @@
 package router
 
 import (
-	"fmt"
 	"math/bits"
 
 	"beacongnn/internal/config"
@@ -17,14 +16,6 @@ import (
 	"beacongnn/internal/sampler"
 	"beacongnn/internal/sim"
 )
-
-// Stats counts router activity.
-type Stats struct {
-	Routed     uint64 // commands through the crossbar
-	CrossHops  uint64 // commands whose source ≠ destination channel
-	ParsedCmds uint64 // commands extracted by the data-stream parser
-	MaxQueue   int    // deepest dispatch queue observed
-}
 
 // Router forwards sampling commands between channels. Execution of a
 // command at a die is delegated to the Exec callback, so the router
@@ -54,8 +45,7 @@ type Router struct {
 	ready      []uint64
 	readyWords int
 
-	stats Stats
-	ops   pool.List[cmdOp]
+	ops pool.List[cmdOp]
 
 	// Exec runs a command on its die. The callee must call release once
 	// the die's sense completes (the cache register frees the array, so
@@ -150,9 +140,6 @@ func New(k *sim.Kernel, backend *flash.Backend, crossbarLat, parseLat sim.Time) 
 	return r
 }
 
-// Stats returns a copy of the activity counters.
-func (r *Router) Stats() Stats { return r.stats }
-
 func (r *Router) pageOf(cmd sampler.Command) uint32 {
 	// Section addresses embed the page number in their high bits; the
 	// hardware shifter is fixed by the page size (Section IV-A).
@@ -201,16 +188,10 @@ func (r *Router) Release() {
 	}
 }
 
-// Route injects a command into the crossbar from the given source
-// channel (−1 for the initial injection from the frontend).
-func (r *Router) Route(srcChannel int, cmd sampler.Command) {
-	r.stats.Routed++
+// Route injects a command into the crossbar.
+func (r *Router) Route(cmd sampler.Command) {
 	if r.OnRouted != nil {
 		r.OnRouted()
-	}
-	dst := r.backend.Geometry().Channel(r.pageOf(cmd))
-	if srcChannel >= 0 && srcChannel != dst {
-		r.stats.CrossHops++
 	}
 	r.q.transit.push(cmd)
 	r.k.After(r.crossbarLat, r.fnArrive)
@@ -222,11 +203,7 @@ func (r *Router) arrive() {
 	// Section addresses embed the physical page; geometry maps it.
 	page := r.pageOf(cmd)
 	die := r.backend.Geometry().GlobalDie(page)
-	q := &r.q.dispatch[die]
-	q.push(cmd)
-	if n := q.len(); n > r.stats.MaxQueue {
-		r.stats.MaxQueue = n
-	}
+	r.q.dispatch[die].push(cmd)
 	r.markReady(die)
 	r.pump(r.backend.Geometry().Channel(page))
 }
@@ -324,18 +301,9 @@ func (op *cmdOp) onParsed() {
 	r := op.r
 	op.release()
 	for _, nc := range op.next {
-		r.stats.ParsedCmds++
-		r.Route(op.channel, nc)
+		r.Route(nc)
 	}
 	r.pump(op.channel)
 	op.r, op.next = nil, op.next[:0]
 	r.ops.Put(op)
-}
-
-// Validate cross-checks router geometry against the backend.
-func (r *Router) Validate() error {
-	if r.Exec == nil {
-		return fmt.Errorf("router: Exec callback not set")
-	}
-	return nil
 }

@@ -15,7 +15,7 @@ package sim
 //     by arrival sequence so the order stays deterministic.
 //   - EDF (earliest deadline first): a min-heap on per-request
 //     deadlines. Requests submitted without an explicit deadline
-//     (SubmitDeadline with deadline 0, or any plain Submit) get
+//     (SubmitFull with deadline 0, or any plain Submit) get
 //     arrived+budget, so seniority converts into urgency and no
 //     request starves under sustained load.
 //   - TotalFit: a Knuth-Plass-style batch planner. Waiting requests

@@ -20,7 +20,7 @@ func schedScenario(sc Scheduler, services []Time, deadlines []Time) []int {
 		if deadlines != nil {
 			dl = deadlines[i]
 		}
-		s.SubmitDeadline(svc, dl, nil, func() { order = append(order, i) })
+		s.SubmitFull(svc, dl, nil, func() { order = append(order, i) })
 	}
 	k.Run()
 	return order
@@ -77,12 +77,12 @@ func TestEDFStarvationBound(t *testing.T) {
 	s.Submit(1000, nil)
 	victimDone := Time(-1)
 	laterBefore := 0
-	s.SubmitDeadline(50, 0, nil, func() { victimDone = k.Now() })
+	s.SubmitFull(50, 0, nil, func() { victimDone = k.Now() })
 	// 20 later arrivals, staggered while the blocker still runs.
 	for i := 0; i < 20; i++ {
 		at := Time(10 * (i + 1))
 		k.After(at, func() {
-			s.SubmitDeadline(5, 0, nil, func() {
+			s.SubmitFull(5, 0, nil, func() {
 				if victimDone < 0 {
 					laterBefore++
 				}
@@ -129,7 +129,7 @@ func TestTotalFitStarvationBound(t *testing.T) {
 	s.Submit(1000, nil)
 	victimDone := Time(-1)
 	overtakes := 0
-	s.SubmitDeadline(500, 0, nil, func() { victimDone = k.Now() })
+	s.SubmitFull(500, 0, nil, func() { victimDone = k.Now() })
 	for i := 0; i < 30; i++ {
 		at := Time(10 * (i + 1))
 		k.After(at, func() {
@@ -186,20 +186,21 @@ func TestSchedulerDrainsAndCounts(t *testing.T) {
 	} {
 		k := New()
 		s := NewServer(k, 2)
-		s.SetScheduler(mk())
+		sc := mk()
+		s.SetScheduler(sc)
 		done := 0
 		for i := 0; i < 100; i++ {
 			s.Submit(Time(i%11+1), func() { done++ })
 		}
 		if got := s.QueueLen(); got != 98 {
-			t.Fatalf("%s: QueueLen = %d, want 98 (2 in service)", s.Scheduler().name(), got)
+			t.Fatalf("%s: QueueLen = %d, want 98 (2 in service)", sc.name(), got)
 		}
 		k.Run()
 		if done != 100 {
-			t.Fatalf("%s: %d of 100 completed", s.Scheduler().name(), done)
+			t.Fatalf("%s: %d of 100 completed", sc.name(), done)
 		}
 		if s.QueueLen() != 0 || s.Busy() != 0 {
-			t.Fatalf("%s: not drained", s.Scheduler().name())
+			t.Fatalf("%s: not drained", sc.name())
 		}
 	}
 }

@@ -30,7 +30,7 @@ func TestReleasedServersAreRecycled(t *testing.T) {
 	a.SetTracer(&spanRec{}, "x", 1)
 	b.SetScheduler(NewSJF())
 	for i := 0; i < 40; i++ {
-		a.SubmitFull(Time(i%3+1), func(Time) {}, func() {})
+		a.SubmitFull(Time(i%3+1), 0, func(Time) {}, func() {})
 		b.Submit(1, func() {})
 	}
 	k.Run()

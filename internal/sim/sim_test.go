@@ -280,7 +280,7 @@ func TestServerStartCallback(t *testing.T) {
 	s := NewServer(k, 1)
 	var starts []Time
 	for i := 0; i < 2; i++ {
-		s.SubmitFull(7, func(at Time) { starts = append(starts, at) }, nil)
+		s.SubmitFull(7, 0, func(at Time) { starts = append(starts, at) }, nil)
 	}
 	k.Run()
 	if starts[0] != 0 || starts[1] != 7 {
@@ -321,13 +321,19 @@ func TestPipeBandwidthAndLatency(t *testing.T) {
 	k := New()
 	// 1000 bytes/sec → 1 byte per millisecond.
 	p := NewPipe(k, 1000, 5)
+	var sizes []int
+	p.OnBytes = func(n int) { sizes = append(sizes, n) }
 	var end Time
 	p.Transfer(10, func() { end = k.Now() })
+	p.Transfer(3, nil)
 	k.Run()
 	// 10 bytes → 10 ms occupancy + 5 ns latency.
 	want := 10*Millisecond + 5
 	if end != want {
 		t.Fatalf("end = %v, want %v", end, want)
+	}
+	if len(sizes) != 2 || sizes[0] != 10 || sizes[1] != 3 {
+		t.Fatalf("OnBytes saw %v, want [10 3]", sizes)
 	}
 }
 
@@ -623,8 +629,8 @@ func TestKernelCancelPollStopsRun(t *testing.T) {
 	if !k.Canceled() {
 		t.Fatal("Canceled() = false after a cancel-poll stop")
 	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false after a cancel-poll stop")
+	if !k.stopped {
+		t.Fatal("kernel not stopped after a cancel-poll stop")
 	}
 	// The poll runs every cancelStride events, so at most one extra
 	// stride of events executed after the flag flipped.
