@@ -72,7 +72,7 @@ func run(args []string) int {
 		clusterN     = fs.Int("cluster", 0, "run N in-process replicas behind consistent-hash request routing (0/1 = single server)")
 		workers      = fs.Int("workers", 0, "concurrent simulations (0 = all CPU cores)")
 		queueDepth   = fs.Int("queue-depth", 0, "admitted request cap before 429 shedding (0 = 4x workers)")
-		cacheResults = fs.Int("cache-results", 0, "LRU cap on memo entries, one per simulation: its result and JSON encoding (0 = 512)")
+		cacheResults = fs.Int("cache-results", 0, "LRU cap on memo entries, one per simulation: its result and JSON encoding; also caps the body index of validated simulate bodies (0 = 512)")
 		cacheInsts   = fs.Int("cache-instances", 0, "LRU cap on materialized dataset instances (0 = 8)")
 		timeout      = fs.Duration("timeout", 0, "default per-request deadline (0 = 120s)")
 		maxTimeout   = fs.Duration("max-timeout", 0, "ceiling on client-requested deadlines (0 = 10m)")

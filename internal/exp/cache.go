@@ -8,8 +8,8 @@ import (
 )
 
 // Cache is a keyed, deduplicating memo with an optional LRU cap. It is
-// the one cache protocol of the engine and the daemon: simulation
-// results, materialized dataset instances and last-known-good answers.
+// the one cache protocol of the engine and the daemon: simulation results,
+// dataset instances, last-known-good answers and validated request bodies.
 //
 //   - Do computes a key at most once at a time: concurrent callers park
 //     on the in-flight entry instead of recomputing, and each wait

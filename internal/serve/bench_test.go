@@ -76,10 +76,14 @@ func (c *benchClient) post(b *testing.B, body, cache string) {
 //     read-latency override), so each op pays a full simulation on a
 //     warm dataset instance — the request path's allocation budget is
 //     on top of the simulation itself;
-//   - memo-hit: the same request repeatedly, so each op is decode +
-//     validation + memo lookup + envelope write around the entry's
+//   - memo-hit: the same request repeatedly, so each op is the body
+//     index lookup + memo lookup + envelope write around the entry's
 //     stored encoding. This is the latency a client sees for a repeated
 //     query and must stay microseconds;
+//   - memo-hit-decode: memo-hit with a timeout_ms that steps through
+//     [1, 600000], so each body is new to the body index and pays the
+//     strict decode and validation, while the key (which leaves the
+//     timeout out) stays resident;
 //   - cluster-hit: memo-hit through a 2-replica Cluster, so each op
 //     adds the router's placement and forwarding to the same work.
 func BenchmarkRequestPath(b *testing.B) {
@@ -111,6 +115,17 @@ func BenchmarkRequestPath(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.post(b, body, "hit")
+		}
+	})
+
+	// Like latency, monotonic across calibration rounds, so no round
+	// finds the previous round's bodies in the index.
+	timeout := 0
+	b.Run("memo-hit-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			timeout = timeout%600_000 + 1
+			c.post(b, fmt.Sprintf(`%s,"timeout_ms":%d}`, base, timeout), "hit")
 		}
 	})
 

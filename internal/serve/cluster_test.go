@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,6 +100,8 @@ func TestClusterRejectsBadBodiesAtRouter(t *testing.T) {
 		{"/v1/experiment", `{"id":"no-such-figure"}`},
 		{"/v1/simulate", `{"platform":"BG-2","dataset":"no-such-dataset"}`},
 		{"/v1/simulate", `{"platform":"BG-2","dataset":"amazon"} {}`},
+		{"/v1/simulate", `{"platform":"BG-2","dataset":"amazon"}}`},
+		{"/v1/experiment", `{"id":"fig14"}]`},
 	} {
 		got, want := post(t, c, tc.path, tc.body), post(t, single, tc.path, tc.body)
 		if got.Code != http.StatusBadRequest || got.Body.String() != want.Body.String() ||
@@ -120,29 +121,34 @@ func TestClusterRejectsBadBodiesAtRouter(t *testing.T) {
 }
 
 // TestClusterDecodesAndDigestsOnce counts, through the package's decode
-// and digest hooks, what one routed simulate request costs on a miss
-// and on a hit: one strict decode and one config digest, made by the
-// router and handed to the replica with the job.
+// and digest hooks, what one routed simulate request costs: a miss makes
+// one strict decode and one config digest, in the router, which hands
+// the replica the job; a repeat of the same bytes is answered from the
+// router's body index with neither; and a respelling of the same key is
+// new bytes, so it decodes and digests once and reads the memo's hit.
 func TestClusterDecodesAndDigestsOnce(t *testing.T) {
 	c := testCluster(t, 2, Config{})
-	var decodes, digests atomic.Int64
-	decode := decodeJSON
-	t.Cleanup(func() { decodeJSON, digestHook = decode, nil })
-	decodeJSON = func(r io.Reader, v any) error {
-		decodes.Add(1)
-		return decode(r, v)
-	}
+	decodes := countDecodes(t)
+	var digests atomic.Int64
+	t.Cleanup(func() { digestHook = nil })
 	digestHook = func() { digests.Add(1) }
 	body := routeBody(5)
-	for _, cache := range []string{"miss", "hit"} {
+	for _, tc := range []struct {
+		name, body, cache string
+		work              int64
+	}{
+		{"miss", body, "miss", 1},
+		{"repeat", body, "hit", 0},
+		{"respelled", strings.Replace(body, "BG-2", "bg-2", 1), "hit", 1},
+	} {
 		decodes.Store(0)
 		digests.Store(0)
-		rec := postSim(c, body)
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != cache {
-			t.Fatalf("%s: code %d X-Cache %q: %.200s", cache, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		rec := postSim(c, tc.body)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != tc.cache {
+			t.Fatalf("%s: code %d X-Cache %q, want %s: %.200s", tc.name, rec.Code, rec.Header().Get("X-Cache"), tc.cache, rec.Body)
 		}
-		if decodes.Load() != 1 || digests.Load() != 1 {
-			t.Errorf("%s: %d decodes and %d digests, want 1 and 1", cache, decodes.Load(), digests.Load())
+		if decodes.Load() != tc.work || digests.Load() != tc.work {
+			t.Errorf("%s: %d decodes and %d digests, want %d and %d", tc.name, decodes.Load(), digests.Load(), tc.work, tc.work)
 		}
 	}
 }
@@ -276,7 +282,8 @@ func TestClusterForwardsExperimentList(t *testing.T) {
 
 // TestClusterMetricsShowReplicaSeries: the router's /metrics carries
 // each replica's own series under its replica label — the cache
-// counters and the request latency summaries of a miss and a hit.
+// counters and the request latency summaries of a miss and a hit — and
+// the body index counters of replica 0, whose index the router reads.
 func TestClusterMetricsShowReplicaSeries(t *testing.T) {
 	c := testCluster(t, 2, Config{})
 	var id string
@@ -296,6 +303,8 @@ func TestClusterMetricsShowReplicaSeries(t *testing.T) {
 		`beaconserved_request_seconds_count{endpoint="simulate",cache="miss",replica="` + id + `"} 1`,
 		`beaconserved_request_seconds_count{endpoint="simulate",cache="hit",replica="` + id + `"} 1`,
 		`beaconserved_replica_requests_total{replica="` + id + `"} 2`,
+		`beaconserved_body_index_misses_total{replica="0"} 1`,
+		`beaconserved_body_index_hits_total{replica="0"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("/metrics lacks %q:\n%s", want, body)

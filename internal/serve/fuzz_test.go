@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"beacongnn/internal/exp"
@@ -39,16 +40,33 @@ func checkRejection(t *testing.T, err error) {
 // to a runnable job: any body is either rejected as a badRequestError
 // (a 400) or yields a job whose config validates, whose size lies
 // within the server's limits, whose key carries its config's digest,
-// and whose timeout is positive and at most MaxTimeout. The corpus is the committed bodies in
-// testdata/simrequest.
+// whose timeout is positive and at most MaxTimeout, and whose body
+// json.Unmarshal accepts too. Each body is decoded twice on one shared
+// server, so the second decode may come from its body index, and once
+// on a fresh server: all three give the same job or the same error. The
+// corpus is the committed bodies in testdata/simrequest.
 func FuzzSimRequest(f *testing.F) {
 	addCorpus(f, "simrequest")
 	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		job, err := s.decodeSim(bytes.NewReader(body))
+		again, errAgain := s.decodeSim(bytes.NewReader(body))
+		fresh, errFresh := New(Config{Workers: 1}).decodeSim(bytes.NewReader(body))
 		if err != nil {
 			checkRejection(t, err)
+			for _, e := range []error{errAgain, errFresh} {
+				if e == nil || e.Error() != err.Error() {
+					t.Fatalf("rejection %q, then %v", err, e)
+				}
+			}
 			return
+		}
+		if errAgain != nil || errFresh != nil || !reflect.DeepEqual(again, job) || !reflect.DeepEqual(fresh, job) {
+			t.Fatalf("accepted job %+v, then %+v (%v) and %+v (%v)", job, again, errAgain, fresh, errFresh)
+		}
+		var req SimRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("accepted body does not decode: %v", err)
 		}
 		if err := job.cfg.Validate(); err != nil {
 			t.Fatalf("accepted job has an invalid config: %v", err)

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"beacongnn/internal/config"
@@ -66,34 +69,95 @@ func badf(format string, a ...any) error {
 	return badRequestError{fmt.Sprintf(format, a...)}
 }
 
-// decodeJSON strictly decodes one JSON object from r into v: unknown
-// fields, malformed bodies, and trailing garbage are all 400s — a typo
-// in an override must never silently simulate the default instead. It
-// is a variable only so a test can count decodes.
-var decodeJSON = func(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, 1<<20))
+// maxBody is the largest request body the server reads; a larger one
+// is a 400, never a truncated decode.
+const maxBody = 1 << 20
+
+// bodyBuf holds one request body in memory while it is decoded. The
+// limited reader sits beside the buffer, so once the pool is warm,
+// reading a body allocates nothing.
+type bodyBuf struct {
+	bytes.Buffer
+	lim io.LimitedReader
+}
+
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// readBody reads r whole into a pooled buffer, which the caller hands
+// back to bodyBufs. It reads one byte past maxBody, so an over-limit
+// body is rejected rather than cut short.
+func readBody(r io.Reader) (*bodyBuf, error) {
+	b := bodyBufs.Get().(*bodyBuf)
+	b.Reset()
+	b.lim = io.LimitedReader{R: r, N: maxBody + 1}
+	_, err := b.ReadFrom(&b.lim)
+	b.lim.R = nil
+	if err == nil && b.Len() > maxBody {
+		err = fmt.Errorf("larger than %d bytes", maxBody)
+	}
+	if err != nil {
+		bodyBufs.Put(b)
+		return nil, badf("bad request body: %v", err)
+	}
+	return b, nil
+}
+
+// decodeJSON strictly decodes the JSON object in body into v: unknown
+// fields, malformed bodies, and anything but white space after the
+// object are all 400s — a typo in an override must never silently
+// simulate the default instead. It is a variable only so a test can
+// count decodes.
+var decodeJSON = func(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badf("bad request body: %v", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
 		return badf("bad request body: trailing data after the JSON object")
 	}
 	return nil
 }
 
-// digestHook, when set, is called for each config digest decodeSim
+// digestHook, when set, is called for each config digest parseSim
 // makes, so a test can count them. A replaceable digest function would
 // do the same but move every validated job to the heap.
 var digestHook func()
 
-// decodeSim is /v1/simulate's front half: a strict decode of body, then
-// the request resolved against the server's limits into a job and its
-// key. The key's node count is the requested one, because
-// dataset.Materialize yields exactly that many nodes. The job is
-// returned by value, so a memo hit keeps it on its stack; the miss path
-// copies it to the heap for the runs it starts.
+// decodeSim is /v1/simulate's front half: the body resolved into a job
+// and its key. A body seen before is answered from the server's body
+// index, keyed by the SHA-256 of its bytes; any other is read by
+// parseSim and, if accepted, indexed. parseSim's result depends only on
+// the bytes and on s.cfg's limits and timeouts, which are fixed for the
+// server's lifetime, so an indexed job is exactly what a fresh decode
+// would make; its hits share the config's fault lists, which nothing
+// writes. Rejected bodies are never indexed: each 400 is decoded
+// afresh. The job is returned by value, so a memo hit keeps it on its
+// stack; the miss path copies it to the heap for the runs it starts.
 func (s *Server) decodeSim(body io.Reader) (simJob, error) {
+	b, err := readBody(body)
+	if err != nil {
+		return simJob{}, err
+	}
+	defer bodyBufs.Put(b)
+	sum := sha256.Sum256(b.Bytes())
+	if job, ok := s.bodies.Get(sum); ok {
+		s.reg.Counter("beaconserved_body_index_hits_total").Inc()
+		return job, nil
+	}
+	s.reg.Counter("beaconserved_body_index_misses_total").Inc()
+	job, err := s.parseSim(b.Bytes())
+	if err == nil {
+		s.bodies.Put(sum, job)
+	}
+	return job, err
+}
+
+// parseSim is a strict decode of body, then the request resolved
+// against the server's limits into a job and its key. The key's node
+// count is the requested one, because dataset.Materialize yields
+// exactly that many nodes.
+func (s *Server) parseSim(body []byte) (simJob, error) {
 	var req SimRequest
 	if err := decodeJSON(body, &req); err != nil {
 		return simJob{}, err
@@ -182,10 +246,17 @@ type expJob struct {
 	timeout time.Duration
 }
 
-// decodeExp is decodeSim for /v1/experiment.
+// decodeExp is decodeSim for /v1/experiment, without a body index: an
+// experiment run is heavy, and its decode is noise beside it.
 func (s *Server) decodeExp(body io.Reader) (*expJob, error) {
+	b, err := readBody(body)
+	if err != nil {
+		return nil, err
+	}
 	var req ExpRequest
-	if err := decodeJSON(body, &req); err != nil {
+	err = decodeJSON(b.Bytes(), &req)
+	bodyBufs.Put(b)
+	if err != nil {
 		return nil, err
 	}
 	e, err := core.ByID(req.ID)

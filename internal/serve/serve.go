@@ -9,6 +9,9 @@
 //     (the config digest plus platform/dataset/scale) under one cap;
 //     an entry keeps the result and, from its first serve, the result's
 //     JSON encoding, so a repeat is neither re-simulated nor re-encoded;
+//   - a byte-identical repeat of a simulate body is not decoded again:
+//     a body index under the same cap maps the body's SHA-256 to its
+//     validated job;
 //   - admission control sheds load past a queue-depth cap with 429 and
 //     a Retry-After estimate instead of queueing unboundedly;
 //   - every request carries a deadline, threaded as a context through
@@ -40,7 +43,9 @@ type Config struct {
 	QueueDepth int
 	// CacheResults is the LRU cap on memo entries (0 = 512): one per
 	// SimKey, holding the platform.Result and, once served, its JSON
-	// encoding, ~41 KB together at 10 000 nodes and 4 batches.
+	// encoding, ~41 KB together at 10 000 nodes and 4 batches. It also
+	// caps the body index, ~0.9 KB per entry: a body's entry pays off
+	// only while its result can be resident.
 	CacheResults int
 	// CacheInstances is the LRU cap on materialized dataset instances
 	// (0 = 8). Instances are the big allocation: cap × MaxNodes bounds
@@ -174,6 +179,7 @@ type Server struct {
 	budget   *chaos.RetryBudget
 	breakers *breakerSet
 	stale    *exp.Cache[family, staleRecord] // degraded-mode answers
+	bodies   *exp.Cache[[32]byte, simJob]    // body index: a simulate body's SHA-256 → its job
 	inflight *drainSet
 	injector *chaos.Injector // nil unless chaos is enabled
 
@@ -203,6 +209,7 @@ func newServer(cfg Config, reg *metrics.Registry, label string) *Server {
 		start:    time.Now(),
 		budget:   chaos.NewRetryBudget(cfg.RetryBudgetRatio, 0),
 		stale:    exp.NewCache[family, staleRecord](cfg.StaleCap),
+		bodies:   exp.NewCache[[32]byte, simJob](cfg.CacheResults),
 		inflight: newDrainSet(),
 	}
 	s.breakers = newBreakerSet(chaos.BreakerConfig{
